@@ -16,6 +16,15 @@ whose ||u|| falls at or below step * lam become exactly zero, so the
 iterates are genuinely sparse.  The per-sample work is Theta(N^2 P D),
 independent of how many samples have been seen.
 
+One step makes few passes over the (N, P, N, 2D) coefficient array: one
+einsum for the predictions, u built in a single fresh buffer in place,
+one einsum for the group norms of u, and an in-place scale of u, which
+becomes the new coefficient array.  The shrink returns the post-shrink
+group norms, and the divergence rule (every entry finite and at most
+ALPHA_LIMIT in magnitude) first looks at those N*P*N norms: a group's norm
+bounds its entries, so the full scan of the array runs only when some
+norm is NaN or above ALPHA_LIMIT / 2, and then decides.
+
 Step-size convention: EstimatorConfig.gamma is the proximal damping
 weight, i.e. the squared-proximity term carries weight gamma/2 and the
 resulting gradient step is 1/gamma.  Large gamma therefore means strong
@@ -38,11 +47,17 @@ ALPHA_LIMIT = 1e12  # coefficient magnitude beyond which the run is declared div
 
 
 def group_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, scaled to avoid overflow.
+    """Euclidean norms over the last axis, safe against overflow.
 
-    Equivalent to np.linalg.norm(x, axis=-1) but safe for entries whose
-    squares would overflow.
+    Equivalent to np.linalg.norm(x, axis=-1).  The plain sum of squares is
+    one einsum; only when some sum comes out non-finite (an entry's square
+    overflows, or the input holds inf or NaN) are the norms recomputed with
+    every group scaled by its largest magnitude, so entries near 1e200 get
+    finite norms.
     """
+    sq = np.einsum("...d,...d->...", x, x)
+    if np.isfinite(sq).all():
+        return np.sqrt(sq)
     m = np.max(np.abs(x), axis=-1, keepdims=True)
     safe = np.where(m > 0, m, 1.0)
     scaled = x / safe
@@ -165,7 +180,8 @@ def build_feature_vector(history: np.ndarray, maps: FeatureMaps) -> np.ndarray:
     (p, n') evaluated at history[p, n']; .ravel() yields the stacked
     2*P*N*D vector.
     """
-    history = np.asarray(history, dtype=float)
+    # C order, so that z and the step's buffers built from it are C-ordered too
+    history = np.ascontiguousarray(history, dtype=float)
     if history.shape != (maps.P, maps.N):
         raise ValueError(f"history must have shape (P, N) = {(maps.P, maps.N)}, got {history.shape}")
     if not np.isfinite(history).all():
@@ -220,15 +236,31 @@ def comid_group_update(group: np.ndarray, grad_group: np.ndarray, gamma: float,
     if not (np.isfinite(g).all() and np.isfinite(v).all()):
         raise ValueError("non-finite inputs")
     u = g - gamma * v
-    return _shrink_groups(u, gamma * lam)
+    return _shrink_groups(u, gamma * lam)[0]
 
 
-def _shrink_groups(u: np.ndarray, thr: float) -> np.ndarray:
-    """Vectorized shrinkage over the last axis of u (groups of size 2D)."""
+def _shrink_groups(u: np.ndarray, thr: float):
+    """Shrink every group (last axis) of u in place; returns (u, post-shrink norms).
+
+    u must be a fresh array the caller owns.
+    """
     norms = group_norms(u)
     safe = np.where(norms > thr, norms, 1.0)
     factor = np.where(norms > thr, 1.0 - thr / safe, 0.0)
-    return u * factor[..., None]
+    u *= factor[..., None]
+    return u, factor * norms
+
+
+def _diverged(alpha: np.ndarray, norms: np.ndarray) -> bool:
+    """True when some entry of alpha is non-finite or beyond ALPHA_LIMIT.
+
+    norms are alpha's group norms.  Each bounds its group's entries and a
+    NaN fails the comparison, so the exact scan runs only when some norm is
+    NaN or above half the limit; the scan alone decides.
+    """
+    if norms.max() <= 0.5 * ALPHA_LIMIT:
+        return False
+    return not np.isfinite(alpha).all() or np.abs(alpha).max() > ALPHA_LIMIT
 
 
 def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray,
@@ -249,10 +281,12 @@ def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray
     yhat = np.einsum("npqd,pqd->n", state.alpha, z)
     resid = yhat - sample
     losses = 0.5 * resid * resid
-    grad = resid[:, None, None, None] * z[None]
-    u = state.alpha - gamma * grad
-    alpha = _shrink_groups(u, gamma * lam)
-    if not np.isfinite(alpha).all() or np.abs(alpha).max() > ALPHA_LIMIT:
+    # u = alpha - gamma * resid * z in one fresh buffer; state.alpha is only read
+    u = resid[:, None, None, None] * z[None]
+    u *= gamma
+    np.subtract(state.alpha, u, out=u)
+    alpha, norms = _shrink_groups(u, gamma * lam)
+    if _diverged(alpha, norms):
         raise DivergenceError(f"estimator diverged at iteration {state.t + 1}")
     return CoefficientState(alpha=alpha, t=state.t + 1), yhat, losses
 
@@ -281,17 +315,25 @@ class OnlineEstimator:
     """
 
     def __init__(self, cfg: EstimatorConfig, maps: FeatureMaps | None = None,
-                 state: CoefficientState | None = None, history: np.ndarray | None = None):
+                 state: CoefficientState | None = None, history: np.ndarray | None = None,
+                 warm: int | None = None):
         self.cfg = cfg
         self.maps = maps if maps is not None else FeatureMaps.from_config(cfg)
         self.state = state if state is not None else CoefficientState.zeros(cfg.N, cfg.P, cfg.D)
         # history[p] = p+1 samples ago; filled once warm-up completes
         self._history = None if history is None else np.array(history, dtype=float)
-        self._warm = 0 if self._history is None else cfg.P
+        # samples taken into the warm-up buffer so far; a history without a
+        # count is taken as a full window
+        self._warm = warm if warm is not None else (0 if self._history is None else cfg.P)
 
     @property
     def warmed_up(self) -> bool:
         return self._warm >= self.cfg.P
+
+    @property
+    def warm(self) -> int:
+        """Samples taken into the warm-up buffer so far (at most P)."""
+        return self._warm
 
     @property
     def history(self) -> np.ndarray | None:
@@ -399,7 +441,7 @@ def batch_oracle(data, cfg: EstimatorConfig, iterations: int = 2000,
         for _ in range(iterations):
             grad = G @ a - c
             u = (a - step * grad).reshape(n_groups, gdim)
-            a = _shrink_groups(u, step * cfg.lam).ravel()
+            a = _shrink_groups(u, step * cfg.lam)[0].ravel()
             quad = 0.5 * (a @ (G @ a) - 2.0 * (c @ a) + yty)
             obj = quad + cfg.lam * group_norms(a.reshape(n_groups, gdim)).sum()
             objs.append(obj)
@@ -436,10 +478,10 @@ def linear_baseline_step(alpha: np.ndarray, history: np.ndarray, sample: np.ndar
     resid = yhat - sample
     losses = 0.5 * resid * resid
     u = alpha - gamma * resid[:, None, None] * history[None]
-    new_alpha = _shrink_groups(u[..., None], gamma * lam)[..., 0]
-    if not np.isfinite(new_alpha).all() or np.abs(new_alpha).max() > ALPHA_LIMIT:
+    norms = _shrink_groups(u[..., None], gamma * lam)[1]  # shrinks u in place
+    if _diverged(u, norms):
         raise DivergenceError("linear baseline diverged")
-    return new_alpha, yhat, losses
+    return u, yhat, losses
 
 
 class LinearBaseline:

@@ -272,6 +272,9 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
         mean = np.array(extra["mean"])[:, None]
         std = np.array(extra["std"])[:, None]
         values = (values - mean) / std
+    if values.shape[0] != est.cfg.N:
+        raise DataError(f"data has {values.shape[0]} nodes but the checkpoint expects "
+                        f"{est.cfg.N}")
     if next_t >= values.shape[1]:
         raise DataError(f"checkpoint already covers all {values.shape[1]} samples")
     T = values.shape[1]
@@ -287,7 +290,9 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     est_path = cfg.output_dir / f"{prefix}_estimates_resumed.csv"
     pred_path = cfg.output_dir / f"{prefix}_predictions_resumed.csv"
     ckpt_path = cfg.output_dir / f"{prefix}_checkpoint_resumed.json"
-    io.write_estimates_csv(est_path, norms, t_start=next_t, emit_every=cfg.emit_every)
+    # continue the uncut run's thinning grid t = P, P + K, P + 2K, ...
+    first_row = next_t + (P - next_t) % cfg.emit_every
+    io.write_estimates_csv(est_path, norms, t_start=first_row, emit_every=cfg.emit_every)
     io.write_predictions_csv(pred_path, preds, t_start=next_t)
     io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
     written = [est_path, pred_path, ckpt_path]

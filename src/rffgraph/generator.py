@@ -152,12 +152,12 @@ def switch_edge(topo: Topology, rng: np.random.Generator) -> Topology:
     """Deactivate one active slot and activate one inactive slot, both uniformly at random.
 
     The newly active slot receives a fresh U(0,1) weight; the total active
-    count is unchanged.  Raises ValueError when no switch is possible.
+    count is unchanged.  Raises ConfigError when no switch is possible.
     """
     act_idx = np.argwhere(topo.active)
     inact_idx = np.argwhere(~topo.active)
     if len(act_idx) == 0 or len(inact_idx) == 0:
-        raise ValueError("no switch possible: need at least one active and one inactive slot")
+        raise ConfigError("no switch possible: need at least one active and one inactive slot")
     off = tuple(act_idx[rng.integers(len(act_idx))])
     on = tuple(inact_idx[rng.integers(len(inact_idx))])
     coeffs = topo.coeffs.copy()
@@ -221,11 +221,19 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
     model.  In switching mode the topology changes after every
     switch_interval generated samples; in drift mode the active
     coefficients drift every sample.  A pure function of cfg (the seed is
-    part of the config).
+    part of the config).  Raises ConfigError when a switch falls within
+    the series but the seed's initial topology has no active or no
+    inactive slot.
     """
     rng = np.random.default_rng(cfg.seed)
     topo = init_topology(cfg, rng)
     bank = init_bank(cfg, rng)
+    n_active = topo.n_active()
+    switches = cfg.switch_interval and cfg.T - cfg.P >= cfg.switch_interval
+    if switches and n_active in (0, topo.active.size):
+        raise ConfigError(
+            f"seed {cfg.seed}: the initial topology has {n_active} of {topo.active.size} "
+            f"slots active, so no edge can switch every {cfg.switch_interval} samples")
 
     values = np.empty((cfg.N, cfg.T))
     values[:, : cfg.P] = rng.standard_normal((cfg.N, cfg.P))

@@ -210,6 +210,7 @@ def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None
         "alpha": estimator.state.alpha.tolist(),
         "history": None if estimator.history is None else estimator.history.tolist(),
         "warmed_up": bool(estimator.warmed_up),
+        "warm": int(estimator.warm),
     }
     if extra:
         obj["extra"] = jsonable(extra)
@@ -217,16 +218,41 @@ def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None
         json.dump(obj, fh)
 
 
+def _finite_array(path, value, name: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric JSON
+        arr = None
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        raise DataError(f"{path}: {name} must be a finite array of shape {shape}")
+    return arr
+
+
 def read_checkpoint(path) -> OnlineEstimator:
+    """Restore the estimator a checkpoint saved, after checking its arrays.
+
+    alpha must be a finite (N, P, N, 2D) array and history, when present,
+    a finite (P, N) one, for the (N, P, D) of the checkpoint's config.  The
+    warm-up count is restored as saved; checkpoints written without it
+    count as warmed up whenever they hold a history.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     with open(path) as fh:
         obj = json.load(fh)
     cfg = config_from_dict(obj["config"])
-    state = CoefficientState(alpha=np.array(obj["alpha"], dtype=float), t=obj["t"])
-    history = None if obj["history"] is None else np.array(obj["history"], dtype=float)
-    return OnlineEstimator(cfg, state=state, history=history)
+    alpha = _finite_array(path, obj["alpha"], "alpha", (cfg.N, cfg.P, cfg.N, 2 * cfg.D))
+    history = obj["history"]
+    if history is not None:
+        history = _finite_array(path, history, "history", (cfg.P, cfg.N))
+    warm = obj.get("warm")
+    if warm is not None and not (isinstance(warm, int) and 0 <= warm <= cfg.P
+                                 and (warm == 0) == (history is None)):
+        raise DataError(f"{path}: warm-up count {warm!r} does not fit P={cfg.P} "
+                        f"and the saved history")
+    state = CoefficientState(alpha=alpha, t=obj["t"])
+    return OnlineEstimator(cfg, state=state, history=history, warm=warm)
 
 
 def checkpoint_extra(path) -> dict:

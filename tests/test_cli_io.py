@@ -119,6 +119,57 @@ def test_checkpoint_round_trip_and_bit_exact_resume(tmp_path):
     assert np.array_equal(resumed.state.alpha, full.state.alpha)
 
 
+def test_checkpoint_rejects_arrays_that_do_not_fit_its_config(tmp_path):
+    cfg = EstimatorConfig(N=2, P=2, D=3, rff_seed=1)
+    est = OnlineEstimator(cfg)
+    for x in np.random.default_rng(0).normal(size=(5, 2)):
+        est.step(x)
+    ck = tmp_path / "ck.json"
+    io.write_checkpoint(ck, est, extra={"run": 0, "next_t": 5})
+    good = json.loads(ck.read_text())
+    bad_alpha = np.zeros((2, 2, 2, 4)).tolist()
+    nan_alpha = np.array(good["alpha"])
+    nan_alpha[1, 0, 1, 2] = np.nan
+    for key, value in (("alpha", bad_alpha), ("alpha", nan_alpha.tolist()),
+                       ("alpha", [[0.0], [0.0, 1.0]]),
+                       ("history", [[0.0, 1.0, 2.0]] * 2), ("history", [[np.inf, 0.0]] * 2),
+                       ("warm", 3)):
+        obj = dict(good, **{key: value})
+        ck.write_text(json.dumps(obj))
+        with pytest.raises(DataError):
+            io.read_checkpoint(ck)
+    # the same defect ends in exit code 3 at the CLI
+    obj = json.loads(json.dumps(BASE))
+    obj.update(runs=1, output_dir=str(tmp_path / "out"))
+    obj["estimator"].update(N=2, D=3)
+    obj["generator"].update(N=2)
+    ck.write_text(json.dumps(dict(good, alpha=bad_alpha)))
+    cfg_path = _write_cfg(tmp_path, obj)
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+
+
+def test_checkpoint_written_during_warm_up_resumes_warm_up(tmp_path):
+    values = np.random.default_rng(3).normal(size=(2, 30))
+    cfg = EstimatorConfig(N=2, P=3, D=4, lam=0.05, gamma=50.0, rff_seed=2)
+    full = OnlineEstimator(cfg).run(values)
+    ck = tmp_path / "ck.json"
+    for cut in range(1, cfg.P + 1):
+        est = OnlineEstimator(cfg)
+        for t in range(cut):
+            est.step(values[:, t])
+        io.write_checkpoint(ck, est)
+        resumed = io.read_checkpoint(ck)
+        assert resumed.warm == cut and resumed.warmed_up == (cut == cfg.P)
+        for t in range(cut, 30):
+            resumed.step(values[:, t])
+        assert np.array_equal(resumed.state.alpha, full.state.alpha)
+    # a checkpoint without the count keeps the old reading: a history means warmed up
+    obj = json.loads(ck.read_text())
+    del obj["warm"]
+    ck.write_text(json.dumps(obj))
+    assert io.read_checkpoint(ck).warmed_up
+
+
 # --- config parsing -----------------------------------------------------------
 
 def test_unknown_keys_rejected(tmp_path):
@@ -247,6 +298,16 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["estimate", str(_write_cfg(tmp_path, obj, "d.json"))]) == 4
 
 
+def test_generate_rejects_a_topology_with_no_edge_to_switch(tmp_path, capsys):
+    obj = json.loads(json.dumps(BASE))
+    obj.update(runs=1, output_dir=str(tmp_path / "out"))
+    obj["generator"].update(edge_probability=0.0, switch_interval=10)
+    cfg_path = _write_cfg(tmp_path, obj)
+    assert cli_main(["generate", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed 3:") and "no edge can switch" in err
+
+
 def test_limit_and_resume_via_cli(tmp_path):
     cfg_path = _cfg_with(tmp_path, runs=1)
     assert cli_main(["estimate", str(cfg_path)]) == 0
@@ -266,6 +327,26 @@ def test_limit_and_resume_via_cli(tmp_path):
     sel = np.isin(t_full, t_res)
     assert np.array_equal(full[sel], res)
     assert full_est == (tmp_path / "out" / "run000_estimates.csv").read_bytes()
+
+
+def test_resume_continues_the_thinning_grid(tmp_path):
+    obj = json.loads(json.dumps(BASE))
+    obj.update(runs=1, output_dir=str(tmp_path / "full"))
+    full_cfg = _write_cfg(tmp_path, obj, "full.json")
+    obj["output_dir"] = str(tmp_path / "cut")
+    cut_cfg = _write_cfg(tmp_path, obj, "cut.json")
+    thin = ["--emit-every", "7"]
+    assert cli_main(["estimate", str(full_cfg)] + thin) == 0
+    assert cli_main(["estimate", str(cut_cfg), "--limit", "60"] + thin) == 0
+    assert cli_main(["estimate", str(cut_cfg), "--from-checkpoint",
+                     str(tmp_path / "cut" / "run000_checkpoint.json")] + thin) == 0
+    full = (tmp_path / "full" / "run000_estimates.csv").read_text().splitlines()
+    cut = (tmp_path / "cut" / "run000_estimates.csv").read_text().splitlines()
+    resumed = (tmp_path / "cut" / "run000_estimates_resumed.csv").read_text().splitlines()
+    assert resumed[0] == full[0]
+    assert resumed[1].startswith("65,")  # the first t >= 60 on the grid 2, 9, 16, ...
+    assert set(resumed[1:]) <= set(full[1:])
+    assert cut[1:] + resumed[1:] == full[1:]
 
 
 def test_bench_outputs_and_errors(tmp_path):

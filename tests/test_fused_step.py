@@ -1,0 +1,140 @@
+"""Properties of the fused in-place estimator step, checked over random shapes.
+
+The per-group closed-form update (comid_group_update) and the seed's full
+divergence scan over every coefficient are the references.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rffgraph import (
+    CoefficientState,
+    DivergenceError,
+    FeatureMaps,
+    GaussianKernel,
+    build_feature_vector,
+    comid_group_update,
+    group_norms,
+    online_step,
+    sample_frequencies,
+)
+from rffgraph.estimator import ALPHA_LIMIT
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6))
+steps = st.floats(1e-4, 2.0)
+lams = st.floats(0.0, 5.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _setup(N, P, D, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    maps = FeatureMaps(sample_frequencies(GaussianKernel(0.5), D, seed), N, P)
+    alpha = scale * rng.normal(size=(N, P, N, 2 * D))
+    return rng, maps, CoefficientState(alpha=alpha, t=int(rng.integers(0, 100)))
+
+
+def _oracle_step(alpha, history, sample, maps, gamma, lam):
+    """One step as N*P*N separate closed-form group updates."""
+    z = build_feature_vector(history, maps)
+    resid = np.einsum("npqd,pqd->n", alpha, z) - sample
+    new = np.empty_like(alpha)
+    for n in range(alpha.shape[0]):
+        for p in range(alpha.shape[1]):
+            for q in range(alpha.shape[2]):
+                new[n, p, q] = comid_group_update(alpha[n, p, q], resid[n] * z[p, q], gamma, lam)
+    return new
+
+
+def _seed_scan_fails(alpha):
+    return not np.isfinite(alpha).all() or np.abs(alpha).max() > ALPHA_LIMIT
+
+
+@SETTINGS
+@given(shapes, seeds, steps, lams)
+def test_online_step_equals_per_group_oracle_and_leaves_state_alone(shape, seed, gamma, lam):
+    N, P, D = shape
+    rng, maps, state = _setup(N, P, D, seed)
+    before = state.alpha.copy()
+    history = rng.normal(size=(P, N))
+    sample = rng.normal(size=N)
+    new_state, _, _ = online_step(state, history, sample, maps, gamma, lam)
+    assert np.array_equal(state.alpha, before)
+    assert not np.shares_memory(new_state.alpha, state.alpha)
+    assert np.array_equal(new_state.alpha, _oracle_step(before, history, sample, maps, gamma, lam))
+    assert new_state.t == state.t + 1
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 40), seeds, st.floats(1e-3, 1e3))
+def test_group_norms_match_numpy_on_finite_inputs(groups, d, seed, scale):
+    x = scale * np.random.default_rng(seed).normal(size=(groups, 3, d))
+    np.testing.assert_allclose(group_norms(x), np.linalg.norm(x, axis=-1), rtol=1e-13, atol=0)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 40), seeds, st.floats(0.1, 10.0))
+def test_group_norms_stay_finite_near_1e200(groups, d, seed, scale):
+    unit = np.random.default_rng(seed).normal(size=(groups, d))
+    x = unit * (scale * 1e200)
+    norms = group_norms(x)
+    assert np.isfinite(norms).all()
+    np.testing.assert_allclose(norms, np.linalg.norm(unit, axis=-1) * (scale * 1e200),
+                               rtol=1e-13, atol=0)
+
+
+@SETTINGS
+@given(shapes, seeds, st.floats(5.0, 50.0), st.floats(0.0, 0.5))
+def test_divergence_raised_where_the_full_scan_fails(shape, seed, gamma, lam):
+    # an oversized step makes the run blow up after some iterations; the
+    # error must come on the first iteration whose iterate the full scan rejects
+    N, P, D = shape
+    rng, maps, state = _setup(N, P, D, seed)
+    values = rng.normal(size=(N, 200))
+    alpha = state.alpha
+    for k in range(200 - P):
+        history = values[:, k:k + P][:, ::-1].T
+        sample = values[:, k + P]
+        expected = _oracle_step(alpha, history, sample, maps, gamma, lam)
+        if _seed_scan_fails(expected):
+            with pytest.raises(DivergenceError, match=f"iteration {state.t + 1}"):
+                online_step(state, history, sample, maps, gamma, lam)
+            return
+        state, _, _ = online_step(state, history, sample, maps, gamma, lam)
+        assert np.array_equal(state.alpha, expected)
+        alpha = expected
+    pytest.fail("the run never diverged")
+
+
+def _doubling_run(c0, k, nan_sample_at=None):
+    """N = P = D = 1 with a zero lag window, lam 0 and step 3: the cosine
+    coefficient c maps to c - 3 * (c - 0) = -2c each iteration and the sine
+    coefficient stays 0, so |alpha| after iteration j is |c0| * 2**j.  This
+    is exact while 3c needs no more than 53 mantissa bits.  Returns the
+    iteration that raised, or None."""
+    maps = FeatureMaps(sample_frequencies(GaussianKernel(0.5), 1, 0), 1, 1)
+    state = CoefficientState(alpha=np.array([[[[0.0, c0]]]]))
+    for j in range(1, k + 2):
+        y = np.nan if j == nan_sample_at else 0.0
+        try:
+            state, _, _ = online_step(state, np.zeros((1, 1)), np.array([y]), maps, 3.0, 0.0)
+        except DivergenceError:
+            return j
+        assert abs(state.alpha[0, 0, 0, 1]) == abs(c0) * 2.0 ** j
+    return None
+
+
+@SETTINGS
+@given(st.integers(1, 30))
+def test_divergence_at_the_limit_boundary(k):
+    # eight ulps above the limit, leaving low mantissa bits free so that 3c is exact
+    just_above = ALPHA_LIMIT + 2.0 ** -10
+    # an entry just above the limit after iteration k raises there
+    assert _doubling_run(just_above / 2.0 ** k, k) == k
+    # an entry exactly at the limit is allowed; the next doubling raises
+    assert _doubling_run(ALPHA_LIMIT / 2.0 ** k, k) == k + 1
+    # a NaN sample at iteration k poisons every entry and raises there
+    assert _doubling_run(1.0, k + 1, nan_sample_at=k) == k
