@@ -61,14 +61,13 @@ def main(argv=None) -> int:
             written = experiment.replay(args.manifest)
         else:
             cfg = experiment.load_experiment(args.config)
+            overrides = {}
             if args.command in ("estimate", "bench") and args.standardize:
-                cfg = experiment.parse_experiment(
-                    {**cfg.resolved, "standardize": True})
+                overrides["standardize"] = True
             if args.command == "estimate" and args.emit_every is not None:
-                if args.emit_every < 1:
-                    raise ConfigError("--emit-every must be a positive integer")
-                cfg = experiment.parse_experiment(
-                    {**cfg.resolved, "emit_every": args.emit_every})
+                overrides["emit_every"] = args.emit_every
+            if overrides:
+                cfg = experiment.parse_experiment({**cfg.resolved, **overrides})
             if args.command == "generate":
                 written = experiment.cmd_generate(cfg)
             elif args.command == "estimate":

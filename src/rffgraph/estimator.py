@@ -12,9 +12,15 @@ a closed-form gradient-plus-group-soft-threshold step:
 
 which is the exact minimizer of the linearized loss plus a squared
 proximity term (weight 1/(2*step)) plus the group-lasso penalty.  Groups
-whose ||u|| falls at or below step * lam become exactly zero, so the
-iterates are genuinely sparse.  The per-sample work is Theta(N^2 P D),
-independent of how many samples have been seen.
+whose ||u|| falls at or below step * lam become exactly zero.  Every
+feature block has unit norm, so a zero group of node n becomes nonzero
+again exactly when node n's residual exceeds lam in magnitude.  With
+noisy data that is the common case, so the iterates are rarely sparse and
+edge detection rests on the delta threshold over the normalized group
+norms (the pseudo-adjacency), not on exact zeros.  The per-sample work is
+Theta(N^2 P D), independent of how many samples have been seen.  The
+linear baseline is the same update with the lag window itself as the
+lift and scalar groups.
 
 One step makes few passes over the (N, P, N, 2D) coefficient array: one
 einsum for the predictions, u built in a single fresh buffer in place,
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -263,6 +270,23 @@ def _diverged(alpha: np.ndarray, norms: np.ndarray) -> bool:
     return not np.isfinite(alpha).all() or np.abs(alpha).max() > ALPHA_LIMIT
 
 
+def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: float,
+                lam: float):
+    """Predict, step and shrink all nodes: alpha (N, P, N, G) is only read, z is (P, N, G).
+
+    Returns (new alpha, predictions, losses, post-shrink group norms).
+    """
+    yhat = np.einsum("npqd,pqd->n", alpha, z)
+    resid = yhat - sample
+    losses = 0.5 * resid * resid
+    # u = alpha - gamma * resid * z in one fresh buffer
+    u = resid[:, None, None, None] * z[None]
+    u *= gamma
+    np.subtract(alpha, u, out=u)
+    u, norms = _shrink_groups(u, gamma * lam)
+    return u, yhat, losses, norms
+
+
 def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray,
                 maps: FeatureMaps, gamma: float, lam: float):
     """One full estimation step for all nodes from a new sample vector.
@@ -278,14 +302,7 @@ def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray
     if sample.shape != (N,):
         raise ValueError(f"sample must have shape ({N},), got {sample.shape}")
     z = build_feature_vector(history, maps)
-    yhat = np.einsum("npqd,pqd->n", state.alpha, z)
-    resid = yhat - sample
-    losses = 0.5 * resid * resid
-    # u = alpha - gamma * resid * z in one fresh buffer; state.alpha is only read
-    u = resid[:, None, None, None] * z[None]
-    u *= gamma
-    np.subtract(state.alpha, u, out=u)
-    alpha, norms = _shrink_groups(u, gamma * lam)
+    alpha, yhat, losses, norms = _comid_step(state.alpha, z, sample, gamma, lam)
     if _diverged(alpha, norms):
         raise DivergenceError(f"estimator diverged at iteration {state.t + 1}")
     return CoefficientState(alpha=alpha, t=state.t + 1), yhat, losses
@@ -307,74 +324,108 @@ class EstimateSeries:
     config: EstimatorConfig
 
 
+class LagWindow:
+    """The (P, N) lag window of a stream and its warm-up count.
+
+    rows[p] holds the sample p+1 steps back (row 0 = newest), zero where
+    no sample has arrived yet.  The first P samples pushed only fill the
+    window; `count` is how many it has taken so far, at most P.
+    """
+
+    def __init__(self, N: int, P: int, rows: np.ndarray | None = None,
+                 count: int | None = None):
+        self.rows = np.zeros((P, N)) if rows is None else np.array(rows, dtype=float)
+        # a window given without a count is taken as full
+        self.count = count if count is not None else (0 if rows is None else P)
+
+    @property
+    def full(self) -> bool:
+        return self.count >= len(self.rows)
+
+    def push(self, sample: np.ndarray):
+        self.rows[1:] = self.rows[:-1]
+        self.rows[0] = sample
+        self.count = min(self.count + 1, len(self.rows))
+
+
 class OnlineEstimator:
     """Streaming driver: buffers the lag window and applies online_step.
 
     Feed samples oldest-first through step(); the first P samples only
-    fill the warm-up buffer and return None.
+    fill the warm-up buffer and return None.  Subclasses change the lift
+    by overriding _update.
     """
 
     def __init__(self, cfg: EstimatorConfig, maps: FeatureMaps | None = None,
                  state: CoefficientState | None = None, history: np.ndarray | None = None,
                  warm: int | None = None):
         self.cfg = cfg
-        self.maps = maps if maps is not None else FeatureMaps.from_config(cfg)
+        if maps is not None:
+            self.maps = maps
         self.state = state if state is not None else CoefficientState.zeros(cfg.N, cfg.P, cfg.D)
-        # history[p] = p+1 samples ago; filled once warm-up completes
-        self._history = None if history is None else np.array(history, dtype=float)
-        # samples taken into the warm-up buffer so far; a history without a
-        # count is taken as a full window
-        self._warm = warm if warm is not None else (0 if self._history is None else cfg.P)
+        self._window = LagWindow(cfg.N, cfg.P, history, warm)
+
+    @cached_property
+    def maps(self) -> FeatureMaps:
+        """The feature maps of the lift, drawn from the config on first use."""
+        return FeatureMaps.from_config(self.cfg)
 
     @property
     def warmed_up(self) -> bool:
-        return self._warm >= self.cfg.P
+        return self._window.full
 
     @property
     def warm(self) -> int:
         """Samples taken into the warm-up buffer so far (at most P)."""
-        return self._warm
+        return self._window.count
 
     @property
     def history(self) -> np.ndarray | None:
-        return None if self._history is None else self._history.copy()
+        """The lag window, or None before the first sample."""
+        return None if self._window.count == 0 else self._window.rows.copy()
 
     def step(self, sample: np.ndarray):
         """Ingest one sample; returns (predictions, losses) or None during warm-up."""
         sample = np.asarray(sample, dtype=float)
         if sample.shape != (self.cfg.N,):
             raise ValueError(f"sample must have shape ({self.cfg.N},), got {sample.shape}")
-        if not self.warmed_up:
-            if self._history is None:
-                self._history = np.zeros((self.cfg.P, self.cfg.N))
-            self._history[1:] = self._history[:-1]
-            self._history[0] = sample
-            self._warm += 1
+        if not self._window.full:
+            self._window.push(sample)
             return None
-        k = self.state.t + 1
-        self.state, yhat, losses = online_step(
-            self.state, self._history, sample, self.maps, self.cfg.step_size(k), self.cfg.lam
-        )
-        self._history[1:] = self._history[:-1]
-        self._history[0] = sample
+        out = self._update(self._window.rows, sample, self.cfg.step_size(self.state.t + 1))
+        self._window.push(sample)
+        return out
+
+    def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
+        """Lift the lag window and update state; returns (predictions, losses)."""
+        self.state, yhat, losses = online_step(self.state, history, sample, self.maps,
+                                               gamma, self.cfg.lam)
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:
         """Current per-group norms arranged as (n, n', p)."""
         return np.transpose(group_norms(self.state.alpha), (0, 2, 1))
 
-    def run(self, values: np.ndarray) -> EstimateSeries:
-        """Consume a whole (N, T) series and record the estimate trajectory."""
+    def run(self, values: np.ndarray, start: int = 0) -> EstimateSeries:
+        """Stream samples start..T-1 of an (N, T) series and record the trajectory.
+
+        The arrays cover all T time indices, so a run resumed at `start`
+        lines up with the uncut one; rows before `start` stay NaN
+        (predictions, losses) and zero (group norms).
+        """
         values = np.asarray(values, dtype=float)
         N, T = values.shape
         if N != self.cfg.N:
             raise ValueError(f"series has {N} nodes, config expects {self.cfg.N}")
-        if T < self.cfg.P + 1:
-            raise ValueError(f"series too short: need more than P={self.cfg.P} samples")
+        if start < 0:
+            raise ValueError(f"start must be nonnegative, got {start}")
+        if T - start <= self.cfg.P - self.warm:
+            raise ValueError(f"series too short: need more than {self.cfg.P - self.warm} "
+                             f"samples from t={start} (P={self.cfg.P})")
         preds = np.full((N, T), np.nan)
         losses = np.full((N, T), np.nan)
         norms = np.zeros((T, N, N, self.cfg.P))
-        for t in range(T):
+        for t in range(start, T):
             out = self.step(values[:, t])
             if out is not None:
                 preds[:, t], losses[:, t] = out
@@ -466,84 +517,44 @@ def linear_baseline_step(alpha: np.ndarray, history: np.ndarray, sample: np.ndar
     """Online step with raw lagged samples as features and scalar groups.
 
     alpha has shape (N, P, N): one coefficient per (node, lag, source).
-    Same gradient-plus-shrinkage update as online_step, with each
-    coefficient its own group (soft-thresholding).
+    Same gradient-plus-shrinkage update as online_step, with the lag window
+    as the lift and each coefficient its own group (soft-thresholding).
     """
     history = np.asarray(history, dtype=float)
     sample = np.asarray(sample, dtype=float)
-    N = alpha.shape[0]
     if history.shape != alpha.shape[1:]:
         raise ValueError(f"history must have shape {alpha.shape[1:]}, got {history.shape}")
-    yhat = np.einsum("npq,pq->n", alpha, history)
-    resid = yhat - sample
-    losses = 0.5 * resid * resid
-    u = alpha - gamma * resid[:, None, None] * history[None]
-    norms = _shrink_groups(u[..., None], gamma * lam)[1]  # shrinks u in place
+    u, yhat, losses, norms = _comid_step(alpha[..., None], history[..., None], sample,
+                                         gamma, lam)
     if _diverged(u, norms):
         raise DivergenceError("linear baseline diverged")
-    return u, yhat, losses
+    return u[..., 0], yhat, losses
 
 
-class LinearBaseline:
-    """Linear online comparator: identity features, per-coefficient shrinkage.
+class LinearBaseline(OnlineEstimator):
+    """Linear online comparator: the estimator with the identity lift.
 
-    Mirrors OnlineEstimator's warm-up and stepping contract; its
-    pseudo-adjacency is |alpha| arranged as (n, n', p).
+    Its config has D = 1 and its state is (N, P, N, 1): one scalar group per
+    (node, lag, source), so the shrink is per-coefficient soft-thresholding
+    and the pseudo-adjacency is |alpha| arranged as (n, n', p).
     """
 
     def __init__(self, N: int, P: int, lam: float = 0.1, gamma: float = 1000.0,
                  schedule: str = "constant"):
-        if gamma <= 0 or lam < 0:
-            raise ConfigError("gamma must be positive and lam nonnegative")
-        self.N, self.P, self.lam, self.gamma = N, P, lam, gamma
-        self.schedule = schedule
-        self.alpha = np.zeros((N, P, N))
-        self.t = 0
-        self._history = None
-        self._warm = 0
-
-    def step_size(self, k: int) -> float:
-        base = 1.0 / self.gamma
-        return base / np.sqrt(k) if self.schedule == "sqrt_decay" else base
+        super().__init__(EstimatorConfig(N, P, D=1, lam=lam, gamma=gamma, schedule=schedule))
 
     @property
-    def warmed_up(self) -> bool:
-        return self._warm >= self.P
+    def alpha(self) -> np.ndarray:
+        """Read-only (N, P, N) view of the coefficients."""
+        view = self.state.alpha[..., 0]
+        view.flags.writeable = False
+        return view
 
-    def step(self, sample: np.ndarray):
-        sample = np.asarray(sample, dtype=float)
-        if not self.warmed_up:
-            if self._history is None:
-                self._history = np.zeros((self.P, self.N))
-            self._history[1:] = self._history[:-1]
-            self._history[0] = sample
-            self._warm += 1
-            return None
-        self.t += 1
-        self.alpha, yhat, losses = linear_baseline_step(
-            self.alpha, self._history, sample, self.step_size(self.t), self.lam
-        )
-        self._history[1:] = self._history[:-1]
-        self._history[0] = sample
+    def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
+        alpha, yhat, losses = linear_baseline_step(self.alpha, history, sample, gamma,
+                                                   self.cfg.lam)
+        self.state = CoefficientState(alpha=alpha[..., None], t=self.state.t + 1)
         return yhat, losses
-
-    def pseudo_adjacency(self) -> np.ndarray:
-        return np.transpose(np.abs(self.alpha), (0, 2, 1))
-
-    def run(self, values: np.ndarray) -> EstimateSeries:
-        values = np.asarray(values, dtype=float)
-        N, T = values.shape
-        preds = np.full((N, T), np.nan)
-        losses = np.full((N, T), np.nan)
-        norms = np.zeros((T, N, N, self.P))
-        for t in range(T):
-            out = self.step(values[:, t])
-            if out is not None:
-                preds[:, t], losses[:, t] = out
-            norms[t] = self.pseudo_adjacency()
-        return EstimateSeries(predictions=preds, losses=losses, group_norms=norms,
-                              state=CoefficientState(alpha=self.alpha[..., None].copy(), t=self.t),
-                              config=None)
 
 
 class GrowingDictionaryEstimator:
@@ -562,12 +573,11 @@ class GrowingDictionaryEstimator:
         self.eta = eta
         self._atoms = []  # list of (N*P,) lag vectors
         self._weights = []  # list of (N,) coefficient columns
-        self._history = None
-        self._warm = 0
+        self._window = LagWindow(N, P)
 
     @property
     def warmed_up(self) -> bool:
-        return self._warm >= self.P
+        return self._window.full
 
     @property
     def dictionary_size(self) -> int:
@@ -575,14 +585,10 @@ class GrowingDictionaryEstimator:
 
     def step(self, sample: np.ndarray):
         sample = np.asarray(sample, dtype=float)
-        if not self.warmed_up:
-            if self._history is None:
-                self._history = np.zeros((self.P, self.N))
-            self._history[1:] = self._history[:-1]
-            self._history[0] = sample
-            self._warm += 1
+        if not self._window.full:
+            self._window.push(sample)
             return None
-        x = self._history.ravel()
+        x = self._window.rows.ravel()
         if self._atoms:
             A = np.asarray(self._atoms)
             W = np.asarray(self._weights)  # (m, N)
@@ -594,6 +600,5 @@ class GrowingDictionaryEstimator:
         err = sample - yhat
         self._atoms.append(x.copy())
         self._weights.append(self.eta * err)
-        self._history[1:] = self._history[:-1]
-        self._history[0] = sample
+        self._window.push(sample)
         return yhat, 0.5 * err * err

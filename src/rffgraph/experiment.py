@@ -237,6 +237,9 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
             if limit <= cfg.estimator.P:
                 raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
             values = values[:, :limit]
+        if values.shape[1] <= cfg.estimator.P:
+            raise DataError(f"run {r} has {values.shape[1]} samples; the estimator needs "
+                            f"more than P={cfg.estimator.P}")
         if cfg.standardize:
             values, mean, std = _standardize(values)
         else:
@@ -266,7 +269,10 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     est = io.read_checkpoint(checkpoint_path)
     extra = io.checkpoint_extra(checkpoint_path)
     r = extra.get("run", 0)
-    next_t = extra["next_t"]
+    next_t = extra.get("next_t")
+    if not isinstance(next_t, int) or next_t < 0:
+        raise DataError(f"{checkpoint_path}: extra.next_t must be a nonnegative integer, "
+                        f"got {next_t!r}")
     values = _load_run_values(cfg, r)
     if extra.get("standardize"):
         mean = np.array(extra["mean"])[:, None]
@@ -275,25 +281,20 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     if values.shape[0] != est.cfg.N:
         raise DataError(f"data has {values.shape[0]} nodes but the checkpoint expects "
                         f"{est.cfg.N}")
-    if next_t >= values.shape[1]:
-        raise DataError(f"checkpoint already covers all {values.shape[1]} samples")
     T = values.shape[1]
-    N, P = est.cfg.N, est.cfg.P
-    preds = np.full((N, T), np.nan)
-    norms = np.zeros((T, N, N, P))
-    for t in range(next_t, T):
-        out = est.step(values[:, t])
-        if out is not None:
-            preds[:, t] = out[0]
-        norms[t] = est.pseudo_adjacency()
+    if T - next_t <= est.cfg.P - est.warm:
+        raise DataError(f"checkpoint at t={next_t} leaves too few of the {T} samples "
+                        f"(needs more than {est.cfg.P - est.warm})")
+    series = est.run(values, start=next_t)
     prefix = _run_prefix(r)
     est_path = cfg.output_dir / f"{prefix}_estimates_resumed.csv"
     pred_path = cfg.output_dir / f"{prefix}_predictions_resumed.csv"
     ckpt_path = cfg.output_dir / f"{prefix}_checkpoint_resumed.json"
     # continue the uncut run's thinning grid t = P, P + K, P + 2K, ...
-    first_row = next_t + (P - next_t) % cfg.emit_every
-    io.write_estimates_csv(est_path, norms, t_start=first_row, emit_every=cfg.emit_every)
-    io.write_predictions_csv(pred_path, preds, t_start=next_t)
+    first_row = next_t + (est.cfg.P - next_t) % cfg.emit_every
+    io.write_estimates_csv(est_path, series.group_norms, t_start=first_row,
+                           emit_every=cfg.emit_every)
+    io.write_predictions_csv(pred_path, series.predictions, t_start=next_t)
     io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
     written = [est_path, pred_path, ckpt_path]
     written.append(_write_manifest(cfg, "estimate",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 from .estimator import CoefficientState, EstimatorConfig, OnlineEstimator
 from .generator import TimeSeries
 
@@ -50,8 +50,35 @@ def write_data_csv(path, values: np.ndarray):
             fh.write(str(t) + "," + ",".join(_fmt(v) for v in values[:, t]) + "\n")
 
 
+def _numeric_rows(path, fh, width: int) -> list:
+    """Parse the lines after the header as rows of `width` numbers.
+
+    A row of another width or a cell that is not a number is a DataError
+    naming the file and the line.
+    """
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        parts = line.strip().split(",")
+        if len(parts) != width:
+            raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
+                            f"header width {width}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
+    return rows
+
+
+def _time_column(path, arr: np.ndarray) -> np.ndarray:
+    """The first column as integers; a fractional or non-finite time is a DataError."""
+    col = arr[:, 0]
+    if not (np.isfinite(col).all() and np.array_equal(col, np.floor(col))):
+        raise DataError(f"{path}: time column must hold integers")
+    return col.astype(int)
+
+
 def read_data_csv(path) -> np.ndarray:
-    """Read a data CSV back into an (N, T) array."""
+    """Read a data CSV back into an (N, T) array; every value must be finite."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
@@ -59,16 +86,14 @@ def read_data_csv(path) -> np.ndarray:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t" or len(header) < 2:
             raise DataError(f"{path}: expected header 't,node_1,...', got {header!r}")
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}: row width {len(parts)} != header width {len(header)}")
-            rows.append([float(v) for v in parts])
+        rows = _numeric_rows(path, fh, len(header))
     if not rows:
         raise DataError(f"{path}: no data rows")
     arr = np.array(rows)
-    t = arr[:, 0].astype(int)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}, line {int(np.argmin(finite)) + 2}: non-finite value")
+    t = _time_column(path, arr)
     if not np.array_equal(t, np.arange(len(t))):
         raise DataError(f"{path}: time column must be 0..T-1")
     return arr[:, 1:].T.copy()
@@ -156,16 +181,11 @@ def read_estimates_csv(path):
         N, P = int(last[1]), int(last[3])
         if header[1:] != estimate_column_names(N, P):
             raise DataError(f"{path}: estimate columns are not in lexicographic (n, n', p) order")
-        rows, tvals = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}: row width mismatch")
-            tvals.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+        rows = _numeric_rows(path, fh, len(header))
     if not rows:
         raise DataError(f"{path}: no estimate rows")
-    return np.array(tvals), np.array(rows).reshape(len(rows), N, N, P)
+    arr = np.array(rows)
+    return _time_column(path, arr), arr[:, 1:].reshape(len(rows), N, N, P)
 
 
 def write_predictions_csv(path, predictions: np.ndarray, t_start: int):
@@ -185,12 +205,11 @@ def read_predictions_csv(path):
         header = fh.readline().strip().split(",")
         if header[0] != "t":
             raise DataError(f"{path}: malformed predictions header")
-        rows, tvals = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            tvals.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    return np.array(tvals), np.array(rows).T
+        rows = _numeric_rows(path, fh, len(header))
+    if not rows:
+        raise DataError(f"{path}: no prediction rows")
+    arr = np.array(rows)
+    return _time_column(path, arr), arr[:, 1:].T
 
 
 def write_metric_csv(path, t_values, values):
@@ -236,14 +255,19 @@ def read_checkpoint(path) -> OnlineEstimator:
     warm-up count is restored as saved; checkpoints written without it
     count as warmed up whenever they hold a history.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    with open(path) as fh:
-        obj = json.load(fh)
-    cfg = config_from_dict(obj["config"])
+    obj = _read_checkpoint_json(path)
+    missing = [k for k in ("config", "alpha", "t") if k not in obj]
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks {missing}")
+    try:
+        cfg = config_from_dict(obj["config"])
+    except (KeyError, TypeError, ConfigError) as e:
+        raise DataError(f"{path}: malformed checkpoint config ({e!r})") from None
+    t = obj["t"]
+    if not isinstance(t, int) or t < 0:
+        raise DataError(f"{path}: iteration counter t must be a nonnegative integer, got {t!r}")
     alpha = _finite_array(path, obj["alpha"], "alpha", (cfg.N, cfg.P, cfg.N, 2 * cfg.D))
-    history = obj["history"]
+    history = obj.get("history")
     if history is not None:
         history = _finite_array(path, history, "history", (cfg.P, cfg.N))
     warm = obj.get("warm")
@@ -251,13 +275,29 @@ def read_checkpoint(path) -> OnlineEstimator:
                                  and (warm == 0) == (history is None)):
         raise DataError(f"{path}: warm-up count {warm!r} does not fit P={cfg.P} "
                         f"and the saved history")
-    state = CoefficientState(alpha=alpha, t=obj["t"])
+    state = CoefficientState(alpha=alpha, t=t)
     return OnlineEstimator(cfg, state=state, history=history, warm=warm)
 
 
+def _read_checkpoint_json(path) -> dict:
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"checkpoint not found: {path}")
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: checkpoint is not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: checkpoint must be a JSON object")
+    return obj
+
+
 def checkpoint_extra(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh).get("extra", {})
+    extra = _read_checkpoint_json(path).get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"{path}: checkpoint extra must be a JSON object")
+    return extra
 
 
 def config_dict(cfg: EstimatorConfig) -> dict:

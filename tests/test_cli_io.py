@@ -438,3 +438,79 @@ def test_standardized_preset_accepts_all_feature_counts(tmp_path):
         obj["output_dir"] = str(tmp_path / f"out{D}")
         cfg_path = _write_cfg(tmp_path, obj, f"std{D}.json")
         assert cli_main(["estimate", str(cfg_path)]) == 0
+
+
+# --- malformed input files end in DataError (exit code 3) ---------------------
+
+def _csv_cfg(tmp_path, csv_path, P=2):
+    obj = json.loads(json.dumps(BASE))
+    del obj["generator"]
+    obj.update(runs=1, data_csv=str(csv_path), output_dir=str(tmp_path / "out"))
+    obj["estimator"].update(N=2, P=P)
+    return _write_cfg(tmp_path, obj, "csv.json")
+
+
+@pytest.mark.parametrize("cell", ["", "abc", "nan", "inf", "-inf"])
+def test_bad_data_csv_cell_is_a_data_error_naming_the_line(tmp_path, cell, recwarn):
+    path = tmp_path / "d.csv"
+    rows = [f"{t},{0.1 * t},{-0.2 * t}" for t in range(10)]
+    rows[6] = f"6,{cell},1.0"
+    path.write_text("t,node_1,node_2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"d\.csv, line 8"):
+        io.read_data_csv(path)
+    assert cli_main(["estimate", str(_csv_cfg(tmp_path, path))]) == 3
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_estimate_on_a_data_csv_no_longer_than_p_is_a_data_error(tmp_path, T):
+    path = tmp_path / "d.csv"
+    io.write_data_csv(path, np.ones((2, T)))
+    assert cli_main(["estimate", str(_csv_cfg(tmp_path, path, P=2))]) == 3
+
+
+def _cut_run(tmp_path):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"]) == 0
+    return cfg_path, tmp_path / "out" / "run000_checkpoint.json"
+
+
+def test_checkpoint_that_is_not_json_is_a_data_error(tmp_path):
+    cfg_path, ck = _cut_run(tmp_path)
+    ck.write_text('{"config": ')
+    with pytest.raises(DataError, match="not valid JSON"):
+        io.read_checkpoint(ck)
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+
+
+@pytest.mark.parametrize("key", ["config", "alpha", "t", "next_t"])
+def test_checkpoint_missing_a_field_is_a_data_error(tmp_path, key):
+    cfg_path, ck = _cut_run(tmp_path)
+    obj = json.loads(ck.read_text())
+    del (obj["extra"] if key == "next_t" else obj)[key]
+    ck.write_text(json.dumps(obj))
+    if key != "next_t":
+        with pytest.raises(DataError, match=key):
+            io.read_checkpoint(ck)
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+
+
+@pytest.mark.parametrize("defect", ["ragged", "fractional time"])
+def test_malformed_predictions_row_is_a_data_error(tmp_path, defect):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    assert cli_main(["generate", str(cfg_path)]) == 0
+    assert cli_main(["estimate", str(cfg_path)]) == 0
+    pred = tmp_path / "out" / "run000_predictions.csv"
+    lines = pred.read_text().splitlines()
+    if defect == "ragged":
+        lines[5] = lines[5].rsplit(",", 1)[0]
+    else:
+        lines[5] = lines[5].replace(",", ".5,", 1)
+    pred.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="line 6" if defect == "ragged" else "integers"):
+        io.read_predictions_csv(pred)
+    assert cli_main(["metrics", str(cfg_path)]) == 3
+
+
+def test_emit_every_zero_is_a_config_error(tmp_path):
+    assert cli_main(["estimate", str(_cfg_with(tmp_path)), "--emit-every", "0"]) == 2

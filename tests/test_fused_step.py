@@ -1,25 +1,30 @@
 """Properties of the fused in-place estimator step, checked over random shapes.
 
 The per-group closed-form update (comid_group_update) and the seed's full
-divergence scan over every coefficient are the references.
+divergence scan over every coefficient are the references.  Streaming runs
+cut at any sample and resumed from a checkpoint must match the uncut run
+bit for bit, and zero groups must follow the reactivation rule.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rffgraph import (
     CoefficientState,
     DivergenceError,
+    EstimatorConfig,
     FeatureMaps,
     GaussianKernel,
     build_feature_vector,
     comid_group_update,
     group_norms,
+    OnlineEstimator,
     online_step,
     sample_frequencies,
 )
+from rffgraph import io
 from rffgraph.estimator import ALPHA_LIMIT
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -138,3 +143,52 @@ def test_divergence_at_the_limit_boundary(k):
     assert _doubling_run(ALPHA_LIMIT / 2.0 ** k, k) == k + 1
     # a NaN sample at iteration k poisons every entry and raises there
     assert _doubling_run(1.0, k + 1, nan_sample_at=k) == k
+
+
+@SETTINGS
+@given(shapes, st.integers(1, 8), seeds, st.sampled_from(["constant", "sqrt_decay"]),
+       st.booleans())
+def test_cut_and_resume_equals_the_uncut_run(tmp_path_factory, shape, extra, seed, schedule,
+                                             per_slot):
+    N, P, D = shape
+    T = P + extra
+    cfg = EstimatorConfig(N=N, P=P, D=D, lam=0.05, gamma=5.0, rff_seed=seed % 1000,
+                          schedule=schedule, per_slot_maps=per_slot)
+    values = np.random.default_rng(seed).normal(size=(N, T))
+    full = OnlineEstimator(cfg).run(values)
+    ck = tmp_path_factory.mktemp("ck") / "ck.json"
+    for c in range(T):  # every cut, those inside the warm-up included
+        est = OnlineEstimator(cfg)
+        if c > P:
+            est.run(values[:, :c])
+        else:  # too short for run(): it would finish no warm-up
+            for t in range(c):
+                est.step(values[:, t])
+        io.write_checkpoint(ck, est)
+        rest = io.read_checkpoint(ck).run(values, start=c)
+        assert np.array_equal(rest.state.alpha, full.state.alpha)
+        assert np.array_equal(rest.predictions[:, c:], full.predictions[:, c:], equal_nan=True)
+        assert np.array_equal(rest.group_norms[c:], full.group_norms[c:])
+
+
+@SETTINGS
+@given(shapes, seeds, steps, st.floats(0.01, 2.0), st.floats(0.2, 0.8))
+def test_zero_group_reactivates_exactly_when_the_residual_exceeds_lam(shape, seed, gamma, lam,
+                                                                     zero_share):
+    # every feature block has unit norm, so a zero group's shifted point has
+    # norm gamma * |r_n| and survives the threshold gamma * lam iff |r_n| > lam
+    N, P, D = shape
+    rng, maps, state = _setup(N, P, D, seed)
+    zero = rng.random(size=(N, P, N)) < zero_share
+    state.alpha[zero] = 0.0
+    history = rng.normal(size=(P, N))
+    yhat = np.einsum("npqd,pqd->n", state.alpha, build_feature_vector(history, maps))
+    # residuals within a factor 1.5 of lam on either side
+    sample = yhat - lam * rng.uniform(0.5, 1.5, size=N) * rng.choice([-1.0, 1.0], size=N)
+    resid = yhat - sample
+    # away from the rounding margin of the unit norm
+    assume(np.all(np.abs(np.abs(resid) - lam) > 1e-9 * lam))
+    new_state, _, _ = online_step(state, history, sample, maps, gamma, lam)
+    active = (new_state.alpha != 0).any(axis=-1)
+    expected = np.broadcast_to((np.abs(resid) > lam)[:, None, None], zero.shape)
+    assert np.array_equal(active[zero], expected[zero])
