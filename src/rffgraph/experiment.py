@@ -175,8 +175,9 @@ def load_experiment(path) -> ExperimentConfig:
     return parse_experiment(obj, config_dir=path.parent)
 
 
-def _write_manifest(cfg: ExperimentConfig, command: str, options: dict | None = None):
-    path = cfg.output_dir / f"{command}_manifest.json"
+def _write_manifest(cfg: ExperimentConfig, command: str, options: dict | None = None,
+                    name: str | None = None):
+    path = cfg.output_dir / f"{name or command}_manifest.json"
     with open(path, "w") as fh:
         json.dump({"command": command, "options": io.jsonable(options or {}),
                    "experiment": io.jsonable(cfg.resolved),
@@ -266,21 +267,23 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
 
 def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     """Continue a checkpointed run over the remaining samples of its series."""
-    est = io.read_checkpoint(checkpoint_path)
-    extra = io.checkpoint_extra(checkpoint_path)
-    r = extra.get("run", 0)
-    next_t = extra.get("next_t")
-    if not isinstance(next_t, int) or next_t < 0:
-        raise DataError(f"{checkpoint_path}: extra.next_t must be a nonnegative integer, "
-                        f"got {next_t!r}")
+    est, extra = io.read_checkpoint(checkpoint_path, with_extra=True)
+    r, next_t = extra.get("run", 0), extra.get("next_t")
+    for key, value in (("run", r), ("next_t", next_t)):
+        if not isinstance(value, int) or value < 0:
+            raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
+                            f"got {value!r}")
     values = _load_run_values(cfg, r)
-    if extra.get("standardize"):
-        mean = np.array(extra["mean"])[:, None]
-        std = np.array(extra["std"])[:, None]
-        values = (values - mean) / std
     if values.shape[0] != est.cfg.N:
         raise DataError(f"data has {values.shape[0]} nodes but the checkpoint expects "
                         f"{est.cfg.N}")
+    if extra.get("standardize"):
+        shape = (est.cfg.N,)
+        mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", shape)
+        std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", shape)
+        if not (std > 0).all():
+            raise DataError(f"{checkpoint_path}: extra.std must be positive")
+        values = (values - mean[:, None]) / std[:, None]
     T = values.shape[1]
     if T - next_t <= est.cfg.P - est.warm:
         raise DataError(f"checkpoint at t={next_t} leaves too few of the {T} samples "
@@ -296,10 +299,11 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                            emit_every=cfg.emit_every)
     io.write_predictions_csv(pred_path, series.predictions, t_start=next_t)
     io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
-    written = [est_path, pred_path, ckpt_path]
-    written.append(_write_manifest(cfg, "estimate",
-                                   {"limit": None, "from_checkpoint": str(checkpoint_path)}))
-    return written
+    # estimate_manifest.json names the latest estimate; the per-run copy
+    # keeps every run's resume replayable after later resumes
+    options = {"limit": None, "from_checkpoint": str(checkpoint_path)}
+    return [est_path, pred_path, ckpt_path, _write_manifest(cfg, "estimate", options),
+            _write_manifest(cfg, "estimate", options, name=f"{prefix}_estimate_resumed")]
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:

@@ -11,6 +11,13 @@ frozen random centers and weights.  Two time-varying regimes are
 supported: abrupt edge switching (one active edge swapped for an inactive
 one at a fixed cadence) and a slow sinusoidal drift of the active
 coefficients.
+
+`generate` keeps only the model recurrence in its per-sample loop: the
+nonlinearity, the weighted sum and the noise add, evaluated in preallocated
+buffers with the arithmetic of `step`.  The rest is done once per segment
+of constant topology.  Every seeded output is bit-identical to stepping
+`step`, `switch_edge` and `slow_drift` one sample at a time, as earlier
+versions of `generate` did.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError, DivergenceError
 from .kernels import GaussianKernel
@@ -169,10 +177,14 @@ def switch_edge(topo: Topology, rng: np.random.Generator) -> Topology:
     return Topology(coeffs=coeffs, active=active)
 
 
+def _drift_delta(t):
+    """The drift increment applied after sample t; t may be an array of samples."""
+    return 0.01 * np.sin(0.03 * t)
+
+
 def slow_drift(topo: Topology, t: int) -> Topology:
     """Increment every active coefficient by 0.01 * sin(0.03 t)."""
-    delta = 0.01 * np.sin(0.03 * t)
-    coeffs = np.where(topo.active, topo.coeffs + delta, 0.0)
+    coeffs = np.where(topo.active, topo.coeffs + _drift_delta(t), 0.0)
     return Topology(coeffs=coeffs, active=topo.active)
 
 
@@ -182,8 +194,29 @@ def _drift_single(topo: Topology, t: int) -> Topology:
     if len(idx) == 0:
         return topo
     coeffs = topo.coeffs.copy()
-    coeffs[tuple(idx[0])] += 0.01 * np.sin(0.03 * t)
+    coeffs[tuple(idx[0])] += _drift_delta(t)
     return Topology(coeffs=coeffs, active=topo.active)
+
+
+def _nonlinearity_into(bank: NonlinearityBank, x: np.ndarray, buf: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Write f_{n,n',p}(x[0, n', p, 0]) into out (N, N, P); buf is (N, N, P, M) scratch.
+
+    (d*d) / (-2v) equals -(d*d) / (2v) exactly in IEEE arithmetic.
+    """
+    np.subtract(x, bank.centers, out=buf)
+    np.multiply(buf, buf, out=buf)
+    np.divide(buf, -2.0 * bank.kernel.variance, out=buf)
+    np.exp(buf, out=buf)
+    np.multiply(bank.weights, buf, out=buf)
+    return np.add.reduce(buf, axis=-1, out=out)
+
+
+def _weighted_sum(coeffs: np.ndarray, f: np.ndarray, noise, out=None) -> np.ndarray:
+    """y_n = sum_{n',p} coeffs[n,n',p] * f[n,n',p] + noise_n; overwrites f."""
+    np.multiply(coeffs, f, out=f)
+    y = np.add.reduce(f, axis=(1, 2), out=out)
+    return np.add(y, noise, out=y)
 
 
 def evaluate_nonlinearity(bank: NonlinearityBank, lags: np.ndarray) -> np.ndarray:
@@ -192,10 +225,9 @@ def evaluate_nonlinearity(bank: NonlinearityBank, lags: np.ndarray) -> np.ndarra
     lags[p, n'] holds y_{n'}[t - (p+1)].  Returns an (N, N, P) array whose
     (n, n', p) entry is f_{n,n',p}(lags[p, n']).
     """
-    x = lags.T  # (N, P): x[n', p]
-    diff = x[None, :, :, None] - bank.centers
-    k = np.exp(-(diff * diff) / (2.0 * bank.kernel.variance))
-    return (bank.weights * k).sum(axis=-1)
+    x = lags.T[None, :, :, None]  # x[0, n', p, 0]
+    return _nonlinearity_into(bank, x, np.empty(bank.centers.shape),
+                              np.empty(bank.centers.shape[:3]))
 
 
 def step(topo: Topology, bank: NonlinearityBank, history: np.ndarray,
@@ -210,8 +242,34 @@ def step(topo: Topology, bank: NonlinearityBank, history: np.ndarray,
         raise ValueError(f"history must have shape (P, N) = {(topo.P, topo.N)}, got {history.shape}")
     if not np.isfinite(history).all():
         raise DivergenceError("generation diverged: non-finite history")
-    f = evaluate_nonlinearity(bank, history)
-    return (topo.coeffs * f).sum(axis=(1, 2)) + noise
+    return _weighted_sum(topo.coeffs, evaluate_nonlinearity(bank, history), noise)
+
+
+def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
+           noise: np.ndarray, start: int):
+    """Fill values[:, start : start + len(noise)] by the model recurrence, in place.
+
+    Sample t uses the lagged values before it, the trace row coeffs[t] and
+    the noise row noise[t - start].  The checks are those of step() and of
+    generate's per-sample limit: |y| above DIVERGENCE_LIMIT raises at its
+    own t, a NaN sample raises on the next one as non-finite history.
+    """
+    N, T = values.shape
+    P = coeffs.shape[-1]
+    buf = np.empty(bank.centers.shape)
+    f = np.empty(bank.centers.shape[:3])
+    y = np.empty(N)
+    # lags[T - t] is the (1, N, P, 1) view whose [0, n', p, 0] is y_{n'}[t-1-p]
+    lags = sliding_window_view(values[:, ::-1], P, axis=1).transpose(1, 0, 2)[:, None, :, :, None]
+    for t, e in enumerate(noise, start):
+        _nonlinearity_into(bank, lags[T - t], buf, f)
+        _weighted_sum(coeffs[t], f, e, out=y)
+        peak = np.abs(y).max()
+        if peak > DIVERGENCE_LIMIT:
+            raise DivergenceError(f"generation diverged at t={t}: |y| > {DIVERGENCE_LIMIT:g}")
+        if peak != peak and t + 1 < T:
+            raise DivergenceError("generation diverged: non-finite history")
+        values[:, t] = y
 
 
 def generate(cfg: GeneratorConfig) -> TimeSeries:
@@ -224,6 +282,13 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
     part of the config).  Raises ConfigError when a switch falls within
     the series but the seed's initial topology has no active or no
     inactive slot.
+
+    Only the model recurrence runs per sample.  The series is generated in
+    segments of constant topology (one segment unless switching): each
+    segment's noise is drawn as one block before switch_edge's draws, the
+    order in which one draw per sample would come, and its coeffs/active
+    trace rows are filled at once.  The drift trace is one cumulative sum
+    along t, which adds the increments in slow_drift's order.
     """
     rng = np.random.default_rng(cfg.seed)
     topo = init_topology(cfg, rng)
@@ -235,26 +300,34 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
             f"seed {cfg.seed}: the initial topology has {n_active} of {topo.active.size} "
             f"slots active, so no edge can switch every {cfg.switch_interval} samples")
 
-    values = np.empty((cfg.N, cfg.T))
-    values[:, : cfg.P] = rng.standard_normal((cfg.N, cfg.P))
-    coeffs = np.empty((cfg.T, cfg.N, cfg.N, cfg.P))
-    active = np.empty((cfg.T, cfg.N, cfg.N, cfg.P), dtype=bool)
-    coeffs[: cfg.P] = topo.coeffs
-    active[: cfg.P] = topo.active
+    N, P, T = cfg.N, cfg.P, cfg.T
+    values = np.empty((N, T))
+    values[:, :P] = rng.standard_normal((N, P))
+    coeffs = np.empty((T, N, N, P))
+    active = np.empty((T, N, N, P), dtype=bool)
+    coeffs[:P] = topo.coeffs
+    active[:P] = topo.active
+    if cfg.drift:
+        drifting = topo.active
+        if cfg.drift_scope == "single":  # the lexicographically first active slot
+            drifting = np.zeros_like(topo.active)
+            drifting.flat[np.flatnonzero(topo.active)[:1]] = True
+        coeffs[P] = topo.coeffs
+        coeffs[P + 1:] = 0.0
+        np.copyto(coeffs[P + 1:], _drift_delta(np.arange(P, T - 1))[:, None, None, None],
+                  where=drifting)
+        np.cumsum(coeffs[P:], axis=0, out=coeffs[P:])
+        active[P:] = topo.active
 
-    for t in range(cfg.P, cfg.T):
-        history = values[:, t - cfg.P : t][:, ::-1].T  # (P, N), row 0 = newest
-        noise = cfg.noise_std * rng.standard_normal(cfg.N)
-        y_t = step(topo, bank, history, noise)
-        if np.abs(y_t).max() > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"generation diverged at t={t}: |y| > {DIVERGENCE_LIMIT:g}")
-        values[:, t] = y_t
-        coeffs[t] = topo.coeffs
-        active[t] = topo.active
-
-        if cfg.switch_interval and (t - cfg.P + 1) % cfg.switch_interval == 0:
+    segment = cfg.switch_interval or T - P
+    for start in range(P, T, segment):
+        stop = min(start + segment, T)
+        noise = cfg.noise_std * rng.standard_normal((stop - start, N))
+        if not cfg.drift:
+            coeffs[start:stop] = topo.coeffs
+            active[start:stop] = topo.active
+        _recur(bank, values, coeffs, noise, start)
+        if stop < T:
             topo = switch_edge(topo, rng)
-        elif cfg.drift:
-            topo = slow_drift(topo, t) if cfg.drift_scope == "all" else _drift_single(topo, t)
 
     return TimeSeries(values=values, coeffs=coeffs, active=active, config=cfg, seed=cfg.seed)

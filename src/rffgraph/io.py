@@ -237,7 +237,7 @@ def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None
         json.dump(obj, fh)
 
 
-def _finite_array(path, value, name: str, shape: tuple) -> np.ndarray:
+def finite_array(path, value, name: str, shape: tuple) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError):  # ragged or non-numeric JSON
@@ -247,13 +247,15 @@ def _finite_array(path, value, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def read_checkpoint(path) -> OnlineEstimator:
+def read_checkpoint(path, with_extra: bool = False):
     """Restore the estimator a checkpoint saved, after checking its arrays.
 
     alpha must be a finite (N, P, N, 2D) array and history, when present,
     a finite (P, N) one, for the (N, P, D) of the checkpoint's config.  The
     warm-up count is restored as saved; checkpoints written without it
-    count as warmed up whenever they hold a history.
+    count as warmed up whenever they hold a history.  With with_extra=True
+    returns (estimator, extra), extra being the checkpoint's `extra`
+    object ({} when absent), from the same single parse of the file.
     """
     obj = _read_checkpoint_json(path)
     missing = [k for k in ("config", "alpha", "t") if k not in obj]
@@ -266,17 +268,23 @@ def read_checkpoint(path) -> OnlineEstimator:
     t = obj["t"]
     if not isinstance(t, int) or t < 0:
         raise DataError(f"{path}: iteration counter t must be a nonnegative integer, got {t!r}")
-    alpha = _finite_array(path, obj["alpha"], "alpha", (cfg.N, cfg.P, cfg.N, 2 * cfg.D))
+    alpha = finite_array(path, obj["alpha"], "alpha", (cfg.N, cfg.P, cfg.N, 2 * cfg.D))
     history = obj.get("history")
     if history is not None:
-        history = _finite_array(path, history, "history", (cfg.P, cfg.N))
+        history = finite_array(path, history, "history", (cfg.P, cfg.N))
     warm = obj.get("warm")
     if warm is not None and not (isinstance(warm, int) and 0 <= warm <= cfg.P
                                  and (warm == 0) == (history is None)):
         raise DataError(f"{path}: warm-up count {warm!r} does not fit P={cfg.P} "
                         f"and the saved history")
     state = CoefficientState(alpha=alpha, t=t)
-    return OnlineEstimator(cfg, state=state, history=history, warm=warm)
+    est = OnlineEstimator(cfg, state=state, history=history, warm=warm)
+    if not with_extra:
+        return est
+    extra = obj.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"{path}: checkpoint extra must be a JSON object")
+    return est, extra
 
 
 def _read_checkpoint_json(path) -> dict:
@@ -291,13 +299,6 @@ def _read_checkpoint_json(path) -> dict:
     if not isinstance(obj, dict):
         raise DataError(f"{path}: checkpoint must be a JSON object")
     return obj
-
-
-def checkpoint_extra(path) -> dict:
-    extra = _read_checkpoint_json(path).get("extra", {})
-    if not isinstance(extra, dict):
-        raise DataError(f"{path}: checkpoint extra must be a JSON object")
-    return extra
 
 
 def config_dict(cfg: EstimatorConfig) -> dict:

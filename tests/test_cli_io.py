@@ -514,3 +514,100 @@ def test_malformed_predictions_row_is_a_data_error(tmp_path, defect):
 
 def test_emit_every_zero_is_a_config_error(tmp_path):
     assert cli_main(["estimate", str(_cfg_with(tmp_path)), "--emit-every", "0"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mean", None), ("std", None), ("mean", [[0.0], [1.0, 2.0], [3.0]]), ("std", [1.0]),
+    ("mean", [0.0, float("nan"), 0.0]), ("std", [1.0, float("inf"), 1.0]),
+    ("std", [1.0, 0.0, 1.0]), ("run", "0"),
+], ids=["mean missing", "std missing", "mean ragged", "std wrong length", "mean nan", "std inf",
+        "std zero", "run not an integer"])
+def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, capsys, key,
+                                                                    value):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    assert cli_main(["estimate", str(cfg_path), "--standardize", "--limit", "60"]) == 0
+    ck = tmp_path / "out" / "run000_checkpoint.json"
+    obj = json.loads(ck.read_text())
+    if value is None:
+        del obj["extra"][key]
+    else:
+        obj["extra"][key] = value
+    ck.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+    assert f"extra.{key}" in capsys.readouterr().err
+
+
+def test_resume_parses_the_checkpoint_once(tmp_path, monkeypatch):
+    cfg_path, ck = _cut_run(tmp_path)
+    parsed = []
+    load = json.load
+
+    def counting_load(fh, *args, **kwargs):
+        parsed.append(os.path.basename(fh.name))
+        return load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting_load)
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 0
+    assert parsed.count(ck.name) == 1
+
+
+def test_every_resume_stays_replayable(tmp_path):
+    cfg_path = _cfg_with(tmp_path)
+    out = tmp_path / "out"
+    thin = ["--emit-every", "3"]
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"] + thin) == 0
+    for r in range(2):
+        assert cli_main(["estimate", str(cfg_path), "--from-checkpoint",
+                         str(out / f"run{r:03d}_checkpoint.json")] + thin) == 0
+    latest = (out / "estimate_manifest.json").read_bytes()
+    assert latest == (out / "run001_estimate_resumed_manifest.json").read_bytes()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for r in range(2):
+        manifest = out / f"run{r:03d}_estimate_resumed_manifest.json"
+        assert json.loads(manifest.read_text())["options"]["from_checkpoint"].endswith(
+            f"run{r:03d}_checkpoint.json")
+        written = experiment.replay(manifest)
+        assert {p.name for p in written} == {
+            f"run{r:03d}_{name}" for name in ("estimates_resumed.csv", "predictions_resumed.csv",
+                                              "checkpoint_resumed.json",
+                                              "estimate_resumed_manifest.json")
+        } | {"estimate_manifest.json"}
+        for p in written:
+            # estimate_manifest.json names the latest estimate command: this replay
+            expected = manifest.name if p.name == "estimate_manifest.json" else p.name
+            assert p.read_bytes() == before[expected]
+
+
+@pytest.mark.parametrize("cut", [3, 4, 5, 6, 31, 60, 118, 119])
+def test_cli_cut_and_resume_equals_the_uncut_run(tmp_path, cut):
+    # P = 2 and T = 120: cut 3 is the first the CLI allows, cuts 3-5 cover
+    # every phase of the --emit-every 3 grid, and 119 leaves one sample
+    obj = json.loads(json.dumps(BASE))
+    thin = ["--emit-every", "3"]
+    runs = {}
+    for name, limit in (("full", None), ("cut", cut)):
+        obj["output_dir"] = str(tmp_path / name)
+        cfg_path = _write_cfg(tmp_path, obj, f"{name}.json")
+        argv = ["estimate", str(cfg_path)] + thin
+        assert cli_main(argv + ([] if limit is None else ["--limit", str(limit)])) == 0
+        runs[name] = cfg_path
+    cut_dir, full_dir = tmp_path / "cut", tmp_path / "full"
+    for r in range(BASE["runs"]):
+        assert cli_main(["estimate", str(runs["cut"]), "--from-checkpoint",
+                         str(cut_dir / f"run{r:03d}_checkpoint.json")] + thin) == 0
+        for kind in ("estimates", "predictions"):
+            full = (full_dir / f"run{r:03d}_{kind}.csv").read_text().splitlines()
+            head = (cut_dir / f"run{r:03d}_{kind}.csv").read_text().splitlines()
+            rest = (cut_dir / f"run{r:03d}_{kind}_resumed.csv").read_text().splitlines()
+            assert head[0] == rest[0] == full[0]
+            assert head[1:] + rest[1:] == full[1:]
+
+
+@pytest.mark.parametrize("cut", [1, 2])
+def test_cli_cut_inside_the_warm_up_is_a_data_error(tmp_path, capsys, cut):
+    # the CLI cannot cut before the first prediction; library-level
+    # checkpoints inside the warm-up are covered in test_fused_step.py
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    assert cli_main(["estimate", str(cfg_path), "--limit", str(cut)]) == 3
+    assert "warm-up length P=2" in capsys.readouterr().err
