@@ -22,14 +22,18 @@ Theta(N^2 P D), independent of how many samples have been seen.  The
 linear baseline is the same update with the lag window itself as the
 lift and scalar groups.
 
-One step makes few passes over the (N, P, N, 2D) coefficient array: one
-einsum for the predictions, u built in a single fresh buffer in place,
-one einsum for the group norms of u, and an in-place scale of u, which
-becomes the new coefficient array.  The shrink returns the post-shrink
-group norms, and the divergence rule (every entry finite and at most
-ALPHA_LIMIT in magnitude) first looks at those N*P*N norms: a group's norm
-bounds its entries, so the full scan of the array runs only when some
-norm is NaN or above ALPHA_LIMIT / 2, and then decides.
+One step makes four passes over the (N, P, N, 2D) coefficient array
+alpha: one einsum for the predictions, u = alpha - step * r * z built one
+block of nodes at a time, one einsum for the group norms of u, and an
+in-place scale of u.  Each block of u is formed in a temporary of at most
+BLOCK_BYTES (one node's row when that is larger), which stays in L2, and
+written straight into the output, which the streaming estimator points at
+alpha itself.  So a run holds one alpha plus one block, and the
+memory per iteration is fixed like its cost.  The shrink returns the
+post-shrink group norms, and the divergence rule (every entry finite and
+at most ALPHA_LIMIT in magnitude) first looks at those N*P*N norms: a
+group's norm bounds its entries, so the full scan of the array runs only
+when some norm is NaN or above ALPHA_LIMIT / 2, and then decides.
 
 Step-size convention: EstimatorConfig.gamma is the proximal damping
 weight, i.e. the squared-proximity term carries weight gamma/2 and the
@@ -40,6 +44,7 @@ argument of the low-level update functions.)
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +56,7 @@ from .kernels import GaussianKernel, RFFMap, sample_frequencies
 from .generator import TimeSeries
 
 ALPHA_LIMIT = 1e12  # coefficient magnitude beyond which the run is declared divergent
+BLOCK_BYTES = 256 * 1024  # scratch for one block of nodes of the update, sized to stay in L2
 
 
 def group_norms(x: np.ndarray) -> np.ndarray:
@@ -94,12 +100,13 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.N < 1 or self.P < 1 or self.D < 1:
             raise ConfigError(f"N, P, D must be positive, got ({self.N}, {self.P}, {self.D})")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        if self.kernel_variance <= 0:
-            raise ConfigError(f"kernel_variance must be positive, got {self.kernel_variance}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
+        if not (math.isfinite(self.kernel_variance) and self.kernel_variance > 0):
+            raise ConfigError(f"kernel_variance must be finite and positive, "
+                              f"got {self.kernel_variance}")
         if self.schedule not in ("constant", "sqrt_decay"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
 
@@ -249,7 +256,7 @@ def comid_group_update(group: np.ndarray, grad_group: np.ndarray, gamma: float,
 def _shrink_groups(u: np.ndarray, thr: float):
     """Shrink every group (last axis) of u in place; returns (u, post-shrink norms).
 
-    u must be a fresh array the caller owns.
+    u is overwritten: pass an array the caller owns.
     """
     norms = group_norms(u)
     safe = np.where(norms > thr, norms, 1.0)
@@ -270,25 +277,57 @@ def _diverged(alpha: np.ndarray, norms: np.ndarray) -> bool:
     return not np.isfinite(alpha).all() or np.abs(alpha).max() > ALPHA_LIMIT
 
 
-def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: float,
-                lam: float):
-    """Predict, step and shrink all nodes: alpha (N, P, N, G) is only read, z is (P, N, G).
+def _divergence(prefix: str, norms: np.ndarray, resid: np.ndarray) -> DivergenceError:
+    """The error for a rejected iterate: names the node with the largest group norm.
 
-    Returns (new alpha, predictions, losses, post-shrink group norms).
+    norms are the iterate's (N, P, N) group norms (a NaN counts as largest),
+    resid the step's prediction errors yhat - y per node.
+    """
+    n, p, q = np.unravel_index(np.argmax(norms), norms.shape)
+    return DivergenceError(f"{prefix}: node {n} has the largest group norm {norms[n, p, q]:.6g} "
+                           f"(source {q}, lag {p + 1}); its last residual was {resid[n]:.6g}")
+
+
+def _shift_block(alpha: np.ndarray, r: np.ndarray, z: np.ndarray, gamma: float,
+                 out: np.ndarray):
+    """out = alpha - gamma * r * z for one block of nodes; r is (nodes, 1, 1, 1).
+
+    The order (r * z, then * gamma, then alpha minus) is comid_group_update's.
+    The product is the block's only temporary and is freed on return.
+    """
+    w = r * z
+    w *= gamma
+    np.subtract(alpha, w, out=out)
+
+
+def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: float,
+                lam: float, out: np.ndarray):
+    """Predict, step and shrink all nodes of alpha (N, P, N, G) into out; z is (P, N, G).
+
+    out has alpha's shape and may be alpha itself: the predictions read all
+    of alpha before any block of out is written.  Returns (predictions,
+    losses, post-shrink group norms).
     """
     yhat = np.einsum("npqd,pqd->n", alpha, z)
     resid = yhat - sample
     losses = 0.5 * resid * resid
-    # u = alpha - gamma * resid * z in one fresh buffer
-    u = resid[:, None, None, None] * z[None]
-    u *= gamma
-    np.subtract(alpha, u, out=u)
-    u, norms = _shrink_groups(u, gamma * lam)
-    return u, yhat, losses, norms
+    # out = alpha - gamma * resid * z, a block of nodes at a time; when all
+    # nodes fit in one block the whole arrays go in, since cutting views
+    # costs more than the arithmetic at small N
+    r = resid[:, None, None, None]
+    nodes = BLOCK_BYTES * len(alpha) // alpha.nbytes
+    if nodes >= len(alpha):
+        _shift_block(alpha, r, z, gamma, out)
+    else:
+        nodes = max(1, nodes)
+        for i in range(0, len(alpha), nodes):
+            b = slice(i, i + nodes)
+            _shift_block(alpha[b], r[b], z, gamma, out[b])
+    return yhat, losses, _shrink_groups(out, gamma * lam)[1]
 
 
 def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray,
-                maps: FeatureMaps, gamma: float, lam: float):
+                maps: FeatureMaps, gamma: float, lam: float, out: np.ndarray | None = None):
     """One full estimation step for all nodes from a new sample vector.
 
     history is the (P, N) lag window preceding `sample`; gamma is the raw
@@ -296,16 +335,23 @@ def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray
     the N*P groups of every node independently (the update is separable
     across groups).  Returns (new_state, predictions, losses), where
     predictions[n] = alpha_n^T z_t computed before the update.
+
+    The new coefficients go to `out`, an array of state.alpha's shape that
+    may be state.alpha itself; with out=None they go to a fresh array and
+    `state` is left untouched.  On DivergenceError `out` holds the rejected
+    iterate.
     """
     sample = np.asarray(sample, dtype=float)
     N, P = maps.N, maps.P
     if sample.shape != (N,):
         raise ValueError(f"sample must have shape ({N},), got {sample.shape}")
     z = build_feature_vector(history, maps)
-    alpha, yhat, losses, norms = _comid_step(state.alpha, z, sample, gamma, lam)
-    if _diverged(alpha, norms):
-        raise DivergenceError(f"estimator diverged at iteration {state.t + 1}")
-    return CoefficientState(alpha=alpha, t=state.t + 1), yhat, losses
+    if out is None:
+        out = np.empty(state.alpha.shape)
+    yhat, losses, norms = _comid_step(state.alpha, z, sample, gamma, lam, out)
+    if _diverged(out, norms):
+        raise _divergence(f"estimator diverged at iteration {state.t + 1}", norms, yhat - sample)
+    return CoefficientState(alpha=out, t=state.t + 1), yhat, losses
 
 
 @dataclass
@@ -354,6 +400,14 @@ class OnlineEstimator:
     Feed samples oldest-first through step(); the first P samples only
     fill the warm-up buffer and return None.  Subclasses change the lift
     by overriding _update.
+
+    The estimator owns one coefficient array and every step updates it in
+    place, so `state` is live: later steps change `state.alpha` and
+    `state.t`, also in an EstimateSeries that run() returned.  A `state`
+    passed to the constructor is copied once and never written; without one
+    the estimator starts from its own zeros.  After a DivergenceError,
+    `state.alpha` holds the rejected iterate and `state.t` is not advanced;
+    the estimator is not meant to step on from there.
     """
 
     def __init__(self, cfg: EstimatorConfig, maps: FeatureMaps | None = None,
@@ -362,7 +416,11 @@ class OnlineEstimator:
         self.cfg = cfg
         if maps is not None:
             self.maps = maps
-        self.state = state if state is not None else CoefficientState.zeros(cfg.N, cfg.P, cfg.D)
+        if state is None:
+            self.state = CoefficientState.zeros(cfg.N, cfg.P, cfg.D)
+        else:
+            self.state = CoefficientState(alpha=np.array(state.alpha, dtype=float, order="C"),
+                                          t=state.t)
         self._window = LagWindow(cfg.N, cfg.P, history, warm)
 
     @cached_property
@@ -393,13 +451,14 @@ class OnlineEstimator:
             self._window.push(sample)
             return None
         out = self._update(self._window.rows, sample, self.cfg.step_size(self.state.t + 1))
+        self.state.t += 1
         self._window.push(sample)
         return out
 
     def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
-        """Lift the lag window and update state; returns (predictions, losses)."""
-        self.state, yhat, losses = online_step(self.state, history, sample, self.maps,
-                                               gamma, self.cfg.lam)
+        """Lift the lag window and update state.alpha in place; returns (predictions, losses)."""
+        _, yhat, losses = online_step(self.state, history, sample, self.maps, gamma,
+                                      self.cfg.lam, out=self.state.alpha)
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:
@@ -513,22 +572,27 @@ def batch_oracle(data, cfg: EstimatorConfig, iterations: int = 2000,
 
 
 def linear_baseline_step(alpha: np.ndarray, history: np.ndarray, sample: np.ndarray,
-                         gamma: float, lam: float):
+                         gamma: float, lam: float, out: np.ndarray | None = None):
     """Online step with raw lagged samples as features and scalar groups.
 
     alpha has shape (N, P, N): one coefficient per (node, lag, source).
     Same gradient-plus-shrinkage update as online_step, with the lag window
     as the lift and each coefficient its own group (soft-thresholding).
+    Returns (new alpha, predictions, losses); the new alpha is written to
+    `out` (alpha's shape, may be alpha itself) or, with out=None, to a fresh
+    array.
     """
     history = np.asarray(history, dtype=float)
     sample = np.asarray(sample, dtype=float)
     if history.shape != alpha.shape[1:]:
         raise ValueError(f"history must have shape {alpha.shape[1:]}, got {history.shape}")
-    u, yhat, losses, norms = _comid_step(alpha[..., None], history[..., None], sample,
-                                         gamma, lam)
-    if _diverged(u, norms):
-        raise DivergenceError("linear baseline diverged")
-    return u[..., 0], yhat, losses
+    if out is None:
+        out = np.empty(alpha.shape)
+    yhat, losses, norms = _comid_step(alpha[..., None], history[..., None], sample, gamma,
+                                      lam, out[..., None])
+    if _diverged(out, norms):
+        raise _divergence("linear baseline diverged", norms, yhat - sample)
+    return out, yhat, losses
 
 
 class LinearBaseline(OnlineEstimator):
@@ -541,7 +605,8 @@ class LinearBaseline(OnlineEstimator):
 
     def __init__(self, N: int, P: int, lam: float = 0.1, gamma: float = 1000.0,
                  schedule: str = "constant"):
-        super().__init__(EstimatorConfig(N, P, D=1, lam=lam, gamma=gamma, schedule=schedule))
+        super().__init__(EstimatorConfig(N, P, D=1, lam=lam, gamma=gamma, schedule=schedule),
+                         state=CoefficientState(alpha=np.zeros((N, P, N, 1))))
 
     @property
     def alpha(self) -> np.ndarray:
@@ -551,9 +616,9 @@ class LinearBaseline(OnlineEstimator):
         return view
 
     def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
-        alpha, yhat, losses = linear_baseline_step(self.alpha, history, sample, gamma,
-                                                   self.cfg.lam)
-        self.state = CoefficientState(alpha=alpha[..., None], t=self.state.t + 1)
+        alpha = self.state.alpha[..., 0]
+        _, yhat, losses = linear_baseline_step(alpha, history, sample, gamma, self.cfg.lam,
+                                               out=alpha)
         return yhat, losses
 
 

@@ -12,6 +12,7 @@ base_seed + r and draws its feature maps with seed rff_seed + r.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -95,6 +96,11 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
             gen = GeneratorConfig(seed=0, **gen_obj)
         except TypeError as e:
             raise ConfigError(f"generator section: {e}") from None
+        # GeneratorConfig lets a NaN noise through to generate()'s divergence
+        # path; a config file has no use for non-finite values
+        for key in ("noise_std", "kernel_variance", "beta_variance"):
+            if not math.isfinite(getattr(gen, key)):
+                raise ConfigError(f"generator {key} must be finite, got {getattr(gen, key)}")
 
     data_csv = obj.get("data_csv")
     if gen is None and data_csv is None:
@@ -121,7 +127,7 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
     try:
         detection = DetectionConfig(delta=met_obj.get("delta", 0.05),
                                     exclude_self_loops=met_obj.get("exclude_self_loops", True))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
     mse_window = met_obj.get("mse_window", 100)
     if not isinstance(mse_window, int) or mse_window < 1:
@@ -260,8 +266,11 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
             "std": None if std is None else std.tolist(),
         })
         written += [est_path, pred_path, ckpt_path]
-    written.append(_write_manifest(cfg, "estimate",
-                                   {"limit": limit, "from_checkpoint": None}))
+    # a resume overwrites estimate_manifest.json; the initial copy keeps
+    # this command replayable after resumes
+    options = {"limit": limit, "from_checkpoint": None}
+    written.append(_write_manifest(cfg, "estimate", options))
+    written.append(_write_manifest(cfg, "estimate", options, name="estimate_initial"))
     return written
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ class DetectionConfig:
     exclude_self_loops: bool = True
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
 
 
 def extract_pseudo_adjacency(state: CoefficientState) -> np.ndarray:

@@ -611,3 +611,46 @@ def test_cli_cut_inside_the_warm_up_is_a_data_error(tmp_path, capsys, cut):
     cfg_path = _cfg_with(tmp_path, runs=1)
     assert cli_main(["estimate", str(cfg_path), "--limit", str(cut)]) == 3
     assert "warm-up length P=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("generator", "noise_std"), ("generator", "kernel_variance"), ("generator", "beta_variance"),
+    ("estimator", "lambda"), ("estimator", "gamma"), ("estimator", "kernel_variance"),
+    ("metrics", "delta"),
+])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, section, key, literal):
+    obj = json.loads(json.dumps(BASE))
+    obj[section][key] = {"NaN": float("nan"), "Infinity": float("inf")}[literal]
+    cfg_path = _cfg_with(tmp_path, **{section: obj[section]})
+    assert f'"{key}": {literal}' in cfg_path.read_text()  # the JSON literal itself
+    assert cli_main(["estimate", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_cut_run_stays_replayable_after_resumes(tmp_path):
+    cfg_path = _cfg_with(tmp_path)
+    out = tmp_path / "out"
+    thin = ["--emit-every", "3"]
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"] + thin) == 0
+    cut = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cut["estimate_initial_manifest.json"] == cut["estimate_manifest.json"]
+    for r in range(2):
+        assert cli_main(["estimate", str(cfg_path), "--from-checkpoint",
+                         str(out / f"run{r:03d}_checkpoint.json")] + thin) == 0
+    # the resumes overwrote estimate_manifest.json, not the initial copy
+    assert (out / "estimate_manifest.json").read_bytes() != cut["estimate_manifest.json"]
+    assert cli_main(["replay", str(out / "estimate_initial_manifest.json")]) == 0
+    for name, blob in cut.items():
+        assert (out / name).read_bytes() == blob, name
+
+
+def test_divergence_names_the_node_through_the_cli(tmp_path, capsys):
+    obj = json.loads(json.dumps(BASE))
+    obj["estimator"]["gamma"] = 1e-9
+    cfg_path = _cfg_with(tmp_path, runs=1, estimator=obj["estimator"])
+    assert cli_main(["estimate", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric divergence: estimator diverged at iteration " in err
+    assert "has the largest group norm" in err and "its last residual was" in err
