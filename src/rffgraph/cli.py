@@ -56,29 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    options = vars(args)
     try:
         if args.command == "replay":
             written = experiment.replay(args.manifest)
         else:
             cfg = experiment.load_experiment(args.config)
-            overrides = {}
-            if args.command in ("estimate", "bench") and args.standardize:
-                overrides["standardize"] = True
-            if args.command == "estimate" and args.emit_every is not None:
-                overrides["emit_every"] = args.emit_every
+            overrides = {"standardize": True} if options.get("standardize") else {}
+            if options.get("emit_every") is not None:
+                overrides["emit_every"] = options["emit_every"]
             if overrides:
                 cfg = experiment.parse_experiment({**cfg.resolved, **overrides})
-            if args.command == "generate":
-                written = experiment.cmd_generate(cfg)
-            elif args.command == "estimate":
-                written = experiment.cmd_estimate(cfg, limit=args.limit,
-                                                  from_checkpoint=args.from_checkpoint)
-            elif args.command == "metrics":
-                written = experiment.cmd_metrics(cfg)
-            elif args.command == "bench":
-                written = experiment.cmd_bench(cfg, T=args.T, reference=args.reference)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown command {args.command!r}")
+            written = experiment.execute(cfg, args.command, options)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -582,7 +582,8 @@ def linear_baseline_step(alpha: np.ndarray, history: np.ndarray, sample: np.ndar
     `out` (alpha's shape, may be alpha itself) or, with out=None, to a fresh
     array.
     """
-    history = np.asarray(history, dtype=float)
+    # C order, as in build_feature_vector: a strided window would sum in another order
+    history = np.ascontiguousarray(history, dtype=float)
     sample = np.asarray(sample, dtype=float)
     if history.shape != alpha.shape[1:]:
         raise ValueError(f"history must have shape {alpha.shape[1:]}, got {history.shape}")

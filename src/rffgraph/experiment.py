@@ -7,6 +7,11 @@ written, regenerates the numeric outputs byte for byte.
 
 Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
+
+Every stage gets run r's series from `_run_series`, which regenerates it
+from the config or reads `data_csv`.  A fresh and a resumed estimate share
+one run body, `_estimate_run`.  `execute` is the one command dispatch: the
+CLI and `replay` both run commands through it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,10 +47,27 @@ _EST_KEYS = {"N", "P", "D", "lambda", "gamma", "kernel_variance", "rff_seed",
 _MET_KEYS = {"delta", "exclude_self_loops", "mse_window"}
 
 
-def _check_keys(d: dict, allowed: set, section: str):
+def _check_section(d: dict, allowed: set, section: str, *classes):
+    """ConfigError on a key outside `allowed`, or on a value that does not fit
+    the int or bool field of the same name in one of the config dataclasses.
+
+    An int field takes an integer that is not a bool, and a seed a
+    nonnegative one; a bool field takes only true or false.
+    """
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
+    for cls in classes:
+        for key, kind in get_type_hints(cls).items():
+            if key not in d:
+                continue
+            value = d[key]
+            if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
+            if kind is int and key.endswith("seed") and value < 0:
+                raise ConfigError(f"{section}: {key} must be nonnegative, got {value}")
+            if kind is bool and not isinstance(value, bool):
+                raise ConfigError(f"{section}: {key} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +103,9 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
     """Validate a parsed JSON experiment dict; unknown keys are rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("experiment config must be a JSON object")
-    _check_keys(obj, _TOP_KEYS, "experiment config")
+    _check_section(obj, _TOP_KEYS, "experiment config", ExperimentConfig)
     runs = obj.get("runs", 1)
-    if not isinstance(runs, int) or runs < 1:
+    if runs < 1:
         raise ConfigError(f"runs must be a positive integer, got {runs!r}")
     base_seed = obj.get("base_seed", 0)
 
@@ -91,7 +114,7 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
     if gen_obj is not None:
         if "seed" in gen_obj:
             raise ConfigError("generator seed is derived from base_seed; remove 'seed'")
-        _check_keys(gen_obj, _GEN_KEYS, "generator section")
+        _check_section(gen_obj, _GEN_KEYS, "generator section", GeneratorConfig)
         try:
             gen = GeneratorConfig(seed=0, **gen_obj)
         except TypeError as e:
@@ -113,7 +136,7 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
     est_obj = obj.get("estimator")
     if est_obj is None:
         raise ConfigError("config needs an estimator section")
-    _check_keys(est_obj, _EST_KEYS, "estimator section")
+    _check_section(est_obj, _EST_KEYS, "estimator section", EstimatorConfig)
     est_kwargs = dict(est_obj)
     if "lambda" in est_kwargs:
         est_kwargs["lam"] = est_kwargs.pop("lambda")
@@ -123,20 +146,20 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
         raise ConfigError(f"estimator section: {e}") from None
 
     met_obj = obj.get("metrics", {})
-    _check_keys(met_obj, _MET_KEYS, "metrics section")
+    _check_section(met_obj, _MET_KEYS, "metrics section", DetectionConfig, ExperimentConfig)
     try:
         detection = DetectionConfig(delta=met_obj.get("delta", 0.05),
                                     exclude_self_loops=met_obj.get("exclude_self_loops", True))
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
     mse_window = met_obj.get("mse_window", 100)
-    if not isinstance(mse_window, int) or mse_window < 1:
+    if mse_window < 1:
         raise ConfigError(f"mse_window must be a positive integer, got {mse_window!r}")
 
     emit_every = obj.get("emit_every", 1)
-    if not isinstance(emit_every, int) or emit_every < 1:
+    if emit_every < 1:
         raise ConfigError(f"emit_every must be a positive integer, got {emit_every!r}")
-    standardize = bool(obj.get("standardize", False))
+    standardize = obj.get("standardize", False)
 
     if gen is not None and gen.N != est.N:
         raise ConfigError(f"generator N={gen.N} does not match estimator N={est.N}")
@@ -195,11 +218,24 @@ def _run_prefix(r: int) -> str:
     return f"run{r:03d}"
 
 
-def _load_run_values(cfg: ExperimentConfig, r: int) -> np.ndarray:
-    """The input series for run r: regenerated from config or read from CSV."""
+def _run_series(cfg: ExperimentConfig, r: int, N: int, T: int | None = None) -> np.ndarray:
+    """Run r's (N, T) input series, regenerated from the config or read from data_csv.
+
+    A given T is the horizon: a generated series is generated to T and a CSV
+    series is cut to T.  A T past the CSV's length, or a node count other
+    than N, is a DataError.
+    """
     if cfg.generator is not None:
-        return generate(cfg.generator_for_run(r)).values
-    values = io.read_data_csv(cfg.data_csv)
+        gen = cfg.generator_for_run(r)
+        values = generate(gen if T is None else replace(gen, T=T)).values
+    else:
+        values = io.read_data_csv(cfg.data_csv)
+        if T is not None and T > values.shape[1]:
+            raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
+                            f"{cfg.data_csv}")
+        values = values[:, :T]
+    if values.shape[0] != N:
+        raise DataError(f"data has {values.shape[0]} nodes but the estimator expects {N}")
     return values
 
 
@@ -234,38 +270,17 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if from_checkpoint is not None:
         return _resume_estimate(cfg, from_checkpoint)
+    if limit is not None and limit <= cfg.estimator.P:
+        raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
     written = []
     for r in range(cfg.runs):
-        values = _load_run_values(cfg, r)
-        if values.shape[0] != cfg.estimator.N:
-            raise DataError(f"data has {values.shape[0]} nodes but estimator expects "
-                            f"{cfg.estimator.N}")
-        if limit is not None:
-            if limit <= cfg.estimator.P:
-                raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
-            values = values[:, :limit]
-        if values.shape[1] <= cfg.estimator.P:
-            raise DataError(f"run {r} has {values.shape[1]} samples; the estimator needs "
-                            f"more than P={cfg.estimator.P}")
+        values = _run_series(cfg, r, cfg.estimator.N)[:, :limit]
+        mean = std = None
         if cfg.standardize:
             values, mean, std = _standardize(values)
-        else:
-            mean = std = None
-        est = OnlineEstimator(cfg.estimator_for_run(r))
-        series = est.run(values)
-        prefix = _run_prefix(r)
-        est_path = cfg.output_dir / f"{prefix}_estimates.csv"
-        pred_path = cfg.output_dir / f"{prefix}_predictions.csv"
-        ckpt_path = cfg.output_dir / f"{prefix}_checkpoint.json"
-        io.write_estimates_csv(est_path, series.group_norms, t_start=cfg.estimator.P,
-                               emit_every=cfg.emit_every)
-        io.write_predictions_csv(pred_path, series.predictions, t_start=cfg.estimator.P)
-        io.write_checkpoint(ckpt_path, est, extra={
-            "run": r, "next_t": values.shape[1], "standardize": cfg.standardize,
-            "mean": None if mean is None else mean.tolist(),
-            "std": None if std is None else std.tolist(),
-        })
-        written += [est_path, pred_path, ckpt_path]
+        extra = {"run": r, "next_t": 0, "standardize": cfg.standardize, "mean": mean, "std": std}
+        written += _estimate_run(cfg, OnlineEstimator(cfg.estimator_for_run(r)), values, 0,
+                                 extra, "")
     # a resume overwrites estimate_manifest.json; the initial copy keeps
     # this command replayable after resumes
     options = {"limit": limit, "from_checkpoint": None}
@@ -282,41 +297,64 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
         if not isinstance(value, int) or value < 0:
             raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
                             f"got {value!r}")
-    values = _load_run_values(cfg, r)
-    if values.shape[0] != est.cfg.N:
-        raise DataError(f"data has {values.shape[0]} nodes but the checkpoint expects "
-                        f"{est.cfg.N}")
-    if extra.get("standardize"):
-        shape = (est.cfg.N,)
-        mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", shape)
-        std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", shape)
-        if not (std > 0).all():
-            raise DataError(f"{checkpoint_path}: extra.std must be positive")
-        values = (values - mean[:, None]) / std[:, None]
-    T = values.shape[1]
-    if T - next_t <= est.cfg.P - est.warm:
-        raise DataError(f"checkpoint at t={next_t} leaves too few of the {T} samples "
-                        f"(needs more than {est.cfg.P - est.warm})")
-    series = est.run(values, start=next_t)
-    prefix = _run_prefix(r)
-    est_path = cfg.output_dir / f"{prefix}_estimates_resumed.csv"
-    pred_path = cfg.output_dir / f"{prefix}_predictions_resumed.csv"
-    ckpt_path = cfg.output_dir / f"{prefix}_checkpoint_resumed.json"
-    # continue the uncut run's thinning grid t = P, P + K, P + 2K, ...
-    first_row = next_t + (est.cfg.P - next_t) % cfg.emit_every
-    io.write_estimates_csv(est_path, series.group_norms, t_start=first_row,
-                           emit_every=cfg.emit_every)
-    io.write_predictions_csv(pred_path, series.predictions, t_start=next_t)
-    io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
+    values = _apply_checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, r, est.cfg.N))
+    written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
     options = {"limit": None, "from_checkpoint": str(checkpoint_path)}
-    return [est_path, pred_path, ckpt_path, _write_manifest(cfg, "estimate", options),
-            _write_manifest(cfg, "estimate", options, name=f"{prefix}_estimate_resumed")]
+    return written + [_write_manifest(cfg, "estimate", options),
+                      _write_manifest(cfg, "estimate", options,
+                                      name=f"{_run_prefix(r)}_estimate_resumed")]
+
+
+def _apply_checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray) -> np.ndarray:
+    """values scaled as the estimate that wrote the checkpoint scaled its series.
+
+    extra is the checkpoint's record.  When it says standardize, its mean
+    and std must be finite and one per node, and std positive.
+    """
+    if not extra.get("standardize"):
+        return values
+    shape = (values.shape[0],)
+    mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", shape)
+    std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", shape)
+    if not (std > 0).all():
+        raise DataError(f"{checkpoint_path}: extra.std must be positive")
+    return (values - mean[:, None]) / std[:, None]
+
+
+def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray, start: int,
+                  extra: dict, suffix: str) -> list[Path]:
+    """Stream values from t=start through est; write its estimates, predictions, checkpoint.
+
+    A fresh run (start 0) and a resumed one share one grid: predictions
+    from s = max(start, P) and estimates from the first t >= s on the
+    grid P, P + K, P + 2K, ... of emit_every K.  extra is the checkpoint
+    record, written back with next_t set to the end of the series.
+    """
+    P, T = est.cfg.P, values.shape[1]
+    prefix = _run_prefix(extra.get("run", 0))
+    if T - start <= P - est.warm:
+        raise DataError(f"{prefix} has {T - start} samples from t={start}; the estimator "
+                        f"needs more than {P - est.warm}")
+    series = est.run(values, start=start)
+    est_path = cfg.output_dir / f"{prefix}_estimates{suffix}.csv"
+    pred_path = cfg.output_dir / f"{prefix}_predictions{suffix}.csv"
+    ckpt_path = cfg.output_dir / f"{prefix}_checkpoint{suffix}.json"
+    s = max(start, P)
+    io.write_estimates_csv(est_path, series.group_norms, t_start=s + (P - s) % cfg.emit_every,
+                           emit_every=cfg.emit_every)
+    io.write_predictions_csv(pred_path, series.predictions, t_start=s)
+    io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
+    return [est_path, pred_path, ckpt_path]
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
-    """Detection and error curves from previously written run files."""
+    """Detection and error curves from previously written run files.
+
+    Each run's data is scaled as recorded in the checkpoint of the estimate
+    that wrote its predictions.
+    """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     det_runs = []
     mse_runs = []
@@ -338,9 +376,9 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
             mse_t = pt
         elif not np.array_equal(mse_t, pt):
             raise DataError("runs have mismatched prediction time axes")
-        values = _load_run_values(cfg, r)
-        if cfg.standardize:
-            values, _, _ = _standardize(values)
+        ckpt_path = cfg.output_dir / f"{prefix}_checkpoint.json"
+        _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
+        values = _apply_checkpoint_scaling(ckpt_path, extra, _run_series(cfg, r, cfg.estimator.N))
         if values.shape[1] <= int(pt[-1]):
             raise DataError("predictions extend past the data series")
         mse_runs.append((values[:, pt], preds))
@@ -382,21 +420,9 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     estimator instead, whose cost increases with every stored sample.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.generator is not None:
-        gen = cfg.generator_for_run(0)
-        if T is not None:
-            if T <= gen.P:
-                raise DataError(f"bench horizon T={T} must exceed P={gen.P}")
-            gen = replace(gen, T=T)
-        values = generate(gen).values
-    else:
-        values = io.read_data_csv(cfg.data_csv)
-        if T is not None:
-            if T <= cfg.estimator.P:
-                raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
-            if T > values.shape[1]:
-                raise DataError(f"bench horizon T={T} exceeds the series length")
-            values = values[:, :T]
+    if T is not None and T <= cfg.estimator.P:
+        raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
+    values = _run_series(cfg, 0, cfg.estimator.N, T)
     if cfg.standardize:
         values, _, _ = _standardize(values)
     if reference:
@@ -415,13 +441,28 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
             t_idx.append(t)
     name = "bench_reference.csv" if reference else "bench.csv"
     path = cfg.output_dir / name
-    with open(path, "w") as fh:
-        fh.write("t,seconds\n")
-        for t, s in zip(t_idx, times):
-            fh.write(f"{t},{s!r}\n")
+    io._write_table(path, ["seconds"], t_idx, np.array(times)[:, None])
     manifest = _write_manifest(cfg, "bench_reference" if reference else "bench",
                                {"T": T, "reference": reference})
     return [path, manifest]
+
+
+def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
+    """Run `command` on cfg with the options it takes from `options`.
+
+    The one command dispatch: the CLI passes its parsed arguments, replay a
+    manifest's recorded options.
+    """
+    if command == "generate":
+        return cmd_generate(cfg)
+    if command == "estimate":
+        return cmd_estimate(cfg, limit=options.get("limit"),
+                            from_checkpoint=options.get("from_checkpoint"))
+    if command == "metrics":
+        return cmd_metrics(cfg)
+    if command in ("bench", "bench_reference"):
+        return cmd_bench(cfg, T=options.get("T"), reference=bool(options.get("reference")))
+    raise ConfigError(f"unknown command {command!r}")
 
 
 def replay(manifest_path) -> list[Path]:
@@ -435,15 +476,4 @@ def replay(manifest_path) -> list[Path]:
         if key not in obj:
             raise ConfigError(f"manifest missing {key!r}")
     cfg = parse_experiment(obj["experiment"], config_dir=manifest_path.parent)
-    options = obj.get("options", {})
-    command = obj["command"]
-    if command == "generate":
-        return cmd_generate(cfg)
-    if command == "estimate":
-        return cmd_estimate(cfg, limit=options.get("limit"),
-                            from_checkpoint=options.get("from_checkpoint"))
-    if command == "metrics":
-        return cmd_metrics(cfg)
-    if command in ("bench", "bench_reference"):
-        return cmd_bench(cfg, T=options.get("T"), reference=bool(options.get("reference")))
-    raise ConfigError(f"manifest has unknown command {command!r}")
+    return execute(cfg, obj["command"], obj.get("options", {}))

@@ -18,10 +18,6 @@ from .estimator import CoefficientState, EstimatorConfig, OnlineEstimator
 from .generator import TimeSeries
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays for json.dump; NaN becomes None."""
     if isinstance(obj, dict):
@@ -40,63 +36,68 @@ def jsonable(obj):
     return obj
 
 
+def _write_table(path, columns, t_values, rows):
+    """Write the `t,<columns>` CSV all tables share: one row per t, cells in
+    shortest round-trip form."""
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(columns) + "\n")
+        for t, row in zip(t_values, rows):
+            fh.write(f"{int(t)}," + ",".join(map(repr, np.asarray(row, dtype=float).tolist()))
+                     + "\n")
+
+
+def _read_table(path, what: str):
+    """Read a `t,<columns>` CSV into (columns, integer t values, (rows, width) array).
+
+    A missing file, a header that does not start with `t`, a row of another
+    width, a cell that is not a number, a fractional or non-finite time, or
+    no rows at all is a DataError naming the file (and the line).
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if header[0] != "t" or len(header) < 2:
+            raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != len(header):
+                raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
+                                f"header width {len(header)}")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError:
+                raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
+    if not rows:
+        raise DataError(f"{path}: no {what} rows")
+    arr = np.array(rows)
+    t = arr[:, 0]
+    if not (np.isfinite(t).all() and np.array_equal(t, np.floor(t))):
+        raise DataError(f"{path}: time column must hold integers")
+    return header[1:], t.astype(int), arr[:, 1:]
+
+
+def _node_columns(N: int):
+    return [f"node_{n + 1}" for n in range(N)]
+
+
 def write_data_csv(path, values: np.ndarray):
     """Series as `t,node_1,...,node_N`, one row per time index."""
-    values = np.asarray(values)
-    N, T = values.shape
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"node_{n + 1}" for n in range(N)) + "\n")
-        for t in range(T):
-            fh.write(str(t) + "," + ",".join(_fmt(v) for v in values[:, t]) + "\n")
-
-
-def _numeric_rows(path, fh, width: int) -> list:
-    """Parse the lines after the header as rows of `width` numbers.
-
-    A row of another width or a cell that is not a number is a DataError
-    naming the file and the line.
-    """
-    rows = []
-    for lineno, line in enumerate(fh, start=2):
-        parts = line.strip().split(",")
-        if len(parts) != width:
-            raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
-                            f"header width {width}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
-    return rows
-
-
-def _time_column(path, arr: np.ndarray) -> np.ndarray:
-    """The first column as integers; a fractional or non-finite time is a DataError."""
-    col = arr[:, 0]
-    if not (np.isfinite(col).all() and np.array_equal(col, np.floor(col))):
-        raise DataError(f"{path}: time column must hold integers")
-    return col.astype(int)
+    values = np.asarray(values, dtype=float)
+    _write_table(path, _node_columns(values.shape[0]), range(values.shape[1]), values.T)
 
 
 def read_data_csv(path) -> np.ndarray:
     """Read a data CSV back into an (N, T) array; every value must be finite."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"data file not found: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "t" or len(header) < 2:
-            raise DataError(f"{path}: expected header 't,node_1,...', got {header!r}")
-        rows = _numeric_rows(path, fh, len(header))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    arr = np.array(rows)
+    _, t, arr = _read_table(path, "data")
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}, line {int(np.argmin(finite)) + 2}: non-finite value")
-    t = _time_column(path, arr)
     if not np.array_equal(t, np.arange(len(t))):
         raise DataError(f"{path}: time column must be 0..T-1")
-    return arr[:, 1:].T.copy()
+    return arr.T.copy()
 
 
 def write_topology_jsonl(path, ts: TimeSeries):
@@ -158,66 +159,40 @@ def estimate_column_names(N: int, P: int):
 def write_estimates_csv(path, group_norms: np.ndarray, t_start: int, emit_every: int = 1):
     """Pseudo-adjacency trace, one row per (thinned) time index from t_start on."""
     T, N, _, P = group_norms.shape
-    cols = estimate_column_names(N, P)
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        for t in range(t_start, T, emit_every):
-            fh.write(str(t) + "," + ",".join(_fmt(v) for v in group_norms[t].ravel()) + "\n")
+    t_values = range(t_start, T, emit_every)
+    _write_table(path, estimate_column_names(N, P), t_values,
+                 (group_norms[t].ravel() for t in t_values))
 
 
 def read_estimates_csv(path):
     """Read an estimates CSV into (t_values, (rows, N, N, P) array)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"estimates file not found: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or len(header) < 2:
-            raise DataError(f"{path}: malformed estimates header")
-        # infer (N, P) from the trailing column name b_N_N_P
-        last = header[-1].split("_")
-        if len(last) != 4 or last[0] != "b":
-            raise DataError(f"{path}: malformed estimates header column {header[-1]!r}")
-        N, P = int(last[1]), int(last[3])
-        if header[1:] != estimate_column_names(N, P):
-            raise DataError(f"{path}: estimate columns are not in lexicographic (n, n', p) order")
-        rows = _numeric_rows(path, fh, len(header))
-    if not rows:
-        raise DataError(f"{path}: no estimate rows")
-    arr = np.array(rows)
-    return _time_column(path, arr), arr[:, 1:].reshape(len(rows), N, N, P)
+    columns, t, arr = _read_table(path, "estimates")
+    # infer (N, P) from the trailing column name b_N_N_P
+    last = columns[-1].split("_")
+    if len(last) != 4 or last[0] != "b" or not (last[1].isdigit() and last[3].isdigit()):
+        raise DataError(f"{path}: malformed estimates header column {columns[-1]!r}")
+    N, P = int(last[1]), int(last[3])
+    if columns != estimate_column_names(N, P):
+        raise DataError(f"{path}: estimate columns are not in lexicographic (n, n', p) order")
+    return t, arr.reshape(len(t), N, N, P)
 
 
 def write_predictions_csv(path, predictions: np.ndarray, t_start: int):
+    """Predictions as `t,node_1,...,node_N` from t_start on."""
     N, T = predictions.shape
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"node_{n + 1}" for n in range(N)) + "\n")
-        for t in range(t_start, T):
-            fh.write(str(t) + "," + ",".join(_fmt(v) for v in predictions[:, t]) + "\n")
+    _write_table(path, _node_columns(N), range(t_start, T), predictions[:, t_start:].T)
 
 
 def read_predictions_csv(path):
     """Read predictions back into (t_values, (N, rows) array)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"predictions file not found: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t":
-            raise DataError(f"{path}: malformed predictions header")
-        rows = _numeric_rows(path, fh, len(header))
-    if not rows:
-        raise DataError(f"{path}: no prediction rows")
-    arr = np.array(rows)
-    return _time_column(path, arr), arr[:, 1:].T
+    _, t, arr = _read_table(path, "predictions")
+    return t, arr.T
 
 
 def write_metric_csv(path, t_values, values):
     """Metric curve as `t,value`; undefined entries are written as nan."""
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(t_values, values):
-            fh.write(f"{int(t)},{'nan' if not np.isfinite(v) else _fmt(v)}\n")
+    values = np.asarray(values, dtype=float)
+    _write_table(path, ["value"], t_values, np.where(np.isfinite(values), values, np.nan)[:, None])
 
 
 def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None):

@@ -14,6 +14,7 @@ from rffgraph import (
 )
 from rffgraph import io
 from rffgraph import experiment
+from rffgraph import metrics
 from rffgraph.cli import main as cli_main
 
 
@@ -654,3 +655,62 @@ def test_divergence_names_the_node_through_the_cli(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric divergence: estimator diverged at iteration " in err
     assert "has the largest group norm" in err and "its last residual was" in err
+
+
+def _metric_values(path):
+    return np.array([float(row.split(",")[1]) for row in path.read_text().splitlines()[1:]])
+
+
+@pytest.mark.parametrize("standardize, argv", [
+    (False, ["--standardize"]), (True, ["--limit", "60"]),
+], ids=["estimate --standardize", "estimate --limit of a standardized config"])
+def test_metrics_scales_the_data_as_its_estimate_did(tmp_path, standardize, argv):
+    cfg_path = _cfg_with(tmp_path, standardize=standardize)
+    out = tmp_path / "out"
+    assert cli_main(["generate", str(cfg_path)]) == 0
+    assert cli_main(["estimate", str(cfg_path)] + argv) == 0
+    assert cli_main(["metrics", str(cfg_path)]) == 0
+    cfg = experiment.load_experiment(cfg_path)
+    runs = []
+    for r in range(cfg.runs):
+        extra = json.loads((out / f"run{r:03d}_checkpoint.json").read_text())["extra"]
+        mean, std = np.array(extra["mean"]), np.array(extra["std"])
+        t, preds = io.read_predictions_csv(out / f"run{r:03d}_predictions.csv")
+        values = generate(cfg.generator_for_run(r)).values[:, t]
+        runs.append(((values - mean[:, None]) / std[:, None], preds))
+    assert np.array_equal(_metric_values(out / "mse.csv"), metrics.mse_curve(runs=runs))
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["estimator", "reference"])
+def test_bench_on_a_data_csv_with_other_nodes_is_a_data_error(tmp_path, capsys, reference):
+    path = tmp_path / "d.csv"
+    io.write_data_csv(path, np.random.default_rng(0).normal(size=(3, 40)))
+    argv = ["bench", str(_csv_cfg(tmp_path, path))] + (["--reference"] if reference else [])
+    assert cli_main(argv) == 3
+    assert "data has 3 nodes but the estimator expects 2" in capsys.readouterr().err
+
+
+def test_bench_horizon_cuts_a_data_csv_and_extends_a_generated_series(tmp_path):
+    path = tmp_path / "d.csv"
+    io.write_data_csv(path, np.random.default_rng(0).normal(size=(2, 40)))
+    csv_cfg = _csv_cfg(tmp_path, path)
+    assert cli_main(["bench", str(csv_cfg), "--T", "41"]) == 3
+    assert cli_main(["bench", str(csv_cfg), "--T", "30"]) == 0
+    assert len((tmp_path / "out" / "bench.csv").read_text().splitlines()) - 1 == 30 - 2
+    # the generator config's T is 120
+    assert cli_main(["bench", str(_cfg_with(tmp_path, runs=1)), "--T", "150"]) == 0
+    assert len((tmp_path / "out" / "bench.csv").read_text().splitlines()) - 1 == 150 - 2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("estimator", "D", 2.0), ("generator", "M", 2.5), ("generator", "T", 60.0),
+    ("estimator", "rff_seed", -1), (None, "base_seed", -4), (None, "standardize", "no"),
+    ("estimator", "per_slot_maps", "yes"), (None, "runs", True),
+])
+def test_integer_and_boolean_config_fields_are_type_checked(tmp_path, capsys, section, key,
+                                                           value):
+    obj = json.loads(json.dumps(BASE))
+    (obj if section is None else obj[section])[key] = value
+    obj["output_dir"] = str(tmp_path / "out")
+    assert cli_main(["estimate", str(_write_cfg(tmp_path, obj))]) == 2
+    assert f"{key} must be" in capsys.readouterr().err

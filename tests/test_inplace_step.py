@@ -134,6 +134,22 @@ def test_in_place_linear_baseline_equals_the_functional_chain(N, P, seed, blocki
     assert np.array_equal(lb.state.alpha, state.alpha) and lb.state.t == state.t
 
 
+def test_linear_baseline_step_gives_the_same_bits_for_a_strided_window():
+    # the reversed view of the series is strided; the estimator's lag window
+    # holds the same numbers C-ordered
+    N, P, T = 40, 3, 30
+    values = np.random.default_rng(8).normal(size=(N, T))
+    alpha = np.zeros((N, P, N))
+    for t in range(P, T):
+        window = values[:, t - P:t][:, ::-1].T
+        strided = linear_baseline_step(alpha, window, values[:, t], 0.01, 0.05)
+        contiguous = linear_baseline_step(alpha, np.ascontiguousarray(window), values[:, t],
+                                          0.01, 0.05)
+        for a, b in zip(strided, contiguous):
+            assert np.array_equal(a, b), t
+        alpha = contiguous[0]
+
+
 @SETTINGS
 @given(shapes, seeds, blockings, st.floats(0.02, 0.2), st.booleans())
 def test_divergence_at_the_same_iteration_as_the_functional_chain(shape, seed, blocking, gamma,
