@@ -22,7 +22,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -47,27 +47,46 @@ _EST_KEYS = {"N", "P", "D", "lambda", "gamma", "kernel_variance", "rff_seed",
 _MET_KEYS = {"delta", "exclude_self_loops", "mse_window"}
 
 
-def _check_section(d: dict, allowed: set, section: str, *classes):
-    """ConfigError on a key outside `allowed`, or on a value that does not fit
-    the int or bool field of the same name in one of the config dataclasses.
+# config-file names of dataclass fields that are spelled differently there
+_FILE_NAMES = {"lam": "lambda"}
+
+
+def _check_section(d, allowed: set, section: str, *classes):
+    """ConfigError unless d is a JSON object whose keys are in `allowed` and
+    whose values fit the int, float, bool, str or path field of the same
+    name in one of the config dataclasses.
 
     An int field takes an integer that is not a bool, and a seed a
-    nonnegative one; a bool field takes only true or false.
+    nonnegative one; a float field takes any number but a bool; a bool
+    field takes only true or false; a path is a string; an optional field
+    also takes null.
     """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
     for cls in classes:
-        for key, kind in get_type_hints(cls).items():
+        for field, kind in get_type_hints(cls).items():
+            key = _FILE_NAMES.get(field, field)
             if key not in d:
                 continue
             value = d[key]
+            optional = [a for a in get_args(kind) if a is not type(None)]
+            if optional:  # X | None
+                if value is None:
+                    continue
+                kind = optional[0]
             if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
             if kind is int and key.endswith("seed") and value < 0:
                 raise ConfigError(f"{section}: {key} must be nonnegative, got {value}")
+            if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ConfigError(f"{section}: {key} must be a number, got {value!r}")
             if kind is bool and not isinstance(value, bool):
                 raise ConfigError(f"{section}: {key} must be true or false, got {value!r}")
+            if kind in (str, Path) and not isinstance(value, str):
+                raise ConfigError(f"{section}: {key} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +120,6 @@ class ExperimentConfig:
 
 def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentConfig:
     """Validate a parsed JSON experiment dict; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ConfigError("experiment config must be a JSON object")
     _check_section(obj, _TOP_KEYS, "experiment config", ExperimentConfig)
     runs = obj.get("runs", 1)
     if runs < 1:
@@ -112,9 +129,9 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
     gen_obj = obj.get("generator")
     gen = None
     if gen_obj is not None:
+        _check_section(gen_obj, _GEN_KEYS | {"seed"}, "generator section", GeneratorConfig)
         if "seed" in gen_obj:
             raise ConfigError("generator seed is derived from base_seed; remove 'seed'")
-        _check_section(gen_obj, _GEN_KEYS, "generator section", GeneratorConfig)
         try:
             gen = GeneratorConfig(seed=0, **gen_obj)
         except TypeError as e:
@@ -342,8 +359,9 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
     pred_path = cfg.output_dir / f"{prefix}_predictions{suffix}.csv"
     ckpt_path = cfg.output_dir / f"{prefix}_checkpoint{suffix}.json"
     s = max(start, P)
-    io.write_estimates_csv(est_path, series.group_norms, t_start=s + (P - s) % cfg.emit_every,
-                           emit_every=cfg.emit_every)
+    grid = {"t_start": s + (P - s) % cfg.emit_every, "emit_every": cfg.emit_every}
+    io.write_estimates_csv(est_path, series.group_norms, **grid)
+    io.write_estimates_npy(est_path.with_suffix(".npy"), series.group_norms, **grid)
     io.write_predictions_csv(pred_path, series.predictions, t_start=s)
     io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
     return [est_path, pred_path, ckpt_path]
@@ -352,37 +370,42 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
 def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     """Detection and error curves from previously written run files.
 
+    Reads each run's estimates from its `.npy` file, one run at a time.
     Each run's data is scaled as recorded in the checkpoint of the estimate
     that wrote its predictions.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    det_runs = []
+    N, P = cfg.estimator.N, cfg.estimator.P
+    grids = {}  # kind -> the first run's time grid, which every run must share
     mse_runs = []
-    t_grid = None
-    mse_t = None
-    for r in range(cfg.runs):
-        prefix = _run_prefix(r)
-        tvals, est = io.read_estimates_csv(cfg.output_dir / f"{prefix}_estimates.csv")
-        if t_grid is None:
-            t_grid = tvals
-        elif not np.array_equal(t_grid, tvals):
-            raise DataError("runs have mismatched estimate time axes")
-        T_full = int(tvals[-1]) + 1
-        coeffs, active = io.read_topology_jsonl(
-            cfg.output_dir / f"{prefix}_topology.jsonl", T_full)
-        det_runs.append((est, active[tvals]))
-        pt, preds = io.read_predictions_csv(cfg.output_dir / f"{prefix}_predictions.csv")
-        if mse_t is None:
-            mse_t = pt
-        elif not np.array_equal(mse_t, pt):
-            raise DataError("runs have mismatched prediction time axes")
-        ckpt_path = cfg.output_dir / f"{prefix}_checkpoint.json"
-        _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
-        values = _apply_checkpoint_scaling(ckpt_path, extra, _run_series(cfg, r, cfg.estimator.N))
-        if values.shape[1] <= int(pt[-1]):
-            raise DataError("predictions extend past the data series")
-        mse_runs.append((values[:, pt], preds))
-    pmd, pfa = pmd_pfa(det_runs, cfg.detection)
+
+    def same_grid(kind, t):
+        if not np.array_equal(grids.setdefault(kind, t), t):
+            raise DataError(f"runs have mismatched {kind} time axes")
+
+    def detection_runs():
+        """Each run's (estimates, truth), collecting its (data, predictions) pair."""
+        for r in range(cfg.runs):
+            prefix = _run_prefix(r)
+            tvals, est = io.read_estimates_npy(cfg.output_dir / f"{prefix}_estimates.npy", N, P)
+            same_grid("estimate", tvals)
+            topo_path = cfg.output_dir / f"{prefix}_topology.jsonl"
+            _, active = io.read_topology_jsonl(topo_path, int(tvals[-1]) + 1)
+            if active.shape[1:] != (N, N, P):
+                raise DataError(f"{topo_path}: topology shape {active.shape[1:]} does not fit "
+                                f"N={N}, P={P}")
+            pt, preds = io.read_predictions_csv(cfg.output_dir / f"{prefix}_predictions.csv")
+            same_grid("prediction", pt)
+            ckpt_path = cfg.output_dir / f"{prefix}_checkpoint.json"
+            _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
+            values = _apply_checkpoint_scaling(ckpt_path, extra, _run_series(cfg, r, N))
+            if values.shape[1] <= int(pt[-1]):
+                raise DataError("predictions extend past the data series")
+            mse_runs.append((values[:, pt], preds))
+            yield est, active[tvals]
+
+    pmd, pfa = pmd_pfa(detection_runs(), cfg.detection)
+    t_grid, mse_t = grids["estimate"], grids["prediction"]
     if cfg.runs > 1:
         mse = mse_curve(runs=mse_runs)
     else:
@@ -447,12 +470,30 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     return [path, manifest]
 
 
+# option -> (type, whether null is allowed, what the error message asks for)
+_OPTION_TYPES = {
+    "limit": (int, True, "an integer or null"),
+    "T": (int, True, "an integer or null"),
+    "from_checkpoint": (str, True, "a string or null"),
+    "reference": (bool, False, "true or false"),
+}
+
+
 def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
     """Run `command` on cfg with the options it takes from `options`.
 
     The one command dispatch: the CLI passes its parsed arguments, replay a
-    manifest's recorded options.
+    manifest's recorded options.  An option of the wrong type is a
+    ConfigError.
     """
+    if not isinstance(options, dict):
+        raise ConfigError(f"options must be a JSON object, got {options!r}")
+    for key, (kind, nullable, expected) in _OPTION_TYPES.items():
+        value = options.get(key)
+        if key not in options or (value is None and nullable):
+            continue
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ConfigError(f"option {key} must be {expected}, got {value!r}")
     if command == "generate":
         return cmd_generate(cfg)
     if command == "estimate":
@@ -470,8 +511,13 @@ def replay(manifest_path) -> list[Path]:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ConfigError(f"manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{manifest_path}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{manifest_path}: a manifest must be a JSON object")
     for key in ("command", "experiment"):
         if key not in obj:
             raise ConfigError(f"manifest missing {key!r}")

@@ -1,8 +1,13 @@
-"""File formats: data/prediction/metric CSVs, topology JSONL, checkpoints.
+"""File formats: data/prediction/metric CSVs, topology JSONL, checkpoints,
+and the binary twin of the estimates CSV.
 
 All numeric text is written with Python's shortest round-trip float
 representation, so re-running a recorded experiment reproduces files
 byte for byte.  No timestamps are embedded anywhere.
+
+Beside each estimates CSV sits a `.npy` file with the same rows as a
+float64 array (`np.save`, exact and deterministic).  `metrics` reads that
+binary file; the CSV is kept for people and other tools.
 """
 
 from __future__ import annotations
@@ -73,10 +78,14 @@ def _read_table(path, what: str):
     if not rows:
         raise DataError(f"{path}: no {what} rows")
     arr = np.array(rows)
-    t = arr[:, 0]
+    return header[1:], _time_column(path, arr[:, 0]), arr[:, 1:]
+
+
+def _time_column(path, t: np.ndarray) -> np.ndarray:
+    """t as integers; a DataError naming the file unless every value is one."""
     if not (np.isfinite(t).all() and np.array_equal(t, np.floor(t))):
         raise DataError(f"{path}: time column must hold integers")
-    return header[1:], t.astype(int), arr[:, 1:]
+    return t.astype(int)
 
 
 def _node_columns(N: int):
@@ -119,22 +128,52 @@ def write_topology_jsonl(path, ts: TimeSeries):
             prev = snap
 
 
+def _topology_record(path, lineno: int, line: str):
+    """(t, coeffs, active) of one topology line; a DataError naming the line
+    unless it is a JSON object with an integer t and two arrays of one shape."""
+    where = f"{path}, line {lineno}"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{where}: not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: a topology record must be a JSON object")
+    missing = [k for k in ("t", "coeffs", "active") if k not in obj]
+    if missing:
+        raise DataError(f"{where}: topology record lacks {missing}")
+    t = obj["t"]
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+        raise DataError(f"{where}: t must be a nonnegative integer, got {t!r}")
+    try:
+        coeffs = np.array(obj["coeffs"], dtype=float)
+        active = np.array(obj["active"], dtype=bool)
+    except (TypeError, ValueError):  # ragged or non-numeric JSON
+        raise DataError(f"{where}: coeffs and active must be numeric arrays") from None
+    if coeffs.shape != active.shape:
+        raise DataError(f"{where}: coeffs shape {coeffs.shape} != active shape {active.shape}")
+    return t, coeffs, active
+
+
 def read_topology_jsonl(path, T: int):
     """Forward-fill a topology JSONL into (T, N, N, P) coeff and active arrays.
 
-    Rows before the first recorded t repeat the first record.
+    Rows before the first recorded t repeat the first record.  A line that
+    is not a JSON record with `t`, `coeffs` and `active`, or records of
+    different shapes, is a DataError naming the file and line.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"topology file not found: {path}")
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                obj = json.loads(line)
-                records.append((int(obj["t"]), np.array(obj["coeffs"], dtype=float),
-                                np.array(obj["active"], dtype=bool)))
+                records.append(_topology_record(path, lineno, line))
+                if records[-1][1].shape != records[0][1].shape:
+                    raise DataError(f"{path}, line {lineno}: record shape "
+                                    f"{records[-1][1].shape} != first record's "
+                                    f"{records[0][1].shape}")
     if not records:
         raise DataError(f"{path}: no topology records")
     records.sort(key=lambda r: r[0])
@@ -156,12 +195,51 @@ def estimate_column_names(N: int, P: int):
     return [f"b_{n + 1}_{m + 1}_{p + 1}" for n in range(N) for m in range(N) for p in range(P)]
 
 
+def _emitted(group_norms: np.ndarray, t_start: int, emit_every: int):
+    """The rows of a (T, N, N, P) trace that an estimates file holds: their
+    time indices range(t_start, T, emit_every), and a (rows, N, N, P) view."""
+    return (range(t_start, group_norms.shape[0], emit_every),
+            group_norms[t_start::emit_every])
+
+
 def write_estimates_csv(path, group_norms: np.ndarray, t_start: int, emit_every: int = 1):
     """Pseudo-adjacency trace, one row per (thinned) time index from t_start on."""
-    T, N, _, P = group_norms.shape
-    t_values = range(t_start, T, emit_every)
-    _write_table(path, estimate_column_names(N, P), t_values,
-                 (group_norms[t].ravel() for t in t_values))
+    _, N, _, P = group_norms.shape
+    t_values, rows = _emitted(group_norms, t_start, emit_every)
+    _write_table(path, estimate_column_names(N, P), t_values, (row.ravel() for row in rows))
+
+
+def write_estimates_npy(path, group_norms: np.ndarray, t_start: int, emit_every: int = 1):
+    """The rows of write_estimates_csv as a float64 (rows, 1 + N*N*P) array, t first."""
+    _, N, _, P = group_norms.shape
+    t_values, rows = _emitted(group_norms, t_start, emit_every)
+    table = np.empty((len(t_values), 1 + N * N * P))
+    table[:, 0] = t_values
+    table[:, 1:] = rows.reshape(len(t_values), N * N * P)
+    np.save(path, table, allow_pickle=False)
+
+
+def read_estimates_npy(path, N: int, P: int):
+    """Read an estimates `.npy` into (t_values, (rows, N, N, P) array).
+
+    A missing or unreadable file, an array that is not float64 (rows,
+    1 + N*N*P), no rows, or a time column that does not hold integers is a
+    DataError naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"estimates file not found: {path}; re-run estimate to write it")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise DataError(f"{path}: unreadable estimates array ({e})") from None
+    width = 1 + N * N * P
+    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != width:
+        raise DataError(f"{path}: expected a float64 (rows, {width}) array for N={N}, P={P}, "
+                        f"got {table.dtype} {table.shape}")
+    if not len(table):
+        raise DataError(f"{path}: no estimates rows")
+    return _time_column(path, table[:, 0]), table[:, 1:].reshape(len(table), N, N, P)
 
 
 def read_estimates_csv(path):

@@ -52,7 +52,8 @@ def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = T
     """Miss-detection and false-alarm curves over an ensemble of runs.
 
     runs: iterable of (estimates, truth) pairs, both (T, N, N, P); truth
-    is the boolean active-edge mask (exact support knowledge).
+    is the boolean active-edge mask (exact support knowledge).  Runs are
+    consumed one at a time, so a generator need not hold them all at once.
     A slot counts as detected when its (per-slice normalized, unless
     normalized=False) estimate exceeds cfg.delta:
 
@@ -63,9 +64,6 @@ def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = T
     Entries with an empty denominator are NaN (undefined, not zero).
     Returns (pmd, pfa), each of shape (T,).
     """
-    runs = list(runs)
-    if not runs:
-        raise ValueError("need at least one run")
     T = None
     md_num = md_den = fa_num = fa_den = None
     for est, truth in runs:
@@ -93,6 +91,8 @@ def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = T
         md_den += flat(truth & scope)
         fa_num += flat(alarm)
         fa_den += flat(~truth & scope)
+    if T is None:
+        raise ValueError("need at least one run")
     pmd = np.divide(md_num, md_den, out=np.full(T, np.nan), where=md_den > 0)
     pfa = np.divide(fa_num, fa_den, out=np.full(T, np.nan), where=fa_den > 0)
     return pmd, pfa

@@ -714,3 +714,68 @@ def test_integer_and_boolean_config_fields_are_type_checked(tmp_path, capsys, se
     obj["output_dir"] = str(tmp_path / "out")
     assert cli_main(["estimate", str(_write_cfg(tmp_path, obj))]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"t": 2, "coeffs": [1', "not valid JSON"),
+    ('[2, [1.0], [true]]', "JSON object"),
+    ('{"coeffs": [1.0], "active": [true]}', "lacks ['t']"),
+    ('{"t": 2, "active": [true]}', "lacks ['coeffs']"),
+    ('{"t": 2, "coeffs": [1.0]}', "lacks ['active']"),
+    ('{"t": "2", "coeffs": [1.0], "active": [true]}', "nonnegative integer"),
+    ('{"t": 2, "coeffs": [[1.0], [1.0, 2.0]], "active": [true]}', "numeric arrays"),
+    ('{"t": 2, "coeffs": [1.0, 2.0], "active": [true]}', "!= active shape"),
+], ids=["truncated", "not an object", "no t", "no coeffs", "no active", "t a string",
+        "ragged coeffs", "shapes differ"])
+def test_malformed_topology_line_is_a_data_error_naming_the_line(tmp_path, capsys, line,
+                                                                 message):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    for command in ("generate", "estimate"):
+        assert cli_main([command, str(cfg_path)]) == 0
+    topo = tmp_path / "out" / "run000_topology.jsonl"
+    first = topo.read_text().splitlines()[0]
+    topo.write_text(first + "\n" + line + "\n")
+    capsys.readouterr()
+    assert cli_main(["metrics", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "run000_topology.jsonl, line 2" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "generator", 5), (None, "metrics", []), (None, "estimator", "x"),
+    ("estimator", "lambda", True), ("estimator", "gamma", "x"), ("metrics", "delta", True),
+    ("generator", "noise_std", "x"), ("estimator", "schedule", 3), (None, "output_dir", 5),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_config_values_of_the_wrong_json_type_are_config_errors(tmp_path, capsys, section, key,
+                                                               value):
+    obj = json.loads(json.dumps(BASE))
+    obj["output_dir"] = str(tmp_path / "out")
+    (obj if section is None else obj[section])[key] = value
+    assert cli_main(["estimate", str(_write_cfg(tmp_path, obj))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{key} must be" in err or f"{key} section must be a JSON object" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifest, key, value", [
+    ("estimate", "limit", "x"), ("estimate", "limit", 60.0), ("estimate", "limit", True),
+    ("estimate", "from_checkpoint", 5), ("bench", "T", "60"), ("bench", "reference", "yes"),
+    ("bench", "reference", None), ("estimate", None, []),
+])
+def test_replayed_options_of_the_wrong_type_are_config_errors(tmp_path, capsys, manifest, key,
+                                                             value):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    argv = ["--limit", "60"] if manifest == "estimate" else ["--T", "30"]
+    assert cli_main([manifest, str(cfg_path)] + argv) == 0
+    path = tmp_path / "out" / f"{manifest}_manifest.json"
+    obj = json.loads(path.read_text())
+    if key is None:
+        obj["options"] = value
+    else:
+        obj["options"][key] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["replay", str(path)]) == 2
+    assert f"{key or 'options'} must be" in capsys.readouterr().err
