@@ -9,9 +9,14 @@ Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
 
 Every stage gets run r's series from `_run_series`, which regenerates it
-from the config or reads `data_csv`.  A fresh and a resumed estimate share
-one run body, `_estimate_run`.  `execute` is the one command dispatch: the
-CLI and `replay` both run commands through it.
+from the config or reads `data_csv` once per command.  A fresh and a
+resumed estimate share one run body, `_estimate_run`.  `execute` is the one
+command dispatch: the CLI and `replay` both run commands through it.
+
+The JSON form of the config sections and of a command's options (keys,
+their order, and type rules) lives in `io.config_dict` and
+`io.config_from_dict`; this module declares the file's top level, its
+metrics section and the options as dataclasses for that codec.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,55 +42,36 @@ from .metrics import DetectionConfig, mse_curve, pmd_pfa
 
 ENV_OUTPUT_DIR = "RFFGRAPH_OUTPUT_DIR"
 
-_TOP_KEYS = {"runs", "base_seed", "output_dir", "generator", "data_csv",
-             "estimator", "metrics", "emit_every", "standardize"}
-_GEN_KEYS = {"N", "P", "T", "edge_probability", "switch_interval", "drift",
-             "drift_scope", "noise_std", "kernel_variance", "beta_variance", "M"}
-_EST_KEYS = {"N", "P", "D", "lambda", "gamma", "kernel_variance", "rff_seed",
-             "schedule", "per_slot_maps"}
-_MET_KEYS = {"delta", "exclude_self_loops", "mse_window"}
+@dataclass(frozen=True)
+class _ConfigFile:
+    """The top level of a config file; each section is read into its own dataclass."""
+
+    runs: int = 1
+    base_seed: int = 0
+    output_dir: str = "out"
+    generator: dict | None = None
+    data_csv: str | None = None
+    estimator: dict | None = None
+    metrics: dict = field(default_factory=dict)
+    emit_every: int = 1
+    standardize: bool = False
+
+    def __post_init__(self):
+        for key in ("runs", "emit_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {getattr(self, key)!r}")
 
 
-# config-file names of dataclass fields that are spelled differently there
-_FILE_NAMES = {"lam": "lambda"}
+@dataclass(frozen=True)
+class _Metrics(DetectionConfig):
+    """The metrics section: the detection threshold and the MSE window."""
 
+    mse_window: int = 100
 
-def _check_section(d, allowed: set, section: str, *classes):
-    """ConfigError unless d is a JSON object whose keys are in `allowed` and
-    whose values fit the int, float, bool, str or path field of the same
-    name in one of the config dataclasses.
-
-    An int field takes an integer that is not a bool, and a seed a
-    nonnegative one; a float field takes any number but a bool; a bool
-    field takes only true or false; a path is a string; an optional field
-    also takes null.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
-    for cls in classes:
-        for field, kind in get_type_hints(cls).items():
-            key = _FILE_NAMES.get(field, field)
-            if key not in d:
-                continue
-            value = d[key]
-            optional = [a for a in get_args(kind) if a is not type(None)]
-            if optional:  # X | None
-                if value is None:
-                    continue
-                kind = optional[0]
-            if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
-            if kind is int and key.endswith("seed") and value < 0:
-                raise ConfigError(f"{section}: {key} must be nonnegative, got {value}")
-            if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                raise ConfigError(f"{section}: {key} must be a number, got {value!r}")
-            if kind is bool and not isinstance(value, bool):
-                raise ConfigError(f"{section}: {key} must be true or false, got {value!r}")
-            if kind in (str, Path) and not isinstance(value, str):
-                raise ConfigError(f"{section}: {key} must be a string, got {value!r}")
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mse_window < 1:
+            raise ConfigError(f"mse_window must be a positive integer, got {self.mse_window!r}")
 
 
 @dataclass(frozen=True)
@@ -120,29 +105,19 @@ class ExperimentConfig:
 
 def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentConfig:
     """Validate a parsed JSON experiment dict; unknown keys are rejected."""
-    _check_section(obj, _TOP_KEYS, "experiment config", ExperimentConfig)
-    runs = obj.get("runs", 1)
-    if runs < 1:
-        raise ConfigError(f"runs must be a positive integer, got {runs!r}")
-    base_seed = obj.get("base_seed", 0)
-
-    gen_obj = obj.get("generator")
+    top = io.config_from_dict(_ConfigFile, obj, "experiment config")
     gen = None
-    if gen_obj is not None:
-        _check_section(gen_obj, _GEN_KEYS | {"seed"}, "generator section", GeneratorConfig)
-        if "seed" in gen_obj:
+    if top.generator is not None:
+        gen = io.config_from_dict(GeneratorConfig, top.generator, "generator section")
+        if "seed" in top.generator:
             raise ConfigError("generator seed is derived from base_seed; remove 'seed'")
-        try:
-            gen = GeneratorConfig(seed=0, **gen_obj)
-        except TypeError as e:
-            raise ConfigError(f"generator section: {e}") from None
         # GeneratorConfig lets a NaN noise through to generate()'s divergence
         # path; a config file has no use for non-finite values
         for key in ("noise_std", "kernel_variance", "beta_variance"):
             if not math.isfinite(getattr(gen, key)):
                 raise ConfigError(f"generator {key} must be finite, got {getattr(gen, key)}")
 
-    data_csv = obj.get("data_csv")
+    data_csv = top.data_csv
     if gen is None and data_csv is None:
         raise ConfigError("config needs a generator section or a data_csv path")
     if gen is not None and data_csv is not None:
@@ -150,63 +125,28 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
     if data_csv is not None and config_dir is not None and not Path(data_csv).is_absolute():
         data_csv = str((config_dir / data_csv).resolve())
 
-    est_obj = obj.get("estimator")
-    if est_obj is None:
+    if top.estimator is None:
         raise ConfigError("config needs an estimator section")
-    _check_section(est_obj, _EST_KEYS, "estimator section", EstimatorConfig)
-    est_kwargs = dict(est_obj)
-    if "lambda" in est_kwargs:
-        est_kwargs["lam"] = est_kwargs.pop("lambda")
-    try:
-        est = EstimatorConfig(**est_kwargs)
-    except TypeError as e:
-        raise ConfigError(f"estimator section: {e}") from None
-
-    met_obj = obj.get("metrics", {})
-    _check_section(met_obj, _MET_KEYS, "metrics section", DetectionConfig, ExperimentConfig)
-    try:
-        detection = DetectionConfig(delta=met_obj.get("delta", 0.05),
-                                    exclude_self_loops=met_obj.get("exclude_self_loops", True))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from None
-    mse_window = met_obj.get("mse_window", 100)
-    if mse_window < 1:
-        raise ConfigError(f"mse_window must be a positive integer, got {mse_window!r}")
-
-    emit_every = obj.get("emit_every", 1)
-    if emit_every < 1:
-        raise ConfigError(f"emit_every must be a positive integer, got {emit_every!r}")
-    standardize = obj.get("standardize", False)
+    est = io.config_from_dict(EstimatorConfig, top.estimator, "estimator section")
+    met = io.config_from_dict(_Metrics, top.metrics, "metrics section")
 
     if gen is not None and gen.N != est.N:
         raise ConfigError(f"generator N={gen.N} does not match estimator N={est.N}")
     if gen is not None and gen.P != est.P:
         raise ConfigError(f"generator P={gen.P} does not match estimator P={est.P}")
 
-    out_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or obj.get("output_dir", "out"))
-
     resolved = {
-        "runs": runs,
-        "base_seed": base_seed,
-        "output_dir": str(obj.get("output_dir", "out")),
-        "generator": None if gen is None else {
-            k: getattr(gen, k) for k in
-            ("N", "P", "T", "edge_probability", "switch_interval", "drift",
-             "drift_scope", "noise_std", "kernel_variance", "beta_variance", "M")
-        },
+        **io.config_dict(top),
+        "generator": None if gen is None else io.config_dict(gen, skip=("seed",)),
         "data_csv": data_csv,
         "estimator": io.config_dict(est),
-        "metrics": {"delta": detection.delta,
-                    "exclude_self_loops": detection.exclude_self_loops,
-                    "mse_window": mse_window},
-        "emit_every": emit_every,
-        "standardize": standardize,
+        "metrics": io.config_dict(met),
     }
-    return ExperimentConfig(runs=runs, base_seed=base_seed, output_dir=out_dir,
-                            generator=gen, data_csv=data_csv, estimator=est,
-                            detection=detection, mse_window=mse_window,
-                            emit_every=emit_every, standardize=standardize,
-                            resolved=resolved)
+    return ExperimentConfig(runs=top.runs, base_seed=top.base_seed,
+                            output_dir=Path(os.environ.get(ENV_OUTPUT_DIR) or top.output_dir),
+                            generator=gen, data_csv=data_csv, estimator=est, detection=met,
+                            mse_window=met.mse_window, emit_every=top.emit_every,
+                            standardize=top.standardize, resolved=resolved)
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -235,25 +175,32 @@ def _run_prefix(r: int) -> str:
     return f"run{r:03d}"
 
 
-def _run_series(cfg: ExperimentConfig, r: int, N: int, T: int | None = None) -> np.ndarray:
-    """Run r's (N, T) input series, regenerated from the config or read from data_csv.
+def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None):
+    """The function from run r to its (N, T) input series, for one command.
 
-    A given T is the horizon: a generated series is generated to T and a CSV
-    series is cut to T.  A T past the CSV's length, or a node count other
-    than N, is a DataError.
+    A given T is the horizon: a generated series is regenerated for each
+    run, to T, and a data_csv is read once, here, and cut to T for every
+    run.  A T past the CSV's length, or a node count other than N, is a
+    DataError.
     """
     if cfg.generator is not None:
-        gen = cfg.generator_for_run(r)
-        values = generate(gen if T is None else replace(gen, T=T)).values
+        nodes = cfg.generator.N
+
+        def series(r):
+            gen = cfg.generator_for_run(r)
+            return generate(gen if T is None else replace(gen, T=T)).values
     else:
-        values = io.read_data_csv(cfg.data_csv)
-        if T is not None and T > values.shape[1]:
-            raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
+        data = io.read_data_csv(cfg.data_csv)
+        if T is not None and T > data.shape[1]:
+            raise DataError(f"horizon T={T} exceeds the {data.shape[1]} samples of "
                             f"{cfg.data_csv}")
-        values = values[:, :T]
-    if values.shape[0] != N:
-        raise DataError(f"data has {values.shape[0]} nodes but the estimator expects {N}")
-    return values
+        nodes, data = data.shape[0], data[:, :T]
+
+        def series(r):
+            return data
+    if nodes != N:
+        raise DataError(f"data has {nodes} nodes but the estimator expects {N}")
+    return series
 
 
 def _standardize(values: np.ndarray):
@@ -289,9 +236,10 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
         return _resume_estimate(cfg, from_checkpoint)
     if limit is not None and limit <= cfg.estimator.P:
         raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
+    series = _run_series(cfg, cfg.estimator.N)
     written = []
     for r in range(cfg.runs):
-        values = _run_series(cfg, r, cfg.estimator.N)[:, :limit]
+        values = series(r)[:, :limit]
         mean = std = None
         if cfg.standardize:
             values, mean, std = _standardize(values)
@@ -311,10 +259,10 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     est, extra = io.read_checkpoint(checkpoint_path, with_extra=True)
     r, next_t = extra.get("run", 0), extra.get("next_t")
     for key, value in (("run", r), ("next_t", next_t)):
-        if not isinstance(value, int) or value < 0:
+        if not io.is_integer(value) or value < 0:
             raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
                             f"got {value!r}")
-    values = _apply_checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, r, est.cfg.N))
+    values = _apply_checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, est.cfg.N)(r))
     written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
@@ -376,6 +324,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     N, P = cfg.estimator.N, cfg.estimator.P
+    series = _run_series(cfg, N)
     grids = {}  # kind -> the first run's time grid, which every run must share
     mse_runs = []
 
@@ -398,7 +347,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
             same_grid("prediction", pt)
             ckpt_path = cfg.output_dir / f"{prefix}_checkpoint.json"
             _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
-            values = _apply_checkpoint_scaling(ckpt_path, extra, _run_series(cfg, r, N))
+            values = _apply_checkpoint_scaling(ckpt_path, extra, series(r))
             if values.shape[1] <= int(pt[-1]):
                 raise DataError("predictions extend past the data series")
             mse_runs.append((values[:, pt], preds))
@@ -445,7 +394,7 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if T is not None and T <= cfg.estimator.P:
         raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
-    values = _run_series(cfg, 0, cfg.estimator.N, T)
+    values = _run_series(cfg, cfg.estimator.N, T)(0)
     if cfg.standardize:
         values, _, _ = _standardize(values)
     if reference:
@@ -470,13 +419,14 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     return [path, manifest]
 
 
-# option -> (type, whether null is allowed, what the error message asks for)
-_OPTION_TYPES = {
-    "limit": (int, True, "an integer or null"),
-    "T": (int, True, "an integer or null"),
-    "from_checkpoint": (str, True, "a string or null"),
-    "reference": (bool, False, "true or false"),
-}
+@dataclass(frozen=True)
+class _Options:
+    """The options of a command, as the CLI parses them and a manifest records them."""
+
+    limit: int | None = None
+    from_checkpoint: str | None = None
+    T: int | None = None
+    reference: bool = False
 
 
 def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
@@ -486,23 +436,17 @@ def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
     manifest's recorded options.  An option of the wrong type is a
     ConfigError.
     """
-    if not isinstance(options, dict):
-        raise ConfigError(f"options must be a JSON object, got {options!r}")
-    for key, (kind, nullable, expected) in _OPTION_TYPES.items():
-        value = options.get(key)
-        if key not in options or (value is None and nullable):
-            continue
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            raise ConfigError(f"option {key} must be {expected}, got {value!r}")
+    if isinstance(options, dict):  # the CLI's arguments also hold the command and config
+        options = {k: v for k, v in options.items() if k in _Options.__dataclass_fields__}
+    opts = io.config_from_dict(_Options, options, "options")
     if command == "generate":
         return cmd_generate(cfg)
     if command == "estimate":
-        return cmd_estimate(cfg, limit=options.get("limit"),
-                            from_checkpoint=options.get("from_checkpoint"))
+        return cmd_estimate(cfg, limit=opts.limit, from_checkpoint=opts.from_checkpoint)
     if command == "metrics":
         return cmd_metrics(cfg)
     if command in ("bench", "bench_reference"):
-        return cmd_bench(cfg, T=options.get("T"), reference=bool(options.get("reference")))
+        return cmd_bench(cfg, T=opts.T, reference=opts.reference)
     raise ConfigError(f"unknown command {command!r}")
 
 

@@ -8,13 +8,19 @@ byte for byte.  No timestamps are embedded anywhere.
 Beside each estimates CSV sits a `.npy` file with the same rows as a
 float64 array (`np.save`, exact and deterministic).  `metrics` reads that
 binary file; the CSV is kept for people and other tools.
+
+`config_dict` and `config_from_dict` are the one config codec: config
+files, the config a checkpoint holds and the options a manifest records are
+all written and checked by these two functions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -142,7 +148,7 @@ def _topology_record(path, lineno: int, line: str):
     if missing:
         raise DataError(f"{where}: topology record lacks {missing}")
     t = obj["t"]
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+    if not is_integer(t) or t < 0:
         raise DataError(f"{where}: t must be a nonnegative integer, got {t!r}")
     try:
         coeffs = np.array(obj["coeffs"], dtype=float)
@@ -315,18 +321,18 @@ def read_checkpoint(path, with_extra: bool = False):
     if missing:
         raise DataError(f"{path}: checkpoint lacks {missing}")
     try:
-        cfg = config_from_dict(obj["config"])
-    except (KeyError, TypeError, ConfigError) as e:
-        raise DataError(f"{path}: malformed checkpoint config ({e!r})") from None
+        cfg = config_from_dict(EstimatorConfig, obj["config"], "checkpoint config")
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
     t = obj["t"]
-    if not isinstance(t, int) or t < 0:
+    if not is_integer(t) or t < 0:
         raise DataError(f"{path}: iteration counter t must be a nonnegative integer, got {t!r}")
     alpha = finite_array(path, obj["alpha"], "alpha", (cfg.N, cfg.P, cfg.N, 2 * cfg.D))
     history = obj.get("history")
     if history is not None:
         history = finite_array(path, history, "history", (cfg.P, cfg.N))
     warm = obj.get("warm")
-    if warm is not None and not (isinstance(warm, int) and 0 <= warm <= cfg.P
+    if warm is not None and not (is_integer(warm) and 0 <= warm <= cfg.P
                                  and (warm == 0) == (history is None)):
         raise DataError(f"{path}: warm-up count {warm!r} does not fit P={cfg.P} "
                         f"and the saved history")
@@ -354,17 +360,60 @@ def _read_checkpoint_json(path) -> dict:
     return obj
 
 
-def config_dict(cfg: EstimatorConfig) -> dict:
-    return {
-        "N": cfg.N, "P": cfg.P, "D": cfg.D, "lambda": cfg.lam, "gamma": cfg.gamma,
-        "kernel_variance": cfg.kernel_variance, "rff_seed": cfg.rff_seed,
-        "schedule": cfg.schedule, "per_slot_maps": cfg.per_slot_maps,
-    }
+# The JSON form of the config dataclasses, for config files, checkpoints and
+# replayed options alike: each field under its name, or the name this table
+# gives it, in declaration order.
+_FILE_NAMES = {"lam": "lambda"}
 
 
-def config_from_dict(d: dict) -> EstimatorConfig:
-    return EstimatorConfig(
-        N=d["N"], P=d["P"], D=d["D"], lam=d["lambda"], gamma=d["gamma"],
-        kernel_variance=d["kernel_variance"], rff_seed=d["rff_seed"],
-        schedule=d.get("schedule", "constant"), per_slot_maps=d.get("per_slot_maps", False),
-    )
+def is_integer(value) -> bool:
+    """Whether a JSON value is an integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def config_dict(obj, skip=()) -> dict:
+    """The JSON form of dataclass obj: its fields but those in skip, in
+    declaration order under their file names."""
+    return {_FILE_NAMES.get(f.name, f.name): getattr(obj, f.name)
+            for f in fields(obj) if f.name not in skip}
+
+
+def config_from_dict(cls, d, section: str):
+    """Dataclass cls built from its JSON form d; a ConfigError naming section
+    unless d is a JSON object of cls's file names whose values fit its fields.
+
+    An int field takes an integer that is not a bool, and a seed a
+    nonnegative one; a float field takes any number but a bool; a bool
+    field takes only true or false; a str field takes a string; an optional
+    field also takes null.  Absent fields keep their defaults, and
+    a TypeError or ValueError from cls itself (a missing required field, a
+    value out of range) is a ConfigError too.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
+    names = {_FILE_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = set(d) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        kind = hints[names[key]]
+        optional = [a for a in get_args(kind) if a is not type(None)]
+        if optional:  # X | None
+            if value is None:
+                continue
+            kind = optional[0]
+        if kind is int and not is_integer(value):
+            raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
+        if kind is int and key.endswith("seed") and value < 0:
+            raise ConfigError(f"{section}: {key} must be nonnegative, got {value}")
+        if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{section}: {key} must be a number, got {value!r}")
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"{section}: {key} must be true or false, got {value!r}")
+        if kind is str and not isinstance(value, str):
+            raise ConfigError(f"{section}: {key} must be a string, got {value!r}")
+    try:
+        return cls(**{names[key]: value for key, value in d.items()})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{section}: {e}") from None

@@ -149,6 +149,19 @@ def test_checkpoint_rejects_arrays_that_do_not_fit_its_config(tmp_path):
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
 
 
+@pytest.mark.parametrize("key", ["t", "warm"])
+def test_checkpoint_counters_reject_booleans(tmp_path, capsys, key):
+    cfg_path, ck = _cut_run(tmp_path)
+    obj = json.loads(ck.read_text())
+    obj[key] = True
+    ck.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match="t must be a nonnegative integer|warm-up count"):
+        io.read_checkpoint(ck)
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+    assert ck.name in capsys.readouterr().err
+
+
 def test_checkpoint_written_during_warm_up_resumes_warm_up(tmp_path):
     values = np.random.default_rng(3).normal(size=(2, 30))
     cfg = EstimatorConfig(N=2, P=3, D=4, lam=0.05, gamma=50.0, rff_seed=2)
@@ -520,9 +533,9 @@ def test_emit_every_zero_is_a_config_error(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("mean", None), ("std", None), ("mean", [[0.0], [1.0, 2.0], [3.0]]), ("std", [1.0]),
     ("mean", [0.0, float("nan"), 0.0]), ("std", [1.0, float("inf"), 1.0]),
-    ("std", [1.0, 0.0, 1.0]), ("run", "0"),
+    ("std", [1.0, 0.0, 1.0]), ("run", "0"), ("run", True), ("next_t", True),
 ], ids=["mean missing", "std missing", "mean ragged", "std wrong length", "mean nan", "std inf",
-        "std zero", "run not an integer"])
+        "std zero", "run not an integer", "run a boolean", "next_t a boolean"])
 def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, capsys, key,
                                                                     value):
     cfg_path = _cfg_with(tmp_path, runs=1)
@@ -537,6 +550,45 @@ def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, c
     capsys.readouterr()
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
     assert f"extra.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("D", 5.0), ("rff_seed", -1), ("per_slot_maps", "no"), ("N", True), ("lambda", "0.1"),
+    ("N", None),
+], ids=["D a float", "rff_seed negative", "per_slot_maps a string", "N a boolean",
+        "lambda a string", "N missing"])
+def test_checkpoint_config_is_checked_like_the_estimator_section(tmp_path, capsys, key, value):
+    cfg_path, ck = _cut_run(tmp_path)
+    obj = json.loads(ck.read_text())
+    if value is None:
+        del obj["config"][key]
+    else:
+        obj["config"][key] = value
+    ck.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and ck.name in err
+    assert key in err.split(ck.name, 1)[1]
+
+
+def test_a_data_csv_is_read_once_per_command(tmp_path, monkeypatch):
+    path = tmp_path / "series.csv"
+    io.write_data_csv(path, generate(GeneratorConfig(N=2, P=2, T=80, edge_probability=0.5,
+                                                     noise_std=0.2, seed=1)).values)
+    obj = json.loads(_csv_cfg(tmp_path, path).read_text())
+    cfg_path = _write_cfg(tmp_path, dict(obj, runs=5), "csv.json")
+    read = io.read_data_csv
+    reads = []
+
+    def counting_read(p):
+        reads.append(p)
+        return read(p)
+
+    monkeypatch.setattr(io, "read_data_csv", counting_read)
+    assert cli_main(["estimate", str(cfg_path)]) == 0
+    assert len(reads) == 1
+    assert (tmp_path / "out" / "run004_estimates.csv").exists()
 
 
 def test_resume_parses_the_checkpoint_once(tmp_path, monkeypatch):
