@@ -22,18 +22,25 @@ Theta(N^2 P D), independent of how many samples have been seen.  The
 linear baseline is the same update with the lag window itself as the
 lift and scalar groups.
 
-One step makes four passes over the (N, P, N, 2D) coefficient array
-alpha: one einsum for the predictions, u = alpha - step * r * z built one
-block of nodes at a time, one einsum for the group norms of u, and an
-in-place scale of u.  Each block of u is formed in a temporary of at most
-BLOCK_BYTES (one node's row when that is larger), which stays in L2, and
-written straight into the output, which the streaming estimator points at
-alpha itself.  So a run holds one alpha plus one block, and the
-memory per iteration is fixed like its cost.  The shrink returns the
-post-shrink group norms, and the divergence rule (every entry finite and
-at most ALPHA_LIMIT in magnitude) first looks at those N*P*N norms: a
-group's norm bounds its entries, so the full scan of the array runs only
-when some norm is NaN or above ALPHA_LIMIT / 2, and then decides.
+The streaming estimator keeps its lifted lag window, the (P, N, 2D)
+feature array z, beside the lag window itself.  The first update lifts the
+whole window; after each update z is shifted by one lag block and only the
+newest sample, the one the window takes next, is lifted, with
+build_feature_vector's arithmetic, so z stays the full-window lift bit for
+bit.  (Per-slot maps give every lag its own frequencies, so they lift the
+whole window at every update.)  Then one step makes four passes over the
+(N, P, N, 2D) coefficient array alpha: one einsum for the predictions,
+u = alpha - step * r * z built one block of nodes at a time, one einsum for
+the group norms of u, and an in-place scale of u.  Each block of u is
+formed in a temporary of at most BLOCK_BYTES (one node's row when that is
+larger), which stays in L2, and written straight into the output, which
+the streaming estimator points at alpha itself.  So a run holds one alpha
+plus one block, and the memory per iteration is fixed like its cost.  The
+shrink returns the post-shrink group norms, and the divergence rule (every
+entry finite and at most ALPHA_LIMIT in magnitude) first looks at those
+N*P*N norms: a group's norm bounds its entries, so the full scan of the
+array runs only when some norm is NaN or above ALPHA_LIMIT / 2, and then
+decides.
 
 Step-size convention: EstimatorConfig.gamma is the proximal damping
 weight, i.e. the squared-proximity term carries weight gamma/2 and the
@@ -69,7 +76,8 @@ def group_norms(x: np.ndarray) -> np.ndarray:
     finite norms.
     """
     sq = np.einsum("...d,...d->...", x, x)
-    if np.isfinite(sq).all():
+    # one reduction: a NaN or inf sum makes the maximum fail the test
+    if np.max(sq, initial=0.0) < np.inf:
         return np.sqrt(sq)
     m = np.max(np.abs(x), axis=-1, keepdims=True)
     safe = np.where(m > 0, m, 1.0)
@@ -259,8 +267,9 @@ def _shrink_groups(u: np.ndarray, thr: float):
     u is overwritten: pass an array the caller owns.
     """
     norms = group_norms(u)
-    safe = np.where(norms > thr, norms, 1.0)
-    factor = np.where(norms > thr, 1.0 - thr / safe, 0.0)
+    keep = norms > thr
+    safe = np.where(keep, norms, 1.0)
+    factor = np.where(keep, 1.0 - thr / safe, 0.0)
     u *= factor[..., None]
     return u, factor * norms
 
@@ -359,8 +368,10 @@ class EstimateSeries:
     """Per-sample outputs of an online run.
 
     group_norms[t, n, n', p] is the pseudo-adjacency entry
-    ||alpha_{n,n'}^{(p)}[t]||_2 recorded *after* the update at time t;
-    predictions and losses are NaN during the warm-up rows (t < P).
+    ||alpha_{n,n'}^{(p)}[t]||_2 recorded *after* the update at time t, on
+    the rows t = P (mod emit_every) of the run that made it; rows off that
+    grid stay zero.  predictions and losses are NaN during the warm-up rows
+    (t < P).
     """
 
     predictions: np.ndarray  # (N, T)
@@ -395,11 +406,13 @@ class LagWindow:
 
 
 class OnlineEstimator:
-    """Streaming driver: buffers the lag window and applies online_step.
+    """Streaming estimator: buffers the lag window and its lift, and updates alpha.
 
     Feed samples oldest-first through step(); the first P samples only
-    fill the warm-up buffer and return None.  Subclasses change the lift
-    by overriding _update.
+    fill the warm-up buffer and return None.  Each update is online_step's
+    arithmetic; with shared maps the lift of the window is kept between
+    updates and advanced by the newest sample only.  Subclasses change the
+    lift by overriding _update.
 
     The estimator owns one coefficient array and every step updates it in
     place, so `state` is live: later steps change `state.alpha` and
@@ -422,6 +435,7 @@ class OnlineEstimator:
             self.state = CoefficientState(alpha=np.array(state.alpha, dtype=float, order="C"),
                                           t=state.t)
         self._window = LagWindow(cfg.N, cfg.P, history, warm)
+        self._lifted = None  # the lift of the lag window, from the first update on
 
     @cached_property
     def maps(self) -> FeatureMaps:
@@ -456,21 +470,45 @@ class OnlineEstimator:
         return out
 
     def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
-        """Lift the lag window and update state.alpha in place; returns (predictions, losses)."""
-        _, yhat, losses = online_step(self.state, history, sample, self.maps, gamma,
-                                      self.cfg.lam, out=self.state.alpha)
+        """Update state.alpha in place from the lifted window; returns (predictions, losses).
+
+        The first update lifts the whole window, so a non-finite warm-up
+        sample raises build_feature_vector's ValueError there.  After each
+        update the lift is shifted by one lag and only `sample` is lifted,
+        as build_feature_vector would lift it; per-slot maps lift the whole
+        window every time, since every lag has its own frequencies.
+        """
+        maps = self.maps
+        if self._lifted is None or not maps.shared:
+            self._lifted = build_feature_vector(history, maps)
+        alpha = self.state.alpha
+        yhat, losses, norms = _comid_step(alpha, self._lifted, sample, gamma, self.cfg.lam,
+                                          alpha)
+        if _diverged(alpha, norms):
+            raise _divergence(f"estimator diverged at iteration {self.state.t + 1}", norms,
+                              yhat - sample)
+        if maps.shared:
+            z = self._lifted
+            z[1:] = z[:-1]
+            arg = sample[:, None] * maps.frequencies[0]
+            np.divide(np.concatenate([np.sin(arg), np.cos(arg)], axis=-1), np.sqrt(maps.D),
+                      out=z[0])
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:
         """Current per-group norms arranged as (n, n', p)."""
         return np.transpose(group_norms(self.state.alpha), (0, 2, 1))
 
-    def run(self, values: np.ndarray, start: int = 0) -> EstimateSeries:
+    def run(self, values: np.ndarray, start: int = 0, emit_every: int = 1) -> EstimateSeries:
         """Stream samples start..T-1 of an (N, T) series and record the trajectory.
 
         The arrays cover all T time indices, so a run resumed at `start`
         lines up with the uncut one; rows before `start` stay NaN
-        (predictions, losses) and zero (group norms).
+        (predictions, losses) and zero (group norms).  The pseudo-adjacency
+        is computed only on the rows t = P (mod emit_every), the grid an
+        estimates file of that thinning writes; the other rows of
+        group_norms stay zero.  Predictions, losses and the state do not
+        depend on emit_every.
         """
         values = np.asarray(values, dtype=float)
         N, T = values.shape
@@ -478,17 +516,21 @@ class OnlineEstimator:
             raise ValueError(f"series has {N} nodes, config expects {self.cfg.N}")
         if start < 0:
             raise ValueError(f"start must be nonnegative, got {start}")
+        if emit_every < 1:
+            raise ValueError(f"emit_every must be positive, got {emit_every}")
         if T - start <= self.cfg.P - self.warm:
             raise ValueError(f"series too short: need more than {self.cfg.P - self.warm} "
                              f"samples from t={start} (P={self.cfg.P})")
         preds = np.full((N, T), np.nan)
         losses = np.full((N, T), np.nan)
-        norms = np.zeros((T, N, N, self.cfg.P))
+        P = self.cfg.P
+        norms = np.zeros((T, N, N, P))
         for t in range(start, T):
             out = self.step(values[:, t])
             if out is not None:
                 preds[:, t], losses[:, t] = out
-            norms[t] = self.pseudo_adjacency()
+            if (t - P) % emit_every == 0:
+                norms[t] = self.pseudo_adjacency()
         return EstimateSeries(predictions=preds, losses=losses, group_norms=norms,
                               state=self.state, config=self.cfg)
 

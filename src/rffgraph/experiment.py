@@ -275,10 +275,15 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
 def _apply_checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray) -> np.ndarray:
     """values scaled as the estimate that wrote the checkpoint scaled its series.
 
-    extra is the checkpoint's record.  When it says standardize, its mean
-    and std must be finite and one per node, and std positive.
+    extra is the checkpoint's record.  Its standardize, when present, must
+    be a boolean; when true, its mean and std must be finite and one per
+    node, and std positive.
     """
-    if not extra.get("standardize"):
+    standardize = extra.get("standardize", False)
+    if not isinstance(standardize, bool):
+        raise DataError(f"{checkpoint_path}: extra.standardize must be true or false, "
+                        f"got {standardize!r}")
+    if not standardize:
         return values
     shape = (values.shape[0],)
     mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", shape)
@@ -302,7 +307,7 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
     if T - start <= P - est.warm:
         raise DataError(f"{prefix} has {T - start} samples from t={start}; the estimator "
                         f"needs more than {P - est.warm}")
-    series = est.run(values, start=start)
+    series = est.run(values, start=start, emit_every=cfg.emit_every)
     est_path = cfg.output_dir / f"{prefix}_estimates{suffix}.csv"
     pred_path = cfg.output_dir / f"{prefix}_predictions{suffix}.csv"
     ckpt_path = cfg.output_dir / f"{prefix}_checkpoint{suffix}.json"

@@ -14,10 +14,12 @@ coefficients.
 
 `generate` keeps only the model recurrence in its per-sample loop: the
 nonlinearity, the weighted sum and the noise add, evaluated in preallocated
-buffers with the arithmetic of `step`.  The rest is done once per segment
-of constant topology.  Every seeded output is bit-identical to stepping
-`step`, `switch_edge` and `slow_drift` one sample at a time, as earlier
-versions of `generate` did.
+buffers with the arithmetic of `step` and written straight into the series.
+The rest is done once per segment of constant topology, the divergence
+check included: one scan of the segment's |y| in t order raises the error
+that a check after every sample would have raised first.  Every seeded output is
+bit-identical to stepping `step`, `switch_edge` and `slow_drift` one sample
+at a time, as earlier versions of `generate` did.
 """
 
 from __future__ import annotations
@@ -251,25 +253,34 @@ def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
 
     Sample t uses the lagged values before it, the trace row coeffs[t] and
     the noise row noise[t - start].  The checks are those of step() and of
-    generate's per-sample limit: |y| above DIVERGENCE_LIMIT raises at its
-    own t, a NaN sample raises on the next one as non-finite history.
+    generate's per-sample limit, made by one scan after the loop: the
+    first sample whose |y| exceeds DIVERGENCE_LIMIT raises at its own t, a
+    NaN sample before it raises as non-finite history (the next sample's),
+    and a NaN in the series' last sample is returned.  Samples after the
+    first bad one are computed and discarded; the scan reports the error,
+    so their floating-point overflow is not warned about.
     """
     N, T = values.shape
     P = coeffs.shape[-1]
     buf = np.empty(bank.centers.shape)
     f = np.empty(bank.centers.shape[:3])
-    y = np.empty(N)
     # lags[T - t] is the (1, N, P, 1) view whose [0, n', p, 0] is y_{n'}[t-1-p]
     lags = sliding_window_view(values[:, ::-1], P, axis=1).transpose(1, 0, 2)[:, None, :, :, None]
-    for t, e in enumerate(noise, start):
-        _nonlinearity_into(bank, lags[T - t], buf, f)
-        _weighted_sum(coeffs[t], f, e, out=y)
-        peak = np.abs(y).max()
-        if peak > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"generation diverged at t={t}: |y| > {DIVERGENCE_LIMIT:g}")
-        if peak != peak and t + 1 < T:
-            raise DivergenceError("generation diverged: non-finite history")
-        values[:, t] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, e in enumerate(noise, start):
+            _nonlinearity_into(bank, lags[T - t], buf, f)
+            _weighted_sum(coeffs[t], f, e, out=values[:, t])
+    segment = values[:, start:start + len(noise)]
+    # max |y| per sample without an |y| copy of the segment; NaN propagates
+    peak = np.maximum(segment.max(axis=0), -segment.min(axis=0))
+    bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
+    if len(bad) == 0:
+        return
+    t = start + int(bad[0])
+    if peak[bad[0]] > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"generation diverged at t={t}: |y| > {DIVERGENCE_LIMIT:g}")
+    if t + 1 < T:
+        raise DivergenceError("generation diverged: non-finite history")
 
 
 def generate(cfg: GeneratorConfig) -> TimeSeries:

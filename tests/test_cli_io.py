@@ -552,6 +552,26 @@ def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, c
     assert f"extra.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--standardize"], []],
+                         ids=["standardized cut", "unstandardized cut"])
+def test_checkpoint_standardize_must_be_a_boolean(tmp_path, capsys, argv):
+    # "no" is truthy: it resumed a standardized cut unscaled, and sent an
+    # unstandardized one looking for the mean it never saved
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    assert cli_main(["generate", str(cfg_path)]) == 0
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"] + argv) == 0
+    ck = tmp_path / "out" / "run000_checkpoint.json"
+    obj = json.loads(ck.read_text())
+    obj["extra"]["standardize"] = "no"
+    ck.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+    err = capsys.readouterr().err
+    assert "extra.standardize must be true or false, got 'no'" in err
+    assert cli_main(["metrics", str(cfg_path)]) == 3
+    assert "extra.standardize" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("D", 5.0), ("rff_seed", -1), ("per_slot_maps", "no"), ("N", True), ("lambda", "0.1"),
     ("N", None),

@@ -74,7 +74,7 @@ def test_online_step_equals_per_group_oracle_and_leaves_state_alone(shape, seed,
 
 
 @SETTINGS
-@given(st.integers(1, 4), st.integers(1, 40), seeds, st.floats(1e-3, 1e3))
+@given(st.integers(0, 4), st.integers(1, 40), seeds, st.floats(1e-3, 1e3))
 def test_group_norms_match_numpy_on_finite_inputs(groups, d, seed, scale):
     x = scale * np.random.default_rng(seed).normal(size=(groups, 3, d))
     np.testing.assert_allclose(group_norms(x), np.linalg.norm(x, axis=-1), rtol=1e-13, atol=0)
@@ -147,9 +147,9 @@ def test_divergence_at_the_limit_boundary(k):
 
 @SETTINGS
 @given(shapes, st.integers(1, 8), seeds, st.sampled_from(["constant", "sqrt_decay"]),
-       st.booleans())
+       st.booleans(), st.booleans())
 def test_cut_and_resume_equals_the_uncut_run(tmp_path_factory, shape, extra, seed, schedule,
-                                             per_slot):
+                                             per_slot, resume_by_step):
     N, P, D = shape
     T = P + extra
     cfg = EstimatorConfig(N=N, P=P, D=D, lam=0.05, gamma=5.0, rff_seed=seed % 1000,
@@ -165,10 +165,25 @@ def test_cut_and_resume_equals_the_uncut_run(tmp_path_factory, shape, extra, see
             for t in range(c):
                 est.step(values[:, t])
         io.write_checkpoint(ck, est)
-        rest = io.read_checkpoint(ck).run(values, start=c)
-        assert np.array_equal(rest.state.alpha, full.state.alpha)
-        assert np.array_equal(rest.predictions[:, c:], full.predictions[:, c:], equal_nan=True)
-        assert np.array_equal(rest.group_norms[c:], full.group_norms[c:])
+        resumed = io.read_checkpoint(ck)
+        if not resume_by_step:
+            rest = resumed.run(values, start=c)
+            assert np.array_equal(rest.state.alpha, full.state.alpha)
+            assert np.array_equal(rest.predictions[:, c:], full.predictions[:, c:],
+                                  equal_nan=True)
+            assert np.array_equal(rest.group_norms[c:], full.group_norms[c:])
+            continue
+        # the restored estimator lifts its saved window at its first update
+        for t in range(c, T):
+            out = resumed.step(values[:, t])
+            if out is None:
+                assert np.isnan(full.predictions[:, t]).all()
+            else:
+                assert np.array_equal(out[0], full.predictions[:, t])
+                assert np.array_equal(out[1], full.losses[:, t])
+            assert np.array_equal(resumed.pseudo_adjacency(), full.group_norms[t])
+        assert np.array_equal(resumed.state.alpha, full.state.alpha)
+        assert resumed.state.t == full.state.t
 
 
 @SETTINGS

@@ -105,11 +105,19 @@ def test_generate_equals_the_reference_loop(regime, N, P, extra, edge_probabilit
 
 
 def test_divergence_is_raised_at_the_reference_sample():
-    cfg = GeneratorConfig(N=2, P=1, T=30, edge_probability=1.0, beta_variance=1e30,
-                          kernel_variance=100.0, noise_std=0.0, seed=1)
-    outcome = _outcome(generate, cfg)
-    assert outcome == _outcome(_reference, cfg)
-    assert outcome == ("DivergenceError", "generation diverged at t=1: |y| > 1e+06")
+    # generate checks a whole segment of constant topology at once; the
+    # error must still name the first sample the per-sample check rejects
+    cases = [
+        (GeneratorConfig(N=2, P=1, T=30, edge_probability=1.0, beta_variance=1e30,
+                         kernel_variance=100.0, noise_std=0.0, seed=1), 1),
+        # 14 samples into the fifth segment, after four switches
+        (GeneratorConfig(N=3, P=1, T=121, edge_probability=0.3, switch_interval=20,
+                         noise_std=1.0, beta_variance=1e11, kernel_variance=0.1, seed=11), 95),
+    ]
+    for cfg, t in cases:
+        outcome = _outcome(generate, cfg)
+        assert outcome == _outcome(_reference, cfg)
+        assert outcome == ("DivergenceError", f"generation diverged at t={t}: |y| > 1e+06")
 
 
 def test_long_drift_and_switching_series_equal_the_reference_loop():
@@ -139,9 +147,11 @@ def test_single_step_equals_the_expression_it_is_written_as(N, P, M, kernel_vari
 
 
 def test_a_nan_sample_raises_on_the_next_sample_as_the_reference_does():
-    for T in (3, 4, 10):  # at T = P + 1 the NaN sample is the last one and is returned
+    # at T = P + 1 the NaN sample is the last one and is returned; with a
+    # switch every sample each generated sample is a segment of its own
+    for T, switch_interval in ((3, 0), (4, 0), (10, 0), (3, 1), (4, 1), (10, 1)):
         cfg = GeneratorConfig(N=3, P=2, T=T, edge_probability=0.5, noise_std=float("nan"),
-                              seed=4)
+                              switch_interval=switch_interval, seed=4)
         outcome = _outcome(generate, cfg)
         assert outcome == _outcome(_reference, cfg)
         if T == 3:

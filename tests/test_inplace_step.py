@@ -1,9 +1,11 @@
 """The streaming estimator updates its one coefficient array in place.
 
 A chain of functional steps (online_step / linear_baseline_step with
-out=None, each returning a fresh array) is the reference: the in-place
-estimator must equal it bit for bit whether the update runs as one block
-of nodes, two blocks or one node per block, and must hold no second copy
+out=None, each returning a fresh array, each lifting its whole lag window)
+is the reference: the in-place estimator, which keeps the lift of its
+window between steps, must equal it bit for bit whether the update runs as
+one block of nodes, two blocks or one node per block, and whether the
+samples come through run(), step() or both, and must hold no second copy
 of alpha while it steps.
 """
 
@@ -81,6 +83,37 @@ def _chain(cfg, values, state, linear=False):
     return preds, losses, rows, state, None
 
 
+def _fed(est, values, split):
+    """(predictions, losses, pseudo-adjacency rows) of est fed all of values.
+
+    With split None one run() takes every sample.  With split (a, b),
+    samples [a, b) go through one run() when it takes them (it needs more
+    than the rest of the warm-up) and every other sample through step(),
+    recorded as run() records them.
+    """
+    if split is None:
+        series = est.run(values)
+        return series.predictions, series.losses, series.group_norms
+    N, T = values.shape
+    a, b = sorted(min(c, T) for c in split)
+    preds, losses = np.full((N, T), np.nan), np.full((N, T), np.nan)
+    rows = np.zeros((T, N, N, est.cfg.P))
+    t = 0
+    while t < T:
+        if t == a and b - a > est.cfg.P - est.warm:
+            series = est.run(values[:, :b], start=a)
+            preds[:, a:b], losses[:, a:b] = series.predictions[:, a:b], series.losses[:, a:b]
+            rows[a:b] = series.group_norms[a:b]
+            t = b
+            continue
+        out = est.step(values[:, t])
+        if out is not None:
+            preds[:, t], losses[:, t] = out
+        rows[t] = est.pseudo_adjacency()
+        t += 1
+    return preds, losses, rows
+
+
 def _streamed(est, values):
     """est.run(values), or the DivergenceError it raised."""
     try:
@@ -91,9 +124,9 @@ def _streamed(est, values):
 
 @SETTINGS
 @given(shapes, seeds, blockings, st.sampled_from(["constant", "sqrt_decay"]), st.booleans(),
-       st.booleans())
+       st.booleans(), st.none() | st.tuples(st.integers(0, 30), st.integers(0, 30)))
 def test_in_place_run_equals_the_functional_chain(shape, seed, blocking, schedule, per_slot,
-                                                 given_state):
+                                                 given_state, split):
     N, P, D = shape
     cfg = EstimatorConfig(N=N, P=P, D=D, lam=0.05, gamma=3.0, rff_seed=seed % 1000,
                           schedule=schedule, per_slot_maps=per_slot)
@@ -107,11 +140,11 @@ def test_in_place_run_equals_the_functional_chain(shape, seed, blocking, schedul
     est = OnlineEstimator(cfg, state=start if given_state else None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "BLOCK_BYTES", _block_bytes(blocking, est.state.alpha))
-        series = est.run(values)
+        fed = _fed(est, values, split)
     preds, losses, rows, state, _ = _chain(cfg, values, start)
-    assert np.array_equal(series.predictions, preds, equal_nan=True)
-    assert np.array_equal(series.losses, losses, equal_nan=True)
-    assert np.array_equal(series.group_norms, rows)
+    assert np.array_equal(fed[0], preds, equal_nan=True)
+    assert np.array_equal(fed[1], losses, equal_nan=True)
+    assert np.array_equal(fed[2], rows)
     assert np.array_equal(est.state.alpha, state.alpha) and est.state.t == state.t
     # the caller's state is copied on construction, never written
     assert np.array_equal(start.alpha, kept) and est.state.alpha is not start.alpha
@@ -198,6 +231,19 @@ def test_divergence_message_names_the_node_with_the_largest_norm():
     assert message == (f"estimator diverged at iteration {t - cfg.P + 1}: node {n} has the "
                        f"largest group norm {norms[n, p, q]:.6g} (source {q}, lag {p + 1}); "
                        f"its last residual was {resid[n]:.6g}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("per_slot", [False, True])
+def test_a_non_finite_warm_up_sample_raises_at_the_first_update(bad, per_slot):
+    # the window's lift is built from the whole window at the first update,
+    # which rejects it as online_step does
+    est = OnlineEstimator(EstimatorConfig(N=3, P=2, D=4, per_slot_maps=per_slot))
+    assert est.step(np.array([0.5, bad, 0.5])) is None
+    assert est.step(np.ones(3)) is None
+    with pytest.raises(ValueError, match="^history contains non-finite values$"):
+        est.step(np.ones(3))
+    assert est.state.t == 0 and not est.state.alpha.any()
 
 
 def test_in_place_step_holds_no_second_alpha():
