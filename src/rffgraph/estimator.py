@@ -76,8 +76,8 @@ def group_norms(x: np.ndarray) -> np.ndarray:
     finite norms.
     """
     sq = np.einsum("...d,...d->...", x, x)
-    # one reduction: a NaN or inf sum makes the maximum fail the test
-    if np.max(sq, initial=0.0) < np.inf:
+    # one reduction, called directly: a NaN or inf sum makes the maximum fail the test
+    if np.maximum.reduce(sq, axis=None, initial=0.0) < np.inf:
         return np.sqrt(sq)
     m = np.max(np.abs(x), axis=-1, keepdims=True)
     safe = np.where(m > 0, m, 1.0)
@@ -264,12 +264,17 @@ def comid_group_update(group: np.ndarray, grad_group: np.ndarray, gamma: float,
 def _shrink_groups(u: np.ndarray, thr: float):
     """Shrink every group (last axis) of u in place; returns (u, post-shrink norms).
 
-    u is overwritten: pass an array the caller owns.
+    u is overwritten: pass an array the caller owns.  A group is kept when
+    its norm exceeds thr and scaled by 1 - thr / norm; otherwise, a NaN
+    norm included, it is zeroed.  For thr > 0 the factor is
+    1 - thr / fmax(norm, thr): fmax ignores a NaN and thr / thr is exactly
+    1, so a group at or below thr gets exactly 0.
     """
     norms = group_norms(u)
-    keep = norms > thr
-    safe = np.where(keep, norms, 1.0)
-    factor = np.where(keep, 1.0 - thr / safe, 0.0)
+    if thr > 0:
+        factor = 1.0 - thr / np.fmax(norms, thr)
+    else:  # no shrink: only zero (and NaN) groups are zeroed
+        factor = (norms > 0.0).astype(float)
     u *= factor[..., None]
     return u, factor * norms
 
@@ -436,6 +441,9 @@ class OnlineEstimator:
                                           t=state.t)
         self._window = LagWindow(cfg.N, cfg.P, history, warm)
         self._lifted = None  # the lift of the lag window, from the first update on
+        # the newest sample's sin and cos rows, and the divisor of the lift
+        self._trig = np.empty((2, cfg.N, cfg.D))
+        self._root_d = np.sqrt(cfg.D)
 
     @cached_property
     def maps(self) -> FeatureMaps:
@@ -488,11 +496,13 @@ class OnlineEstimator:
             raise _divergence(f"estimator diverged at iteration {self.state.t + 1}", norms,
                               yhat - sample)
         if maps.shared:
-            z = self._lifted
+            z, trig = self._lifted, self._trig
             z[1:] = z[:-1]
             arg = sample[:, None] * maps.frequencies[0]
-            np.divide(np.concatenate([np.sin(arg), np.cos(arg)], axis=-1), np.sqrt(maps.D),
-                      out=z[0])
+            np.sin(arg, out=trig[0])
+            np.cos(arg, out=trig[1])
+            # z[0] viewed as (N, 2, D) holds each node's sin row, then its cos row
+            np.divide(trig.transpose(1, 0, 2), self._root_d, out=z[0].reshape(self.cfg.N, 2, -1))
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:

@@ -9,9 +9,11 @@ Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
 
 Every stage gets run r's series from `_run_series`, which regenerates it
-from the config or reads `data_csv` once per command.  A fresh and a
-resumed estimate share one run body, `_estimate_run`.  `execute` is the one
-command dispatch: the CLI and `replay` both run commands through it.
+from the config (a cut estimate only as far as the cut), reads `data_csv`
+once per command, or, for `metrics`, reads the data CSV `generate` wrote.
+A fresh and a resumed estimate share one run body, `_estimate_run`.
+`execute` is the one command dispatch: the CLI and `replay` both run
+commands through it.
 
 The JSON form of the config sections and of a command's options (keys,
 their order, and type rules) lives in `io.config_dict` and
@@ -175,32 +177,46 @@ def _run_prefix(r: int) -> str:
     return f"run{r:03d}"
 
 
-def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None):
+def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
+                stop: int | None = None, written: bool = False):
     """The function from run r to its (N, T) input series, for one command.
 
     A given T is the horizon: a generated series is regenerated for each
     run, to T, and a data_csv is read once, here, and cut to T for every
-    run.  A T past the CSV's length, or a node count other than N, is a
-    DataError.
+    run.  A T past the CSV's length is a DataError.  A given stop cuts every
+    run's series to its first stop samples; a generated one is generated
+    only through sample stop, so that a non-finite sample stop-1 still
+    raises as in the full series, and its config is checked against its
+    own T.  With written=True a generator config's runs are read from the
+    runNNN_data.csv files that `generate` wrote to the output directory; a
+    missing one is a DataError naming it.  A series with a node count other
+    than N is a DataError.
     """
-    if cfg.generator is not None:
-        nodes = cfg.generator.N
-
-        def series(r):
-            gen = cfg.generator_for_run(r)
-            return generate(gen if T is None else replace(gen, T=T)).values
-    else:
+    if cfg.generator is None:
         data = io.read_data_csv(cfg.data_csv)
         if T is not None and T > data.shape[1]:
             raise DataError(f"horizon T={T} exceeds the {data.shape[1]} samples of "
                             f"{cfg.data_csv}")
-        nodes, data = data.shape[0], data[:, :T]
+        data = data[:, :T][:, :stop]
 
         def series(r):
             return data
-    if nodes != N:
-        raise DataError(f"data has {nodes} nodes but the estimator expects {N}")
-    return series
+    elif written:
+        def series(r):
+            return io.read_data_csv(cfg.output_dir / f"{_run_prefix(r)}_data.csv")
+    else:
+        def series(r):
+            gen = cfg.generator_for_run(r)
+            if stop is not None:
+                return generate(gen, stop=stop + 1).values[:, :stop]
+            return generate(gen if T is None else replace(gen, T=T)).values
+
+    def checked(r):
+        values = series(r)
+        if len(values) != N:
+            raise DataError(f"data has {len(values)} nodes but the estimator expects {N}")
+        return values
+    return checked
 
 
 def _standardize(values: np.ndarray):
@@ -236,10 +252,10 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
         return _resume_estimate(cfg, from_checkpoint)
     if limit is not None and limit <= cfg.estimator.P:
         raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
-    series = _run_series(cfg, cfg.estimator.N)
+    series = _run_series(cfg, cfg.estimator.N, stop=limit)
     written = []
     for r in range(cfg.runs):
-        values = series(r)[:, :limit]
+        values = series(r)
         mean = std = None
         if cfg.standardize:
             values, mean, std = _standardize(values)
@@ -323,13 +339,14 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
 def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     """Detection and error curves from previously written run files.
 
-    Reads each run's estimates from its `.npy` file, one run at a time.
-    Each run's data is scaled as recorded in the checkpoint of the estimate
-    that wrote its predictions.
+    Reads each run's estimates from its `.npy` file, one run at a time,
+    and a generated run's data from the CSV that `generate` wrote.  Each
+    run's data is scaled as recorded in the checkpoint of the estimate that
+    wrote its predictions.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     N, P = cfg.estimator.N, cfg.estimator.P
-    series = _run_series(cfg, N)
+    series = _run_series(cfg, N, written=True)
     grids = {}  # kind -> the first run's time grid, which every run must share
     mse_runs = []
 

@@ -283,8 +283,8 @@ def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
         raise DivergenceError("generation diverged: non-finite history")
 
 
-def generate(cfg: GeneratorConfig) -> TimeSeries:
-    """Generate a full series with its per-sample topology trace.
+def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
+    """Generate a series with its per-sample topology trace.
 
     The first P samples are iid standard normal; the rest follow the
     model.  In switching mode the topology changes after every
@@ -294,6 +294,14 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
     the series but the seed's initial topology has no active or no
     inactive slot.
 
+    stop, when given, must exceed P: only samples 0..stop-1 are generated,
+    and values, coeffs and active equal those of generate(cfg) cut to their
+    first stop samples, bit for bit (all T samples when stop >= T).  Every
+    check is made against the config's T, the switching one included, and
+    the returned config is cfg.  A divergence is raised only when it falls
+    among the generated samples; a non-finite sample stop-1 is returned,
+    as the full series' last sample would be.
+
     Only the model recurrence runs per sample.  The series is generated in
     segments of constant topology (one segment unless switching): each
     segment's noise is drawn as one block before switch_edge's draws, the
@@ -301,6 +309,8 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
     trace rows are filled at once.  The drift trace is one cumulative sum
     along t, which adds the increments in slow_drift's order.
     """
+    if stop is not None and stop <= cfg.P:
+        raise ValueError(f"stop must exceed P={cfg.P}, got {stop}")
     rng = np.random.default_rng(cfg.seed)
     topo = init_topology(cfg, rng)
     bank = init_bank(cfg, rng)
@@ -311,7 +321,8 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
             f"seed {cfg.seed}: the initial topology has {n_active} of {topo.active.size} "
             f"slots active, so no edge can switch every {cfg.switch_interval} samples")
 
-    N, P, T = cfg.N, cfg.P, cfg.T
+    N, P = cfg.N, cfg.P
+    T = cfg.T if stop is None else min(stop, cfg.T)
     values = np.empty((N, T))
     values[:, :P] = rng.standard_normal((N, P))
     coeffs = np.empty((T, N, N, P))
@@ -332,13 +343,13 @@ def generate(cfg: GeneratorConfig) -> TimeSeries:
 
     segment = cfg.switch_interval or T - P
     for start in range(P, T, segment):
-        stop = min(start + segment, T)
-        noise = cfg.noise_std * rng.standard_normal((stop - start, N))
+        end = min(start + segment, T)
+        noise = cfg.noise_std * rng.standard_normal((end - start, N))
         if not cfg.drift:
-            coeffs[start:stop] = topo.coeffs
-            active[start:stop] = topo.active
+            coeffs[start:end] = topo.coeffs
+            active[start:end] = topo.active
         _recur(bank, values, coeffs, noise, start)
-        if stop < T:
+        if end < T:
             topo = switch_edge(topo, rng)
 
     return TimeSeries(values=values, coeffs=coeffs, active=active, config=cfg, seed=cfg.seed)

@@ -753,6 +753,42 @@ def test_metrics_scales_the_data_as_its_estimate_did(tmp_path, standardize, argv
     assert np.array_equal(_metric_values(out / "mse.csv"), metrics.mse_curve(runs=runs))
 
 
+def test_metrics_reads_the_series_generate_wrote(tmp_path, monkeypatch):
+    cfg_path = _cfg_with(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["generate", str(cfg_path)]) == 0
+    assert cli_main(["estimate", str(cfg_path), "--emit-every", "3"]) == 0
+    calls = []
+    monkeypatch.setattr(experiment, "generate", lambda *a, **k: calls.append(a))
+    assert cli_main(["metrics", str(cfg_path)]) == 0
+    assert calls == []
+    names = ("pmd.csv", "pfa.csv", "mse.csv", "report.json")
+    read = {name: (out / name).read_bytes() for name in names}
+    # the same metrics on each run's series regenerated from the config
+    cfg = experiment.load_experiment(cfg_path)
+    regenerated = []
+
+    def regenerate(path):
+        regenerated.append(path.name)
+        return generate(cfg.generator_for_run(int(path.name[3:6]))).values
+
+    monkeypatch.setattr(io, "read_data_csv", regenerate)
+    assert cli_main(["metrics", str(cfg_path)]) == 0
+    assert regenerated == ["run000_data.csv", "run001_data.csv"]
+    assert {name: (out / name).read_bytes() for name in names} == read
+
+
+def test_metrics_without_a_data_csv_is_a_data_error_naming_it(tmp_path, capsys):
+    cfg_path = _cfg_with(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["generate", str(cfg_path)]) == 0
+    assert cli_main(["estimate", str(cfg_path)]) == 0
+    (out / "run001_data.csv").unlink()
+    capsys.readouterr()
+    assert cli_main(["metrics", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"data error: data file not found: {out / 'run001_data.csv'}\n"
+
+
 @pytest.mark.parametrize("reference", [False, True], ids=["estimator", "reference"])
 def test_bench_on_a_data_csv_with_other_nodes_is_a_data_error(tmp_path, capsys, reference):
     path = tmp_path / "d.csv"

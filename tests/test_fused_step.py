@@ -24,8 +24,8 @@ from rffgraph import (
     online_step,
     sample_frequencies,
 )
-from rffgraph import io
-from rffgraph.estimator import ALPHA_LIMIT
+from rffgraph import estimator, io
+from rffgraph.estimator import ALPHA_LIMIT, _shrink_groups
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -78,6 +78,55 @@ def test_online_step_equals_per_group_oracle_and_leaves_state_alone(shape, seed,
 def test_group_norms_match_numpy_on_finite_inputs(groups, d, seed, scale):
     x = scale * np.random.default_rng(seed).normal(size=(groups, 3, d))
     np.testing.assert_allclose(group_norms(x), np.linalg.norm(x, axis=-1), rtol=1e-13, atol=0)
+
+
+def _two_where_shrink(u, norms, thr):
+    """The shrink as it was first written: two np.where calls around the factor."""
+    keep = norms > thr
+    safe = np.where(keep, norms, 1.0)
+    factor = np.where(keep, 1.0 - thr / safe, 0.0)
+    return u * factor[..., None], factor * norms
+
+
+SUBNORMAL = 5e-324 * 3
+
+
+@pytest.mark.parametrize("thr", [0.75, 1e-3, 1e300, SUBNORMAL, 2.2e-310, 0.0])
+def test_shrink_factor_equals_the_two_where_form_bit_for_bit(monkeypatch, thr):
+    # the norms are handed to the shrink as they are, so each lands exactly
+    # where it should: at, one ulp either side of, far below and above thr
+    norms = np.array([0.0, thr, np.nextafter(thr, 0.0), np.nextafter(thr, np.inf), np.nan,
+                      np.inf, SUBNORMAL, 1.0, 2.0 * thr, 1e300, np.finfo(float).max])
+    monkeypatch.setattr(estimator, "group_norms", lambda u: norms)
+    u = np.random.default_rng(7).normal(size=(len(norms), 3))
+    u[0] = [0.0, -0.0, 0.0]
+    want_u, want_norms = _two_where_shrink(u, norms, thr)
+    got_u, got_norms = _shrink_groups(u.copy(), thr)
+    assert got_u.tobytes() == want_u.tobytes()
+    assert got_norms.tobytes() == want_norms.tobytes()
+
+
+def _group_norms_max_form(x):
+    """group_norms with the finiteness test written as np.max(sq, initial=0.0)."""
+    sq = np.einsum("...d,...d->...", x, x)
+    if np.max(sq, initial=0.0) < np.inf:
+        return np.sqrt(sq)
+    m = np.max(np.abs(x), axis=-1, keepdims=True)
+    safe = np.where(m > 0, m, 1.0)
+    scaled = x / safe
+    return safe[..., 0] * np.sqrt(np.einsum("...d,...d->...", scaled, scaled))
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((0,)), np.array([3.0, 4.0]),
+    np.array([[1.0, np.nan], [2.0, 2.0]]), np.array([[np.inf, 1.0], [0.0, 0.0]]),
+    np.array([[-np.inf, np.nan]]), np.array([[1e200, -1e200], [1.0, 0.0]]),
+], ids=["empty groups", "empty group width", "empty vector", "one group", "nan", "inf",
+        "inf and nan", "overflowing square"])
+def test_group_norms_are_unchanged_on_empty_and_non_finite_inputs(x):
+    with np.errstate(invalid="ignore"):  # inf / inf in the scaled fallback
+        want, got = _group_norms_max_form(x), group_norms(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @SETTINGS
