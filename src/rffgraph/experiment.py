@@ -9,8 +9,9 @@ Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
 
 Every stage gets run r's series from `_run_series`, which regenerates it
-from the config (a cut estimate only as far as the cut), reads `data_csv`
-once per command, or, for `metrics`, reads the data CSV `generate` wrote.
+from the config (a cut estimate only as far as the cut) or reads `data_csv`
+once per command; `metrics` gets it from `_written_series`, which reads the
+data CSV `generate` wrote in row blocks.
 A fresh and a resumed estimate share one run body, `_estimate_run`.
 `execute` is the one command dispatch: the CLI and `replay` both run
 commands through it.
@@ -40,7 +41,7 @@ from .estimator import (
     OnlineEstimator,
 )
 from .generator import GeneratorConfig, generate
-from .metrics import DetectionConfig, mse_curve, pmd_pfa
+from .metrics import DetectionConfig, DetectionCounts, ErrorSums
 
 ENV_OUTPUT_DIR = "RFFGRAPH_OUTPUT_DIR"
 
@@ -178,7 +179,7 @@ def _run_prefix(r: int) -> str:
 
 
 def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
-                stop: int | None = None, written: bool = False):
+                stop: int | None = None):
     """The function from run r to its (N, T) input series, for one command.
 
     A given T is the horizon: a generated series is regenerated for each
@@ -187,10 +188,7 @@ def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
     run's series to its first stop samples; a generated one is generated
     only through sample stop, so that a non-finite sample stop-1 still
     raises as in the full series, and its config is checked against its
-    own T.  With written=True a generator config's runs are read from the
-    runNNN_data.csv files that `generate` wrote to the output directory; a
-    missing one is a DataError naming it.  A series with a node count other
-    than N is a DataError.
+    own T.  A series with a node count other than N is a DataError.
     """
     if cfg.generator is None:
         data = io.read_data_csv(cfg.data_csv)
@@ -201,9 +199,6 @@ def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
 
         def series(r):
             return data
-    elif written:
-        def series(r):
-            return io.read_data_csv(cfg.output_dir / f"{_run_prefix(r)}_data.csv")
     else:
         def series(r):
             gen = cfg.generator_for_run(r)
@@ -213,10 +208,34 @@ def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
 
     def checked(r):
         values = series(r)
-        if len(values) != N:
-            raise DataError(f"data has {len(values)} nodes but the estimator expects {N}")
+        _check_nodes(len(values), N)
         return values
     return checked
+
+
+def _written_series(cfg: ExperimentConfig, N: int):
+    """For metrics: the function from run r to its series as (N, rows)
+    blocks of consecutive samples from t=0 on.
+
+    A generator config's runs are read in row blocks from the
+    runNNN_data.csv files that `generate` wrote to the output directory; a
+    missing one is a DataError naming it.  A data_csv is read once, as for
+    any command, and handed to every run as one block.
+    """
+    if cfg.generator is None:
+        data = _run_series(cfg, N)(0)
+        return lambda r: [data]
+
+    def blocks(r):
+        nodes, rows = io.data_blocks(cfg.output_dir / f"{_run_prefix(r)}_data.csv")
+        _check_nodes(nodes, N)
+        return rows
+    return blocks
+
+
+def _check_nodes(nodes: int, N: int):
+    if nodes != N:
+        raise DataError(f"data has {nodes} nodes but the estimator expects {N}")
 
 
 def _standardize(values: np.ndarray):
@@ -278,7 +297,8 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
         if not io.is_integer(value) or value < 0:
             raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
                             f"got {value!r}")
-    values = _apply_checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, est.cfg.N)(r))
+    values = _run_series(cfg, est.cfg.N)(r)
+    values = _checkpoint_scaling(checkpoint_path, extra, est.cfg.N)(values)
     written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
@@ -288,8 +308,9 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                                       name=f"{_run_prefix(r)}_estimate_resumed")]
 
 
-def _apply_checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray) -> np.ndarray:
-    """values scaled as the estimate that wrote the checkpoint scaled its series.
+def _checkpoint_scaling(checkpoint_path, extra: dict, N: int):
+    """The function that scales an (N, rows) series, or a block of one, as
+    the estimate that wrote the checkpoint scaled its series.
 
     extra is the checkpoint's record.  Its standardize, when present, must
     be a boolean; when true, its mean and std must be finite and one per
@@ -300,13 +321,12 @@ def _apply_checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray) 
         raise DataError(f"{checkpoint_path}: extra.standardize must be true or false, "
                         f"got {standardize!r}")
     if not standardize:
-        return values
-    shape = (values.shape[0],)
-    mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", shape)
-    std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", shape)
+        return lambda values: values
+    mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", (N,))
+    std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", (N,))
     if not (std > 0).all():
         raise DataError(f"{checkpoint_path}: extra.std must be positive")
-    return (values - mean[:, None]) / std[:, None]
+    return lambda values: (values - mean[:, None]) / std[:, None]
 
 
 def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray, start: int,
@@ -339,49 +359,55 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
 def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     """Detection and error curves from previously written run files.
 
-    Reads each run's estimates from its `.npy` file, one run at a time,
-    and a generated run's data from the CSV that `generate` wrote.  Each
-    run's data is scaled as recorded in the checkpoint of the estimate that
-    wrote its predictions.
+    Reads the runs one at a time, and each run's files in row blocks: the
+    estimates from its `.npy` file beside the topology looked up at the
+    block's rows, and the predictions in lockstep with the data CSV that
+    `generate` wrote.  Each run's data is scaled as recorded in the
+    checkpoint of the estimate that wrote its predictions.  Apart from the
+    curves and the time grids the runs share, memory does not grow with T.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     N, P = cfg.estimator.N, cfg.estimator.P
-    series = _run_series(cfg, N, written=True)
+    series = _written_series(cfg, N)
+    detection, errors = DetectionCounts(cfg.detection), ErrorSums()
     grids = {}  # kind -> the first run's time grid, which every run must share
-    mse_runs = []
 
-    def same_grid(kind, t):
+    def same_grid(kind, t_blocks):
+        t = np.concatenate(t_blocks)
         if not np.array_equal(grids.setdefault(kind, t), t):
             raise DataError(f"runs have mismatched {kind} time axes")
 
-    def detection_runs():
-        """Each run's (estimates, truth), collecting its (data, predictions) pair."""
-        for r in range(cfg.runs):
-            prefix = _run_prefix(r)
-            tvals, est = io.read_estimates_npy(cfg.output_dir / f"{prefix}_estimates.npy", N, P)
-            same_grid("estimate", tvals)
-            topo_path = cfg.output_dir / f"{prefix}_topology.jsonl"
-            _, active = io.read_topology_jsonl(topo_path, int(tvals[-1]) + 1)
-            if active.shape[1:] != (N, N, P):
-                raise DataError(f"{topo_path}: topology shape {active.shape[1:]} does not fit "
-                                f"N={N}, P={P}")
-            pt, preds = io.read_predictions_csv(cfg.output_dir / f"{prefix}_predictions.csv")
-            same_grid("prediction", pt)
-            ckpt_path = cfg.output_dir / f"{prefix}_checkpoint.json"
-            _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
-            values = _apply_checkpoint_scaling(ckpt_path, extra, series(r))
-            if values.shape[1] <= int(pt[-1]):
-                raise DataError("predictions extend past the data series")
-            mse_runs.append((values[:, pt], preds))
-            yield est, active[tvals]
+    def score(r):
+        """Add run r to the counts, one block of each of its files at a time."""
+        run = cfg.output_dir / _run_prefix(r)
+        _, blocks = io.estimate_blocks([f"{run}_estimates.npy"], N, P)
+        topo_path = Path(f"{run}_topology.jsonl")
+        topo = io.read_topology(topo_path)
+        if topo.active.shape[1:] != (N, N, P):
+            raise DataError(f"{topo_path}: topology shape {topo.active.shape[1:]} does not fit "
+                            f"N={N}, P={P}")
+        t_blocks = []
+        for t, est in blocks:
+            detection.add(est, topo.active_at(t), at=sum(map(len, t_blocks)))
+            t_blocks.append(t)
+        same_grid("estimate", t_blocks)
 
-    pmd, pfa = pmd_pfa(detection_runs(), cfg.detection)
+        pred_path = Path(f"{run}_predictions.csv")
+        _, blocks = io.prediction_blocks([pred_path])
+        ckpt_path = Path(f"{run}_checkpoint.json")
+        _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
+        data = _SeriesRows(map(_checkpoint_scaling(ckpt_path, extra, N), series(r)))
+        t_blocks = []
+        for t, preds in blocks:
+            errors.add(data.at(pred_path, t), preds, at=sum(map(len, t_blocks)))
+            t_blocks.append(t)
+        same_grid("prediction", t_blocks)
+
+    for r in range(cfg.runs):
+        score(r)  # returns holding nothing of run r: its files are closed, its blocks freed
+    pmd, pfa = detection.curves()
+    mse = errors.curve(None if cfg.runs > 1 else cfg.mse_window)
     t_grid, mse_t = grids["estimate"], grids["prediction"]
-    if cfg.runs > 1:
-        mse = mse_curve(runs=mse_runs)
-    else:
-        y, yhat = mse_runs[0]
-        mse = mse_curve(y, yhat, window=cfg.mse_window)
     pmd_path = cfg.output_dir / "pmd.csv"
     pfa_path = cfg.output_dir / "pfa.csv"
     mse_path = cfg.output_dir / "mse.csv"
@@ -391,19 +417,40 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     report = {
         "experiment": cfg.resolved,
         "run_seeds": cfg.run_seeds(),
-        "curves": {
-            "t_detection": t_grid.tolist(),
-            "pmd": io.jsonable(pmd.tolist()),
-            "pfa": io.jsonable(pfa.tolist()),
-            "t_mse": mse_t.tolist(),
-            "mse": io.jsonable(mse.tolist()),
-        },
+        "curves": {"t_detection": t_grid, "pmd": pmd, "pfa": pfa, "t_mse": mse_t, "mse": mse},
     }
     report_path = cfg.output_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh)
+    io.write_json(report_path, report)
     manifest = _write_manifest(cfg, "metrics")
     return [pmd_path, pfa_path, mse_path, report_path, manifest]
+
+
+class _SeriesRows:
+    """A series read in (N, rows) blocks from t=0 on, handed out at
+    increasing times: rows before the times asked for are skipped, and
+    blocks are read only as far as those times reach."""
+
+    def __init__(self, blocks):
+        self.blocks, self.buf, self.base = iter(blocks), None, 0  # buf holds t = base, ...
+
+    def at(self, pred_path, t: np.ndarray) -> np.ndarray:
+        """The (N, len(t)) series rows at times t, which must increase from
+        the last call's on."""
+        if t[0] < self.base or (np.diff(t) <= 0).any():
+            raise DataError(f"{pred_path}: prediction times must increase")
+        while self.buf is None or self.base + self.buf.shape[1] <= t[-1]:
+            block = next(self.blocks, None)
+            if block is None:
+                raise DataError("predictions extend past the data series")
+            if self.buf is None:
+                self.buf = block
+            else:
+                skip = min(t[0] - self.base, self.buf.shape[1])
+                self.buf = np.concatenate([self.buf[:, skip:], block], axis=1)
+                self.base += skip
+        rows = self.buf[:, t - self.base]
+        self.buf, self.base = self.buf[:, t[-1] + 1 - self.base:], t[-1] + 1
+        return rows
 
 
 def cmd_bench(cfg: ExperimentConfig, T: int | None = None,

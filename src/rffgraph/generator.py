@@ -315,7 +315,7 @@ def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
     topo = init_topology(cfg, rng)
     bank = init_bank(cfg, rng)
     n_active = topo.n_active()
-    switches = cfg.switch_interval and cfg.T - cfg.P >= cfg.switch_interval
+    switches = cfg.switch_interval and cfg.T - cfg.P > cfg.switch_interval
     if switches and n_active in (0, topo.active.size):
         raise ConfigError(
             f"seed {cfg.seed}: the initial topology has {n_active} of {topo.active.size} "

@@ -6,8 +6,16 @@ representation, so re-running a recorded experiment reproduces files
 byte for byte.  No timestamps are embedded anywhere.
 
 Beside each estimates CSV sits a `.npy` file with the same rows as a
-float64 array (`np.save`, exact and deterministic).  `metrics` reads that
-binary file; the CSV is kept for people and other tools.
+float64 array (`np.save`'s bytes, written as a header and then the rows in
+blocks).  `metrics` reads that binary file; the CSV is kept for people and
+other tools.
+
+The run files `metrics` scores are read in row blocks of at most
+BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`,
+`prediction_blocks` and `data_blocks` hand out one block at a time, and
+`read_topology` keeps each distinct active mask once.  The whole-file
+readers (`read_estimates_npy`, `read_data_csv`, `read_predictions_csv`,
+`read_topology_jsonl`) are built on the same parsers.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
@@ -18,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+import os
+from array import array
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -47,6 +57,36 @@ def jsonable(obj):
     return obj
 
 
+def write_json(path, obj):
+    """Write json.dump's text of jsonable(obj), encoded by the C encoder of
+    json.dumps.
+
+    A dict with string keys, or a list of lists and dicts, is written member
+    by member (recursively), so that the C encoder holds the encoding of
+    one leaf value (say, a list of numbers) at a time, where json.dumps of
+    the whole object would hold all of it.  A numpy array leaf is made
+    jsonable only when it is written.
+    """
+    with open(path, "w") as fh:
+        fh.writelines(_json_pieces(obj))
+
+
+def _json_pieces(obj):
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        members, opening, closing = obj.items(), "{", "}"
+    elif isinstance(obj, list) and obj and all(isinstance(v, (list, dict)) for v in obj):
+        members, opening, closing = ((None, v) for v in obj), "[", "]"
+    else:
+        yield json.dumps(obj, default=jsonable)
+        return
+    sep = opening
+    for key, value in members:
+        yield sep if key is None else f"{sep}{json.dumps(key)}: "
+        yield from _json_pieces(value)
+        sep = ", "
+    yield closing
+
+
 def _write_table(path, columns, t_values, rows):
     """Write the `t,<columns>` CSV all tables share: one row per t, cells in
     shortest round-trip form."""
@@ -57,41 +97,94 @@ def _write_table(path, columns, t_values, rows):
                      + "\n")
 
 
-def _read_table(path, what: str):
-    """Read a `t,<columns>` CSV into (columns, integer t values, (rows, width) array).
+# The readers of the run files hold at most this many bytes of float64
+# cells of one file at a time (at least one row), and the .npy writer
+# writes its rows in blocks of this size.
+BLOCK_BYTES = 1 << 18
 
-    A missing file, a header that does not start with `t`, a row of another
-    width, a cell that is not a number, a fractional or non-finite time, or
-    no rows at all is a DataError naming the file (and the line).
-    """
-    path = Path(path)
+
+def _block_rows(width: int) -> int:
+    """Rows of width float64 cells in one block."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
+def _paths(paths) -> list[Path]:
+    """One file or a sequence of files, as a list of Paths."""
+    return [Path(p) for p in ([paths] if isinstance(paths, (str, os.PathLike)) else paths)]
+
+
+def _table_columns(path: Path, what: str) -> list[str]:
+    """The columns after `t` in a CSV's header; a DataError naming the file
+    if it is missing or its header does not start with `t`."""
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header[0] != "t" or len(header) < 2:
-            raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
-                                f"header width {len(header)}")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
-    if not rows:
-        raise DataError(f"{path}: no {what} rows")
-    arr = np.array(rows)
-    return header[1:], _time_column(path, arr[:, 0]), arr[:, 1:]
+    if header[0] != "t" or len(header) < 2:
+        raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
+    return header[1:]
+
+
+def _table_blocks(paths, what: str):
+    """The `t,<columns>` CSVs at paths, read in turn in row blocks.
+
+    Returns (columns, blocks); every file's header is checked here, and all
+    must name the same columns.  blocks yields (path, line number of the
+    block's first row, integer t values, (rows, columns) array); each cell
+    is parsed by float() into compact storage.  A row of another width, a
+    cell that is not a number, a time that is not a nonnegative integer, or
+    a file without rows is a DataError naming the file (and the line).
+    """
+    paths = _paths(paths)
+    columns = [_table_columns(p, what) for p in paths]
+    for path, cols in zip(paths, columns):
+        if cols != columns[0]:
+            raise DataError(f"{path}: {what} columns differ from those of {paths[0]}")
+    return columns[0], _table_rows(paths, what, 1 + len(columns[0]))
+
+
+def _table_rows(paths, what: str, width: int):
+    size = _block_rows(width) * width
+    for path in paths:
+        with open(path) as fh:
+            fh.readline()
+            cells, first, lineno = array("d"), 2, 1
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if len(parts) != width:
+                    raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
+                                    f"header width {width}")
+                try:
+                    cells.extend(map(float, parts))
+                except ValueError:
+                    raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
+                if len(cells) == size:
+                    yield _table_block(path, first, cells, width)
+                    cells, first = array("d"), lineno + 1
+        if lineno == 1:
+            raise DataError(f"{path}: no {what} rows")
+        if cells:
+            yield _table_block(path, first, cells, width)
+
+
+def _table_block(path, first: int, cells, width: int):
+    block = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)
+    return path, first, _time_column(path, block[:, 0]), block[:, 1:]
 
 
 def _time_column(path, t: np.ndarray) -> np.ndarray:
-    """t as integers; a DataError naming the file unless every value is one."""
-    if not (np.isfinite(t).all() and np.array_equal(t, np.floor(t))):
-        raise DataError(f"{path}: time column must hold integers")
+    """t as integers; a DataError naming the file unless every value is a
+    nonnegative integer."""
+    if not (np.isfinite(t).all() and np.array_equal(t, np.floor(t)) and (t >= 0).all()):
+        raise DataError(f"{path}: time column must hold nonnegative integers")
     return t.astype(int)
+
+
+def _read_table(path, what: str):
+    """A whole `t,<columns>` CSV as (columns, integer t values, (rows, columns) array)."""
+    columns, blocks = _table_blocks(path, what)
+    _, _, t, values = zip(*blocks)
+    return columns, np.concatenate(t), np.concatenate(values)
 
 
 def _node_columns(N: int):
@@ -104,15 +197,32 @@ def write_data_csv(path, values: np.ndarray):
     _write_table(path, _node_columns(values.shape[0]), range(values.shape[1]), values.T)
 
 
+def data_blocks(path):
+    """A data CSV in row blocks: (N, blocks), blocks yielding (N, rows)
+    arrays of consecutive samples from t=0 on.
+
+    Every value must be finite and the time column must be 0..T-1; a
+    DataError names the file (and the line of a non-finite value).
+    """
+    columns, blocks = _table_blocks(path, "data")
+    return len(columns), _data_rows(blocks)
+
+
+def _data_rows(blocks):
+    T = 0
+    for path, first, t, values in blocks:
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{path}, line {first + int(np.argmin(finite))}: non-finite value")
+        if not np.array_equal(t, np.arange(T, T + len(t))):
+            raise DataError(f"{path}: time column must be 0..T-1")
+        T += len(t)
+        yield values.T
+
+
 def read_data_csv(path) -> np.ndarray:
     """Read a data CSV back into an (N, T) array; every value must be finite."""
-    _, t, arr = _read_table(path, "data")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}, line {int(np.argmin(finite)) + 2}: non-finite value")
-    if not np.array_equal(t, np.arange(len(t))):
-        raise DataError(f"{path}: time column must be 0..T-1")
-    return arr.T.copy()
+    return np.concatenate(list(data_blocks(path)[1]), axis=1)
 
 
 def write_topology_jsonl(path, ts: TimeSeries):
@@ -160,40 +270,80 @@ def _topology_record(path, lineno: int, line: str):
     return t, coeffs, active
 
 
-def read_topology_jsonl(path, T: int):
-    """Forward-fill a topology JSONL into (T, N, N, P) coeff and active arrays.
+@dataclass(frozen=True)
+class TopologyTrace:
+    """A topology JSONL as its distinct states and one (t, state) pair per record.
 
-    Rows before the first recorded t repeat the first record.  A line that
-    is not a JSON record with `t`, `coeffs` and `active`, or records of
-    different shapes, is a DataError naming the file and line.
+    starts holds the records' t values sorted (records with equal t keep
+    their file order), which the state index of each; active (and coeffs,
+    when kept) stack the distinct states, shape (states, N, N, P).
+    """
+
+    starts: np.ndarray
+    which: np.ndarray
+    active: np.ndarray
+    coeffs: np.ndarray | None = None
+
+    def states_at(self, t) -> np.ndarray:
+        """The state index in force at each time t, forward-filled: the last
+        record with a t at or before it (of equal ones, the last in the
+        file), and before the first record the first one."""
+        i = np.searchsorted(self.starts, t, side="right") - 1
+        return self.which[np.maximum(i, 0)]
+
+    def active_at(self, t) -> np.ndarray:
+        """The (len(t), N, N, P) active masks at times t."""
+        return self.active[self.states_at(t)]
+
+
+def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
+    """Read a topology JSONL, keeping each distinct state once.
+
+    The coefficients are parsed to check them and kept only with
+    with_coeffs; a state is then a (coeffs, active) pair, else an active
+    mask.  A line that is not a JSON record with `t`, `coeffs` and
+    `active`, records of different shapes, or no records are a DataError
+    naming the file (and line).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"topology file not found: {path}")
-    records = []
+    starts, which, states = [], [], {}
+    shape = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(_topology_record(path, lineno, line))
-                if records[-1][1].shape != records[0][1].shape:
-                    raise DataError(f"{path}, line {lineno}: record shape "
-                                    f"{records[-1][1].shape} != first record's "
-                                    f"{records[0][1].shape}")
-    if not records:
+            if not line:
+                continue
+            t, coeffs, active = _topology_record(path, lineno, line)
+            if shape is None:
+                shape = coeffs.shape
+            elif coeffs.shape != shape:
+                raise DataError(f"{path}, line {lineno}: record shape {coeffs.shape} != "
+                                f"first record's {shape}")
+            key = (coeffs.tobytes() if with_coeffs else b"") + active.tobytes()
+            starts.append(t)
+            state = (len(states), coeffs if with_coeffs else None, active)
+            which.append(states.setdefault(key, state)[0])
+    if not starts:
         raise DataError(f"{path}: no topology records")
-    records.sort(key=lambda r: r[0])
-    shape = records[0][1].shape
-    coeffs = np.zeros((T,) + shape)
-    active = np.zeros((T,) + shape, dtype=bool)
-    coeffs[: records[0][0] + 1] = records[0][1]
-    active[: records[0][0] + 1] = records[0][2]
-    for (t0, c, a), nxt in zip(records, records[1:] + [(T, None, None)]):
-        if t0 >= T:
-            break
-        coeffs[t0 : min(nxt[0], T)] = c
-        active[t0 : min(nxt[0], T)] = a
-    return coeffs, active
+    starts = np.array(starts)
+    order = np.argsort(starts, kind="stable")
+    kept = list(states.values())
+    return TopologyTrace(starts=starts[order], which=np.array(which)[order],
+                         active=np.array([a for _, _, a in kept]),
+                         coeffs=np.array([c for _, c, _ in kept]) if with_coeffs else None)
+
+
+def read_topology_jsonl(path, T: int):
+    """Forward-fill a topology JSONL into (T, N, N, P) coeff and active arrays.
+
+    Rows before the first recorded t repeat the first record; of records
+    with equal t the last in the file wins.  Errors as in read_topology.
+    """
+    topo = read_topology(path, with_coeffs=True)
+    states = topo.states_at(np.arange(T))
+    return topo.coeffs[states], topo.active[states]
 
 
 def estimate_column_names(N: int, P: int):
@@ -216,36 +366,97 @@ def write_estimates_csv(path, group_norms: np.ndarray, t_start: int, emit_every:
 
 
 def write_estimates_npy(path, group_norms: np.ndarray, t_start: int, emit_every: int = 1):
-    """The rows of write_estimates_csv as a float64 (rows, 1 + N*N*P) array, t first."""
+    """The rows of write_estimates_csv as a float64 (rows, 1 + N*N*P) array, t first.
+
+    The file at path (no suffix is added) holds np.save's bytes: the
+    header, written from the row count, then the rows in blocks.
+    """
     _, N, _, P = group_norms.shape
     t_values, rows = _emitted(group_norms, t_start, emit_every)
-    table = np.empty((len(t_values), 1 + N * N * P))
-    table[:, 0] = t_values
-    table[:, 1:] = rows.reshape(len(t_values), N * N * P)
-    np.save(path, table, allow_pickle=False)
+    width = 1 + N * N * P
+    step = _block_rows(width)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+            "fortran_order": False, "shape": (len(t_values), width)})
+        for i in range(0, len(t_values), step):
+            t = t_values[i:i + step]
+            block = np.empty((len(t), width))
+            block[:, 0] = t
+            block[:, 1:] = rows[i:i + step].reshape(len(t), width - 1)
+            fh.write(block.data)
+
+
+def _npy_rows_at(path: Path, N: int, P: int):
+    """(offset of the first row, row count) of an estimates `.npy`, from its
+    header alone; a DataError naming the file unless it holds a native
+    float64, C-ordered (rows, 1 + N*N*P) array with at least one row."""
+    if not path.exists():
+        raise DataError(f"estimates file not found: {path}; re-run estimate to write it")
+    fmt = np.lib.format
+    try:
+        with open(path, "rb") as fh:
+            version = fmt.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"unsupported .npy format version {version}")
+            read_header = fmt.read_array_header_1_0 if version == (1, 0) \
+                else fmt.read_array_header_2_0
+            shape, fortran_order, dtype = read_header(fh)
+            offset = fh.tell()
+        if dtype.hasobject:
+            raise ValueError("object arrays cannot be loaded")
+        held, needed = path.stat().st_size - offset, math.prod(shape) * dtype.itemsize
+        if held < needed:
+            raise ValueError(f"the header needs {needed} bytes of data, the file holds {held}")
+    except (OSError, ValueError, EOFError) as e:
+        raise DataError(f"{path}: unreadable estimates array ({e})") from None
+    width = 1 + N * N * P
+    if dtype != np.float64 or len(shape) != 2 or shape[1] != width:
+        raise DataError(f"{path}: expected a float64 (rows, {width}) array for N={N}, P={P}, "
+                        f"got {dtype} {shape}")
+    if fortran_order:
+        raise DataError(f"{path}: a Fortran-ordered estimates array cannot be read in row "
+                        f"blocks; re-run estimate")
+    if not shape[0]:
+        raise DataError(f"{path}: no estimates rows")
+    return offset, shape[0]
+
+
+def estimate_blocks(paths, N: int, P: int):
+    """The estimates `.npy` files at paths, read in turn in row blocks.
+
+    Every file's header is checked first, before any row is read (see
+    _npy_rows_at).  Returns (rows, blocks): the total row count, and a
+    generator of (integer t values, (rows, N, N, P) array) blocks whose time
+    column is checked one block at a time.
+    """
+    paths = _paths(paths)
+    layout = [_npy_rows_at(p, N, P) for p in paths]
+    return sum(rows for _, rows in layout), _npy_blocks(paths, layout, N, P)
+
+
+def _npy_blocks(paths, layout, N: int, P: int):
+    width = 1 + N * N * P
+    step = _block_rows(width)
+    for path, (offset, rows) in zip(paths, layout):
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            for i in range(0, rows, step):
+                block = np.empty((min(step, rows - i), width))
+                if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                    raise DataError(f"{path}: unreadable estimates array (it ended early)")
+                yield _time_column(path, block[:, 0]), block[:, 1:].reshape(-1, N, N, P)
 
 
 def read_estimates_npy(path, N: int, P: int):
     """Read an estimates `.npy` into (t_values, (rows, N, N, P) array).
 
-    A missing or unreadable file, an array that is not float64 (rows,
-    1 + N*N*P), no rows, or a time column that does not hold integers is a
-    DataError naming the file.
+    A missing or unreadable file, an array that is not native float64
+    (rows, 1 + N*N*P) in C order, no rows, or a time column that does not
+    hold nonnegative integers is a DataError naming the file.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"estimates file not found: {path}; re-run estimate to write it")
-    try:
-        table = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as e:
-        raise DataError(f"{path}: unreadable estimates array ({e})") from None
-    width = 1 + N * N * P
-    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != width:
-        raise DataError(f"{path}: expected a float64 (rows, {width}) array for N={N}, P={P}, "
-                        f"got {table.dtype} {table.shape}")
-    if not len(table):
-        raise DataError(f"{path}: no estimates rows")
-    return _time_column(path, table[:, 0]), table[:, 1:].reshape(len(table), N, N, P)
+    t, est = zip(*estimate_blocks(path, N, P)[1])
+    return np.concatenate(t), np.concatenate(est)
 
 
 def read_estimates_csv(path):
@@ -267,10 +478,18 @@ def write_predictions_csv(path, predictions: np.ndarray, t_start: int):
     _write_table(path, _node_columns(N), range(t_start, T), predictions[:, t_start:].T)
 
 
+def prediction_blocks(paths):
+    """The predictions CSVs at paths, read in turn in row blocks: (N, blocks),
+    blocks yielding (integer t values, (N, rows) array).  Errors as in
+    _table_blocks."""
+    columns, blocks = _table_blocks(paths, "predictions")
+    return len(columns), ((t, values.T) for _, _, t, values in blocks)
+
+
 def read_predictions_csv(path):
     """Read predictions back into (t_values, (N, rows) array)."""
-    _, t, arr = _read_table(path, "predictions")
-    return t, arr.T
+    t, values = zip(*prediction_blocks(path)[1])
+    return np.concatenate(t), np.concatenate(values, axis=1)
 
 
 def write_metric_csv(path, t_values, values):
@@ -292,8 +511,7 @@ def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None
     }
     if extra:
         obj["extra"] = jsonable(extra)
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    write_json(path, obj)
 
 
 def finite_array(path, value, name: str, shape: tuple) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Topology extraction and evaluation: pseudo-adjacency, detection rates, MSE."""
+"""Topology extraction and evaluation: pseudo-adjacency, detection rates, MSE.
+
+The detection rates and the MSE are accumulated: DetectionCounts and
+ErrorSums take a run whole or in row blocks, so `metrics` holds one block
+of one run at a time, and pmd_pfa and mse_curve are the same accumulators
+fed with whole runs.
+"""
 
 from __future__ import annotations
 
@@ -48,62 +54,113 @@ def normalize_series(series: np.ndarray) -> np.ndarray:
     return series / safe.reshape((T,) + (1,) * (series.ndim - 1))
 
 
-def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = True):
-    """Miss-detection and false-alarm curves over an ensemble of runs.
+def _grown(a: np.ndarray, end: int) -> np.ndarray:
+    """a extended with zeros along its last axis to length end (a itself if long enough)."""
+    short = end - a.shape[-1]
+    if short <= 0:
+        return a
+    return np.concatenate([a, np.zeros(a.shape[:-1] + (short,), dtype=a.dtype)], axis=-1)
 
-    runs: iterable of (estimates, truth) pairs, both (T, N, N, P); truth
-    is the boolean active-edge mask (exact support knowledge).  Runs are
-    consumed one at a time, so a generator need not hold them all at once.
-    A slot counts as detected when its (per-slice normalized, unless
+
+class DetectionCounts:
+    """P_MD and P_FA numerators and denominators per t, pooled over runs.
+
+    Each run is added whole or in row blocks; add(est, truth, at) counts
+    its rows at..at+len(est)-1, and the counts grow to the longest run.  A
+    slot counts as detected when its (per-slice normalized, unless
     normalized=False) estimate exceeds cfg.delta:
 
         P_MD[t] = #{active slots with estimate <  delta} / #{active slots}
         P_FA[t] = #{inactive slots with estimate > delta} / #{inactive slots}
 
-    with counts pooled over runs and, by default, self-loops excluded.
-    Entries with an empty denominator are NaN (undefined, not zero).
-    Returns (pmd, pfa), each of shape (T,).
+    with self-loops excluded by default.
     """
-    T = None
-    md_num = md_den = fa_num = fa_den = None
-    for est, truth in runs:
+
+    def __init__(self, cfg: DetectionConfig = DetectionConfig(), normalized: bool = True):
+        self.cfg, self.normalized = cfg, normalized
+        self.counts = np.zeros((4, 0))  # miss, active, alarm and inactive slots per t
+
+    def add(self, est, truth, at: int = 0):
+        """Count rows of one run: est (rows, N, N, P) estimates and truth the
+        boolean active-edge mask of that shape (exact support knowledge)."""
         est = np.asarray(est, dtype=float)
         truth = np.asarray(truth, dtype=bool)
         if est.shape != truth.shape or est.ndim != 4:
             raise ValueError(f"estimates and truth must share a (T, N, N, P) shape, "
                              f"got {est.shape} vs {truth.shape}")
-        if T is None:
-            T = est.shape[0]
-            md_num = np.zeros(T)
-            md_den = np.zeros(T)
-            fa_num = np.zeros(T)
-            fa_den = np.zeros(T)
-        elif est.shape[0] != T:
-            raise ValueError("runs have mismatched time axes")
-        b = normalize_series(est) if normalized else est
+        b = normalize_series(est) if self.normalized else est
         scope = np.ones(est.shape[1:], dtype=bool)
-        if cfg.exclude_self_loops:
+        if self.cfg.exclude_self_loops:
             scope &= ~np.eye(est.shape[1], dtype=bool)[:, :, None]
-        miss = (b < cfg.delta) & truth & scope
-        alarm = (b > cfg.delta) & ~truth & scope
-        flat = lambda x: x.reshape(T, -1).sum(axis=1)
-        md_num += flat(miss)
-        md_den += flat(truth & scope)
-        fa_num += flat(alarm)
-        fa_den += flat(~truth & scope)
+        active, inactive = truth & scope, ~truth & scope
+        slots = ((b < self.cfg.delta) & active, active, (b > self.cfg.delta) & inactive, inactive)
+        end = at + len(est)
+        self.counts = _grown(self.counts, end)
+        for count, x in zip(self.counts[:, at:end], slots):
+            count += x.reshape(len(est), -1).sum(axis=1)
+
+    def curves(self):
+        """(pmd, pfa); entries with an empty denominator are NaN (undefined, not zero)."""
+        md_num, md_den, fa_num, fa_den = self.counts
+        T = self.counts.shape[1]
+        pmd = np.divide(md_num, md_den, out=np.full(T, np.nan), where=md_den > 0)
+        pfa = np.divide(fa_num, fa_den, out=np.full(T, np.nan), where=fa_den > 0)
+        return pmd, pfa
+
+
+def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = True):
+    """Miss-detection and false-alarm curves over an ensemble of runs.
+
+    runs: iterable of (estimates, truth) pairs, both (T, N, N, P); truth
+    is the boolean active-edge mask.  Runs are consumed one at a time, so a
+    generator need not hold them all at once.  The counts are those of
+    DetectionCounts, pooled over runs.  Returns (pmd, pfa), each of shape
+    (T,).
+    """
+    counts, T = DetectionCounts(cfg, normalized), None
+    for est, truth in runs:
+        counts.add(est, truth)
+        if T is None:
+            T = len(est)
+        elif len(est) != T:
+            raise ValueError("runs have mismatched time axes")
     if T is None:
         raise ValueError("need at least one run")
-    pmd = np.divide(md_num, md_den, out=np.full(T, np.nan), where=md_den > 0)
-    pfa = np.divide(fa_num, fa_den, out=np.full(T, np.nan), where=fa_den > 0)
-    return pmd, pfa
+    return counts.curves()
 
 
-def _nan_mean(rows: np.ndarray) -> np.ndarray:
-    """Column means ignoring NaN, NaN where a column has no finite entry."""
-    valid = np.isfinite(rows)
-    sums = np.where(valid, rows, 0.0).sum(axis=0)
-    counts = valid.sum(axis=0)
-    return np.divide(sums, counts, out=np.full(rows.shape[1], np.nan), where=counts > 0)
+class ErrorSums:
+    """Squared prediction error sum and count per t, over runs and nodes.
+
+    Each run is added whole or in column blocks; add(y, yhat, at) adds its
+    columns at..at+T-1, and the sums grow to the longest run.  NaN or
+    infinite errors (warm-up) are not counted.  The sum at each t runs from
+    zero over the runs, then the nodes, in the order added: the column sum
+    of the stacked (runs * nodes, T) errors, bit for bit.
+    """
+
+    def __init__(self):
+        self.sums = np.zeros(0)
+        self.counts = np.zeros(0, dtype=np.intp)
+
+    def add(self, y, yhat, at: int = 0):
+        """Add one run's (nodes, T) data y and predictions yhat."""
+        err = (y - yhat) ** 2
+        valid = np.isfinite(err)
+        end = at + err.shape[1]
+        self.sums, self.counts = _grown(self.sums, end), _grown(self.counts, end)
+        sums, counts = self.sums[at:end], self.counts[at:end]
+        for e, v in zip(np.where(valid, err, 0.0), valid):
+            sums += e
+            counts += v
+
+    def curve(self, window: int | None = None) -> np.ndarray:
+        """The mean squared error per t, NaN where nothing was counted; with
+        a window, its trailing moving average of that width instead (the
+        single-run stand-in for the ensemble mean)."""
+        T = len(self.sums)
+        mean = np.divide(self.sums, self.counts, out=np.full(T, np.nan), where=self.counts > 0)
+        return mean if window is None else _trailing_mean(mean, window)
 
 
 def mse_curve(y=None, yhat=None, runs=None, window: int = 100) -> np.ndarray:
@@ -113,10 +170,11 @@ def mse_curve(y=None, yhat=None, runs=None, window: int = 100) -> np.ndarray:
     squared error at each t, averaged over runs and nodes.  With a single
     (y, yhat) pair: a trailing moving average of width `window` as the
     single-run stand-in for the ensemble mean.  NaN predictions (warm-up)
-    are ignored; entries with no finite data are NaN.
+    are ignored; entries with no finite data are NaN.  Both are ErrorSums
+    fed with whole runs.
     """
+    errors = ErrorSums()
     if runs is not None:
-        errs = []
         T = None
         for yy, hh in runs:
             yy, hh = np.asarray(yy, float), np.asarray(hh, float)
@@ -126,17 +184,25 @@ def mse_curve(y=None, yhat=None, runs=None, window: int = 100) -> np.ndarray:
                 T = yy.shape[-1]
             elif yy.shape[-1] != T:
                 raise ValueError("runs have mismatched time axes")
-            errs.append((yy - hh) ** 2)
-        stacked = np.stack([e.reshape(-1, T) for e in errs])  # (runs, nodes, T)
-        return _nan_mean(stacked.reshape(-1, T))
+            errors.add(yy.reshape(-1, T), hh.reshape(-1, T))
+        if T is None:
+            raise ValueError("need at least one run")
+        return errors.curve()
     y, yhat = np.asarray(y, float), np.asarray(yhat, float)
     if y.shape != yhat.shape:
         raise ValueError(f"length mismatch: {y.shape} vs {yhat.shape}")
     if window < 1:
         raise ValueError("window must be at least 1")
     T = y.shape[-1]
+    errors.add(y.reshape(-1, T), yhat.reshape(-1, T))
+    return errors.curve(window)
+
+
+def _trailing_mean(per_t: np.ndarray, window: int) -> np.ndarray:
+    """Mean of the finite entries of per_t over a trailing window (partial
+    at the start), NaN where the window holds none."""
+    T = len(per_t)
     window = min(window, T)
-    per_t = _nan_mean(((y - yhat) ** 2).reshape(-1, T))
     valid = np.isfinite(per_t)
     sums = np.cumsum(np.where(valid, per_t, 0.0))
     counts = np.cumsum(valid)

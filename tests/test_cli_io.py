@@ -768,11 +768,12 @@ def test_metrics_reads_the_series_generate_wrote(tmp_path, monkeypatch):
     cfg = experiment.load_experiment(cfg_path)
     regenerated = []
 
-    def regenerate(path):
+    def regenerate(path):  # metrics reads the data CSV through io.data_blocks
         regenerated.append(path.name)
-        return generate(cfg.generator_for_run(int(path.name[3:6]))).values
+        values = generate(cfg.generator_for_run(int(path.name[3:6]))).values
+        return len(values), [values]
 
-    monkeypatch.setattr(io, "read_data_csv", regenerate)
+    monkeypatch.setattr(io, "data_blocks", regenerate)
     assert cli_main(["metrics", str(cfg_path)]) == 0
     assert regenerated == ["run000_data.csv", "run001_data.csv"]
     assert {name: (out / name).read_bytes() for name in names} == read

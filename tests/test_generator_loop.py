@@ -8,6 +8,7 @@ equal bit for bit, and a diverging series must raise the same error at the
 same sample.
 """
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from rffgraph import (
     step,
     switch_edge,
 )
+from rffgraph.cli import main as cli_main
 from rffgraph.generator import DIVERGENCE_LIMIT, _drift_single, evaluate_nonlinearity
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -37,7 +39,7 @@ def _reference(cfg):
     topo = init_topology(cfg, rng)
     bank = init_bank(cfg, rng)
     N, P, T = cfg.N, cfg.P, cfg.T
-    if cfg.switch_interval and T - P >= cfg.switch_interval \
+    if cfg.switch_interval and T - P > cfg.switch_interval \
             and topo.n_active() in (0, topo.active.size):
         raise ConfigError("a switch falls within the series but no edge can switch")
     values = np.empty((N, T))
@@ -55,7 +57,7 @@ def _reference(cfg):
         values[:, t] = y
         coeffs[t] = topo.coeffs
         active[t] = topo.active
-        if cfg.switch_interval and (t - P + 1) % cfg.switch_interval == 0:
+        if cfg.switch_interval and (t - P + 1) % cfg.switch_interval == 0 and t + 1 < T:
             topo = switch_edge(topo, rng)
         elif cfg.drift:
             topo = slow_drift(topo, t) if cfg.drift_scope == "all" else _drift_single(topo, t)
@@ -158,3 +160,23 @@ def test_a_nan_sample_raises_on_the_next_sample_as_the_reference_does():
             assert np.isnan(generate(cfg).values[:, 2]).all()
         else:
             assert outcome == ("DivergenceError", "generation diverged: non-finite history")
+
+
+def test_a_series_one_switch_interval_long_has_no_switch_to_check():
+    # T - P == switch_interval: one segment, so an edgeless topology is fine
+    edgeless = GeneratorConfig(N=2, P=1, T=51, edge_probability=0.0, switch_interval=50, seed=3)
+    ts = generate(edgeless)
+    assert not ts.active.any() and _outcome(generate, edgeless) == _outcome(_reference, edgeless)
+    with pytest.raises(ConfigError, match="no edge can switch"):
+        generate(replace(edgeless, T=52))
+
+
+@pytest.mark.parametrize("T, code", [(51, 0), (52, 2)])
+def test_the_cli_generates_a_series_one_switch_interval_long(tmp_path, T, code):
+    cfg = {"runs": 1, "base_seed": 3, "output_dir": str(tmp_path / "out"),
+           "generator": {"N": 2, "P": 1, "T": T, "edge_probability": 0.0,
+                         "switch_interval": 50},
+           "estimator": {"N": 2, "P": 1, "D": 4}}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["generate", str(path)]) == code
