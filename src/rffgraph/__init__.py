@@ -21,6 +21,7 @@ from .generator import (
     NonlinearityBank,
     TimeSeries,
     Topology,
+    TopologyTrace,
     generate,
     init_bank,
     init_topology,

@@ -154,14 +154,8 @@ def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentCon
 
 def load_experiment(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    return parse_experiment(obj, config_dir=path.parent)
+    return parse_experiment(io.read_json_object(path, "config file", ConfigError),
+                            config_dir=path.parent)
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str, options: dict | None = None,
@@ -362,25 +356,39 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     Reads the runs one at a time, and each run's files in row blocks: the
     estimates from its `.npy` file beside the topology looked up at the
     block's rows, and the predictions in lockstep with the data CSV that
-    `generate` wrote.  Each run's data is scaled as recorded in the
-    checkpoint of the estimate that wrote its predictions.  Apart from the
-    curves and the time grids the runs share, memory does not grow with T.
+    `generate` wrote.  If the runs were cut and resumed (all or none), each
+    is read as its cut files and then its `_resumed` files.  Each run's data
+    is scaled as recorded in the checkpoint of the estimate that wrote its
+    predictions.  Apart from the curves and the time grids the runs share,
+    memory does not grow with T.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     N, P = cfg.estimator.N, cfg.estimator.P
     series = _written_series(cfg, N)
     detection, errors = DetectionCounts(cfg.detection), ErrorSums()
     grids = {}  # kind -> the first run's time grid, which every run must share
+    unresumed = [r for r in range(cfg.runs)
+                 if not (cfg.output_dir / f"{_run_prefix(r)}_estimates_resumed.npy").exists()]
+    if 0 < len(unresumed) < cfg.runs:
+        raise DataError(f"some runs were resumed and some not; runs without a resume: {unresumed}")
+    parts = [""] if unresumed else ["", "_resumed"]
 
-    def same_grid(kind, t_blocks):
+    def same_grid(kind, paths, t_blocks, step=None):
+        """Check that a run's times go on evenly (by step, when given) from
+        its cut file to its resumed one and equal the other runs' times."""
         t = np.concatenate(t_blocks)
+        bad = np.flatnonzero(np.diff(t) != (np.diff(t[:2]) if step is None else step))
+        if len(paths) > 1 and len(bad):
+            raise DataError(f"{paths[1]} does not continue {paths[0]}: t={t[bad[0] + 1]} "
+                            f"follows t={t[bad[0]]}; a resume left by an earlier estimate?")
         if not np.array_equal(grids.setdefault(kind, t), t):
             raise DataError(f"runs have mismatched {kind} time axes")
 
     def score(r):
         """Add run r to the counts, one block of each of its files at a time."""
         run = cfg.output_dir / _run_prefix(r)
-        _, blocks = io.estimate_blocks([f"{run}_estimates.npy"], N, P)
+        paths = [Path(f"{run}_estimates{part}.npy") for part in parts]
+        _, blocks = io.estimate_blocks(paths, N, P)
         topo_path = Path(f"{run}_topology.jsonl")
         topo = io.read_topology(topo_path)
         if topo.active.shape[1:] != (N, N, P):
@@ -390,18 +398,18 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
         for t, est in blocks:
             detection.add(est, topo.active_at(t), at=sum(map(len, t_blocks)))
             t_blocks.append(t)
-        same_grid("estimate", t_blocks)
+        same_grid("estimate", paths, t_blocks)
 
-        pred_path = Path(f"{run}_predictions.csv")
-        _, blocks = io.prediction_blocks([pred_path])
+        paths = [Path(f"{run}_predictions{part}.csv") for part in parts]
+        _, blocks = io.prediction_blocks(paths)
         ckpt_path = Path(f"{run}_checkpoint.json")
         _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
         data = _SeriesRows(map(_checkpoint_scaling(ckpt_path, extra, N), series(r)))
         t_blocks = []
         for t, preds in blocks:
-            errors.add(data.at(pred_path, t), preds, at=sum(map(len, t_blocks)))
+            errors.add(data.at(paths[0], t), preds, at=sum(map(len, t_blocks)))
             t_blocks.append(t)
-        same_grid("prediction", t_blocks)
+        same_grid("prediction", paths, t_blocks, step=1)
 
     for r in range(cfg.runs):
         score(r)  # returns holding nothing of run r: its files are closed, its blocks freed
@@ -522,15 +530,7 @@ def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
 def replay(manifest_path) -> list[Path]:
     """Re-execute a recorded command from its manifest."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ConfigError(f"manifest not found: {manifest_path}")
-    try:
-        with open(manifest_path) as fh:
-            obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{manifest_path}: invalid JSON ({e})") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{manifest_path}: a manifest must be a JSON object")
+    obj = io.read_json_object(manifest_path, "manifest", ConfigError)
     for key in ("command", "experiment"):
         if key not in obj:
             raise ConfigError(f"manifest missing {key!r}")

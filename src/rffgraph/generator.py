@@ -13,18 +13,19 @@ one at a fixed cadence) and a slow sinusoidal drift of the active
 coefficients.
 
 `generate` keeps only the model recurrence in its per-sample loop: the
-nonlinearity, the weighted sum and the noise add, evaluated in preallocated
-buffers with the arithmetic of `step` and written straight into the series.
-The rest is done once per segment of constant topology, the divergence
-check included: one scan of the segment's |y| in t order raises the error
-that a check after every sample would have raised first.  Every seeded output is
-bit-identical to stepping `step`, `switch_edge` and `slow_drift` one sample
-at a time, as earlier versions of `generate` did.
+nonlinearity, the weighted sum and the noise add, in preallocated buffers
+with the arithmetic of `step`.  The rest is done once per segment of
+constant topology, the divergence check included.  The ground truth is a
+`TopologyTrace` of one state per segment (or per drift step) and one
+record per change; `TimeSeries.coeffs` and `.active` forward-fill it to one
+row per sample on demand.  Every seeded output is bit-identical to stepping
+`step`, `switch_edge` and `slow_drift` one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,14 +132,51 @@ class GeneratorConfig:
 
 
 @dataclass(frozen=True)
+class TopologyTrace:
+    """The topology over time: its states and one (t, state) record per change.
+
+    starts holds the records' t values sorted (equal ones keep their order),
+    which the state index of each; active (and coeffs, when kept) stack the
+    states, shape (states, N, N, P).
+    """
+
+    starts: np.ndarray
+    which: np.ndarray
+    active: np.ndarray
+    coeffs: np.ndarray | None = None
+
+    def states_at(self, t) -> np.ndarray:
+        """The state index in force at each time t: the last record at or
+        before it (of equal ones, the last), before the first the first."""
+        i = np.searchsorted(self.starts, t, side="right") - 1
+        return self.which[np.maximum(i, 0)]
+
+    def active_at(self, t) -> np.ndarray:
+        """The (len(t), N, N, P) active masks at times t."""
+        return self.active[self.states_at(t)]
+
+    def coeffs_at(self, t) -> np.ndarray:
+        """The (len(t), N, N, P) coefficients at times t."""
+        return self.coeffs[self.states_at(t)]
+
+
+@dataclass(frozen=True)
 class TimeSeries:
-    """Generated series with the per-sample ground truth that produced it."""
+    """Generated series with the topology trace that produced it; coeffs and
+    active are the trace forward-filled to (T, N, N, P), built on first use."""
 
     values: np.ndarray  # (N, T)
-    coeffs: np.ndarray  # (T, N, N, P), rows < P repeat the initial topology
-    active: np.ndarray  # (T, N, N, P) bool
+    topology: TopologyTrace
     config: GeneratorConfig
     seed: int
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return self.topology.coeffs_at(np.arange(self.values.shape[1]))
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        return self.topology.active_at(np.arange(self.values.shape[1]))
 
 
 def init_topology(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> Topology:
@@ -251,8 +289,8 @@ def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
            noise: np.ndarray, start: int):
     """Fill values[:, start : start + len(noise)] by the model recurrence, in place.
 
-    Sample t uses the lagged values before it, the trace row coeffs[t] and
-    the noise row noise[t - start].  The checks are those of step() and of
+    Sample t uses the lagged values before it and the rows coeffs[t - start]
+    and noise[t - start].  The checks are those of step() and of
     generate's per-sample limit, made by one scan after the loop: the
     first sample whose |y| exceeds DIVERGENCE_LIMIT raises at its own t, a
     NaN sample before it raises as non-finite history (the next sample's),
@@ -269,7 +307,7 @@ def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for t, e in enumerate(noise, start):
             _nonlinearity_into(bank, lags[T - t], buf, f)
-            _weighted_sum(coeffs[t], f, e, out=values[:, t])
+            _weighted_sum(coeffs[t - start], f, e, out=values[:, t])
     segment = values[:, start:start + len(noise)]
     # max |y| per sample without an |y| copy of the segment; NaN propagates
     peak = np.maximum(segment.max(axis=0), -segment.min(axis=0))
@@ -284,7 +322,7 @@ def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
 
 
 def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
-    """Generate a series with its per-sample topology trace.
+    """Generate a series with its topology trace.
 
     The first P samples are iid standard normal; the rest follow the
     model.  In switching mode the topology changes after every
@@ -305,9 +343,10 @@ def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
     Only the model recurrence runs per sample.  The series is generated in
     segments of constant topology (one segment unless switching): each
     segment's noise is drawn as one block before switch_edge's draws, the
-    order in which one draw per sample would come, and its coeffs/active
-    trace rows are filled at once.  The drift trace is one cumulative sum
-    along t, which adds the increments in slow_drift's order.
+    order in which one draw per sample would come.  The trace keeps one
+    state per segment; a drift run keeps its coefficients for every sample,
+    one cumulative sum along t that adds the increments in slow_drift's
+    order, and records only the samples whose coefficients change.
     """
     if stop is not None and stop <= cfg.P:
         raise ValueError(f"stop must exceed P={cfg.P}, got {stop}")
@@ -325,31 +364,33 @@ def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
     T = cfg.T if stop is None else min(stop, cfg.T)
     values = np.empty((N, T))
     values[:, :P] = rng.standard_normal((N, P))
-    coeffs = np.empty((T, N, N, P))
-    active = np.empty((T, N, N, P), dtype=bool)
-    coeffs[:P] = topo.coeffs
-    active[:P] = topo.active
     if cfg.drift:
         drifting = topo.active
         if cfg.drift_scope == "single":  # the lexicographically first active slot
             drifting = np.zeros_like(topo.active)
             drifting.flat[np.flatnonzero(topo.active)[:1]] = True
-        coeffs[P] = topo.coeffs
-        coeffs[P + 1:] = 0.0
-        np.copyto(coeffs[P + 1:], _drift_delta(np.arange(P, T - 1))[:, None, None, None],
+        coeffs = np.zeros((T - P, N, N, P))
+        coeffs[0] = topo.coeffs
+        np.copyto(coeffs[1:], _drift_delta(np.arange(P, T - 1))[:, None, None, None],
                   where=drifting)
-        np.cumsum(coeffs[P:], axis=0, out=coeffs[P:])
-        active[P:] = topo.active
+        np.cumsum(coeffs, axis=0, out=coeffs)
 
     segment = cfg.switch_interval or T - P
+    states = []
     for start in range(P, T, segment):
         end = min(start + segment, T)
         noise = cfg.noise_std * rng.standard_normal((end - start, N))
-        if not cfg.drift:
-            coeffs[start:end] = topo.coeffs
-            active[start:end] = topo.active
-        _recur(bank, values, coeffs, noise, start)
+        states.append(topo)
+        rows = coeffs if cfg.drift else np.broadcast_to(topo.coeffs, (end - start, N, N, P))
+        _recur(bank, values, rows, noise, start)
         if end < T:
             topo = switch_edge(topo, rng)
-
-    return TimeSeries(values=values, coeffs=coeffs, active=active, config=cfg, seed=cfg.seed)
+    if cfg.drift:  # a record wherever the coefficients differ from the sample before
+        which = np.flatnonzero(np.r_[True, (coeffs[1:] != coeffs[:-1]).any(axis=(1, 2, 3))])
+        trace = TopologyTrace(starts=P + which, which=which, coeffs=coeffs,
+                              active=np.broadcast_to(topo.active, coeffs.shape))
+    else:  # a record at each segment's start
+        trace = TopologyTrace(starts=np.arange(P, T, segment), which=np.arange(len(states)),
+                              coeffs=np.array([s.coeffs for s in states]),
+                              active=np.array([s.active for s in states]))
+    return TimeSeries(values=values, topology=trace, config=cfg, seed=cfg.seed)

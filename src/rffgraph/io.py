@@ -12,10 +12,13 @@ other tools.
 
 The run files `metrics` scores are read in row blocks of at most
 BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`,
-`prediction_blocks` and `data_blocks` hand out one block at a time, and
-`read_topology` keeps each distinct active mask once.  The whole-file
-readers (`read_estimates_npy`, `read_data_csv`, `read_predictions_csv`,
-`read_topology_jsonl`) are built on the same parsers.
+`prediction_blocks` and `data_blocks` hand out one block at a time, from
+one file or a run's cut and resumed files in turn.  The whole-file readers
+(`read_estimates_npy`, `read_data_csv`, `read_predictions_csv`) are built
+on the same parsers.  The topology JSONL holds one line per record of the
+generator's `TopologyTrace`, and `read_topology` reads it back as one,
+keeping each distinct state once.  Every reader turns a missing or
+unreadable file into a DataError naming it.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
@@ -28,7 +31,7 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError
 from .estimator import CoefficientState, EstimatorConfig, OnlineEstimator
-from .generator import TimeSeries
+from .generator import TimeSeries, TopologyTrace
 
 
 def jsonable(obj):
@@ -113,54 +116,57 @@ def _paths(paths) -> list[Path]:
     return [Path(p) for p in ([paths] if isinstance(paths, (str, os.PathLike)) else paths)]
 
 
-def _table_columns(path: Path, what: str) -> list[str]:
-    """The columns after `t` in a CSV's header; a DataError naming the file
-    if it is missing or its header does not start with `t`."""
-    if not path.exists():
+def _lines(path, what: str):
+    """The numbered lines of a text file; a DataError naming the file if it
+    is missing, cannot be opened (a directory, say) or is not text."""
+    if not Path(path).exists():
         raise DataError(f"{what} file not found: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
-    return header[1:]
+    try:
+        with open(path) as fh:
+            yield from enumerate(fh, start=1)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: unreadable {what} file ({e})") from None
 
 
 def _table_blocks(paths, what: str):
     """The `t,<columns>` CSVs at paths, read in turn in row blocks.
 
-    Returns (columns, blocks); every file's header is checked here, and all
-    must name the same columns.  blocks yields (path, line number of the
-    block's first row, integer t values, (rows, columns) array); each cell
-    is parsed by float() into compact storage.  A row of another width, a
-    cell that is not a number, a time that is not a nonnegative integer, or
-    a file without rows is a DataError naming the file (and the line).
+    Returns (columns, blocks); every file's header is checked here: it must
+    start with `t`, and all must name the same columns.  blocks yields
+    (path, line number of the block's first row, integer t values, (rows,
+    columns) array); each cell is parsed by float() into compact storage.
+    A row of another width, a cell that is not a number, a time that is not
+    a nonnegative integer, or a file without rows is a DataError naming the
+    file (and the line), as is an unreadable file (see _lines).
     """
     paths = _paths(paths)
-    columns = [_table_columns(p, what) for p in paths]
-    for path, cols in zip(paths, columns):
-        if cols != columns[0]:
+    headers = [next(_lines(p, what), (1, ""))[1].strip().split(",") for p in paths]
+    for path, header in zip(paths, headers):
+        if header[0] != "t" or len(header) < 2:
+            raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
+        if header != headers[0]:
             raise DataError(f"{path}: {what} columns differ from those of {paths[0]}")
-    return columns[0], _table_rows(paths, what, 1 + len(columns[0]))
+    return headers[0][1:], _table_rows(paths, what, len(headers[0]))
 
 
 def _table_rows(paths, what: str, width: int):
     size = _block_rows(width) * width
     for path in paths:
-        with open(path) as fh:
-            fh.readline()
-            cells, first, lineno = array("d"), 2, 1
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.strip().split(",")
-                if len(parts) != width:
-                    raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
-                                    f"header width {width}")
-                try:
-                    cells.extend(map(float, parts))
-                except ValueError:
-                    raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
-                if len(cells) == size:
-                    yield _table_block(path, first, cells, width)
-                    cells, first = array("d"), lineno + 1
+        cells, first, lineno = array("d"), 2, 1
+        for lineno, line in _lines(path, what):
+            if lineno == 1:
+                continue
+            parts = line.strip().split(",")
+            if len(parts) != width:
+                raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
+                                f"header width {width}")
+            try:
+                cells.extend(map(float, parts))
+            except ValueError:
+                raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
+            if len(cells) == size:
+                yield _table_block(path, first, cells, width)
+                cells, first = array("d"), lineno + 1
         if lineno == 1:
             raise DataError(f"{path}: no {what} rows")
         if cells:
@@ -178,13 +184,6 @@ def _time_column(path, t: np.ndarray) -> np.ndarray:
     if not (np.isfinite(t).all() and np.array_equal(t, np.floor(t)) and (t >= 0).all()):
         raise DataError(f"{path}: time column must hold nonnegative integers")
     return t.astype(int)
-
-
-def _read_table(path, what: str):
-    """A whole `t,<columns>` CSV as (columns, integer t values, (rows, columns) array)."""
-    columns, blocks = _table_blocks(path, what)
-    _, _, t, values = zip(*blocks)
-    return columns, np.concatenate(t), np.concatenate(values)
 
 
 def _node_columns(N: int):
@@ -226,22 +225,15 @@ def read_data_csv(path) -> np.ndarray:
 
 
 def write_topology_jsonl(path, ts: TimeSeries):
-    """Ground-truth trace as JSON lines (t, coefficient array, active mask).
-
-    A line is emitted at the first modeled sample and whenever the
-    topology differs from the previously written one; readers
-    forward-fill between lines.
-    """
-    P = ts.config.P
+    """Ground-truth trace as JSON lines (t, coefficient array, active mask),
+    one line per record of ts.topology: the first modeled sample and every
+    sample whose topology differs from the sample before.  Readers
+    forward-fill between lines."""
+    topo = ts.topology
     with open(path, "w") as fh:
-        prev = None
-        for t in range(P, ts.values.shape[1]):
-            snap = (ts.coeffs[t], ts.active[t])
-            if prev is not None and np.array_equal(prev[0], snap[0]) and np.array_equal(prev[1], snap[1]):
-                continue
-            fh.write(json.dumps({"t": t, "coeffs": snap[0].tolist(),
-                                 "active": snap[1].tolist()}) + "\n")
-            prev = snap
+        for t, s in zip(topo.starts.tolist(), topo.which):
+            fh.write(json.dumps({"t": t, "coeffs": topo.coeffs[s].tolist(),
+                                 "active": topo.active[s].tolist()}) + "\n")
 
 
 def _topology_record(path, lineno: int, line: str):
@@ -270,32 +262,6 @@ def _topology_record(path, lineno: int, line: str):
     return t, coeffs, active
 
 
-@dataclass(frozen=True)
-class TopologyTrace:
-    """A topology JSONL as its distinct states and one (t, state) pair per record.
-
-    starts holds the records' t values sorted (records with equal t keep
-    their file order), which the state index of each; active (and coeffs,
-    when kept) stack the distinct states, shape (states, N, N, P).
-    """
-
-    starts: np.ndarray
-    which: np.ndarray
-    active: np.ndarray
-    coeffs: np.ndarray | None = None
-
-    def states_at(self, t) -> np.ndarray:
-        """The state index in force at each time t, forward-filled: the last
-        record with a t at or before it (of equal ones, the last in the
-        file), and before the first record the first one."""
-        i = np.searchsorted(self.starts, t, side="right") - 1
-        return self.which[np.maximum(i, 0)]
-
-    def active_at(self, t) -> np.ndarray:
-        """The (len(t), N, N, P) active masks at times t."""
-        return self.active[self.states_at(t)]
-
-
 def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
     """Read a topology JSONL, keeping each distinct state once.
 
@@ -305,26 +271,22 @@ def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
     `active`, records of different shapes, or no records are a DataError
     naming the file (and line).
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"topology file not found: {path}")
     starts, which, states = [], [], {}
     shape = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            t, coeffs, active = _topology_record(path, lineno, line)
-            if shape is None:
-                shape = coeffs.shape
-            elif coeffs.shape != shape:
-                raise DataError(f"{path}, line {lineno}: record shape {coeffs.shape} != "
-                                f"first record's {shape}")
-            key = (coeffs.tobytes() if with_coeffs else b"") + active.tobytes()
-            starts.append(t)
-            state = (len(states), coeffs if with_coeffs else None, active)
-            which.append(states.setdefault(key, state)[0])
+    for lineno, line in _lines(path, "topology"):
+        line = line.strip()
+        if not line:
+            continue
+        t, coeffs, active = _topology_record(path, lineno, line)
+        if shape is None:
+            shape = coeffs.shape
+        elif coeffs.shape != shape:
+            raise DataError(f"{path}, line {lineno}: record shape {coeffs.shape} != "
+                            f"first record's {shape}")
+        key = (coeffs.tobytes() if with_coeffs else b"") + active.tobytes()
+        starts.append(t)
+        state = (len(states), coeffs if with_coeffs else None, active)
+        which.append(states.setdefault(key, state)[0])
     if not starts:
         raise DataError(f"{path}: no topology records")
     starts = np.array(starts)
@@ -333,17 +295,6 @@ def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
     return TopologyTrace(starts=starts[order], which=np.array(which)[order],
                          active=np.array([a for _, _, a in kept]),
                          coeffs=np.array([c for _, c, _ in kept]) if with_coeffs else None)
-
-
-def read_topology_jsonl(path, T: int):
-    """Forward-fill a topology JSONL into (T, N, N, P) coeff and active arrays.
-
-    Rows before the first recorded t repeat the first record; of records
-    with equal t the last in the file wins.  Errors as in read_topology.
-    """
-    topo = read_topology(path, with_coeffs=True)
-    states = topo.states_at(np.arange(T))
-    return topo.coeffs[states], topo.active[states]
 
 
 def estimate_column_names(N: int, P: int):
@@ -390,7 +341,7 @@ def write_estimates_npy(path, group_norms: np.ndarray, t_start: int, emit_every:
 def _npy_rows_at(path: Path, N: int, P: int):
     """(offset of the first row, row count) of an estimates `.npy`, from its
     header alone; a DataError naming the file unless it holds a native
-    float64, C-ordered (rows, 1 + N*N*P) array with at least one row."""
+    float64, C-ordered (rows, 1 + N*N*P) array."""
     if not path.exists():
         raise DataError(f"estimates file not found: {path}; re-run estimate to write it")
     fmt = np.lib.format
@@ -417,8 +368,6 @@ def _npy_rows_at(path: Path, N: int, P: int):
     if fortran_order:
         raise DataError(f"{path}: a Fortran-ordered estimates array cannot be read in row "
                         f"blocks; re-run estimate")
-    if not shape[0]:
-        raise DataError(f"{path}: no estimates rows")
     return offset, shape[0]
 
 
@@ -426,13 +375,17 @@ def estimate_blocks(paths, N: int, P: int):
     """The estimates `.npy` files at paths, read in turn in row blocks.
 
     Every file's header is checked first, before any row is read (see
-    _npy_rows_at).  Returns (rows, blocks): the total row count, and a
+    _npy_rows_at); one may hold no rows (a resume past the last grid row),
+    but not all.  Returns (rows, blocks): the total row count, and a
     generator of (integer t values, (rows, N, N, P) array) blocks whose time
     column is checked one block at a time.
     """
     paths = _paths(paths)
     layout = [_npy_rows_at(p, N, P) for p in paths]
-    return sum(rows for _, rows in layout), _npy_blocks(paths, layout, N, P)
+    rows = sum(rows for _, rows in layout)
+    if not rows:
+        raise DataError(f"{paths[0]}: no estimates rows")
+    return rows, _npy_blocks(paths, layout, N, P)
 
 
 def _npy_blocks(paths, layout, N: int, P: int):
@@ -461,7 +414,9 @@ def read_estimates_npy(path, N: int, P: int):
 
 def read_estimates_csv(path):
     """Read an estimates CSV into (t_values, (rows, N, N, P) array)."""
-    columns, t, arr = _read_table(path, "estimates")
+    columns, blocks = _table_blocks(path, "estimates")
+    _, _, t, arr = zip(*blocks)
+    t, arr = np.concatenate(t), np.concatenate(arr)
     # infer (N, P) from the trailing column name b_N_N_P
     last = columns[-1].split("_")
     if len(last) != 4 or last[0] != "b" or not (last[1].isdigit() and last[3].isdigit()):
@@ -534,7 +489,7 @@ def read_checkpoint(path, with_extra: bool = False):
     returns (estimator, extra), extra being the checkpoint's `extra`
     object ({} when absent), from the same single parse of the file.
     """
-    obj = _read_checkpoint_json(path)
+    obj = read_json_object(path, "checkpoint")
     missing = [k for k in ("config", "alpha", "t") if k not in obj]
     if missing:
         raise DataError(f"{path}: checkpoint lacks {missing}")
@@ -564,17 +519,20 @@ def read_checkpoint(path, with_extra: bool = False):
     return est, extra
 
 
-def _read_checkpoint_json(path) -> dict:
+def read_json_object(path, what: str, error=DataError) -> dict:
+    """The JSON object in a config file, manifest or checkpoint; an error of
+    class error naming the file as what if it is missing, unreadable, not
+    JSON text or another JSON value."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
+        raise error(f"{what} not found: {path}")
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"{path}: checkpoint is not valid JSON ({e})") from None
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or bytes that are not text
+        raise error(f"{path}: {what} is not valid JSON ({e})") from None
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: checkpoint must be a JSON object")
+        raise error(f"{path}: {what} must be a JSON object")
     return obj
 
 

@@ -74,7 +74,8 @@ def test_topology_jsonl_round_trip(tmp_path):
                                   switch_interval=30, noise_std=0.1, seed=9))
     path = tmp_path / "topo.jsonl"
     io.write_topology_jsonl(path, ts)
-    coeffs, active = io.read_topology_jsonl(path, T=90)
+    topo = io.read_topology(path, with_coeffs=True)
+    coeffs, active = topo.coeffs_at(np.arange(90)), topo.active_at(np.arange(90))
     assert np.array_equal(coeffs[2:], ts.coeffs[2:])
     assert np.array_equal(active[2:], ts.active[2:])
     # change-only encoding: static stretches share one record

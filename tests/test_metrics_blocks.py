@@ -154,7 +154,8 @@ def test_topology_at_rows_equals_the_dense_forward_fill(tmp_path_factory, starts
     coeffs, active = _dense_fill(records, T)
     rows = np.sort(rng.integers(0, T, size=int(rng.integers(1, 2 * T + 1))))
     assert np.array_equal(io.read_topology(path).active_at(rows), active[rows])
-    got_coeffs, got_active = io.read_topology_jsonl(path, T)
+    topo = io.read_topology(path, with_coeffs=True)
+    got_coeffs, got_active = topo.coeffs_at(np.arange(T)), topo.active_at(np.arange(T))
     assert _same_bits(got_coeffs, coeffs) and _same_bits(got_active, active)
 
 
