@@ -55,19 +55,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    options = vars(args)
+    options = vars(_build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "replay":
-            written = experiment.replay(args.manifest)
+        if command == "replay":
+            written = experiment.replay(options["manifest"])
         else:
-            cfg = experiment.load_experiment(args.config)
-            overrides = {"standardize": True} if options.get("standardize") else {}
-            if options.get("emit_every") is not None:
-                overrides["emit_every"] = options["emit_every"]
+            cfg = experiment.load_experiment(options.pop("config"))
+            # the config overrides; what is left in options is the command's own
+            overrides = {"standardize": True} if options.pop("standardize", False) else {}
+            emit_every = options.pop("emit_every", None)
+            if emit_every is not None:
+                overrides["emit_every"] = emit_every
             if overrides:
                 cfg = experiment.parse_experiment({**cfg.resolved, **overrides})
-            written = experiment.execute(cfg, args.command, options)
+            written = experiment.execute(cfg, command, options)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,8 +25,8 @@ lift and scalar groups.
 The streaming estimator keeps its lifted lag window, the (P, N, 2D)
 feature array z, beside the lag window itself.  The first update lifts the
 whole window; after each update z is shifted by one lag block and only the
-newest sample, the one the window takes next, is lifted, with
-build_feature_vector's arithmetic, so z stays the full-window lift bit for
+newest sample, the one the window takes next, is lifted, by the _lift that
+build_feature_vector also calls, so z stays the full-window lift bit for
 bit.  (Per-slot maps give every lag its own frequencies, so they lift the
 whole window at every update.)  Then one step makes four passes over the
 (N, P, N, 2D) coefficient array alpha: one einsum for the predictions,
@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError
-from .kernels import GaussianKernel, RFFMap, sample_frequencies
+from .kernels import GaussianKernel, sample_frequencies
 from .generator import TimeSeries
 
 ALPHA_LIMIT = 1e12  # coefficient magnitude beyond which the run is declared divergent
@@ -127,43 +127,28 @@ class EstimatorConfig:
 
 
 class FeatureMaps:
-    """Random feature maps assigned to every (lag, source-node) slot.
+    """Random Fourier frequencies assigned to every (lag, source-node) slot.
 
-    Holds a (P, N, D) frequency array; slot (p, n') lifts y_{n'}[t-p-1]
-    through its own frequency row.  By default one map is shared by all
-    slots.
+    Built from one frequency array: (D,) when one map is shared by all
+    slots, (P, N, D) when every slot has its own.  `frequencies` is
+    (P, N, D) either way (a read-only view); slot (p, n') lifts
+    y_{n'}[t-p-1] through its row frequencies[p, n'].
     """
 
-    def __init__(self, maps, N: int, P: int):
-        self.N = N
-        self.P = P
-        if isinstance(maps, RFFMap):
-            self.shared = True
-            self.maps = maps
-            self.D = maps.D
-            self.frequencies = np.broadcast_to(maps.frequencies, (P, N, maps.D))
-        else:
-            self.shared = False
-            self.maps = [list(row) for row in maps]
-            if len(self.maps) != P or any(len(row) != N for row in self.maps):
-                raise ConfigError("per-slot maps must form a (P, N) grid")
-            self.D = self.maps[0][0].D
-            if any(m.D != self.D for row in self.maps for m in row):
-                raise ConfigError("all feature maps must share the same D")
-            self.frequencies = np.stack(
-                [np.stack([m.frequencies for m in row]) for row in self.maps]
-            )
+    def __init__(self, frequencies: np.ndarray, N: int, P: int):
+        self.N, self.P, self.D = N, P, frequencies.shape[-1]
+        self.shared = frequencies.ndim == 1
+        self.frequencies = np.broadcast_to(frequencies, (P, N, self.D))
 
     @classmethod
     def from_config(cls, cfg: EstimatorConfig) -> "FeatureMaps":
         kernel = GaussianKernel(cfg.kernel_variance)
         if not cfg.per_slot_maps:
-            return cls(sample_frequencies(kernel, cfg.D, cfg.rff_seed), cfg.N, cfg.P)
-        grid = [
-            [sample_frequencies(kernel, cfg.D, cfg.rff_seed + p * cfg.N + n) for n in range(cfg.N)]
-            for p in range(cfg.P)
-        ]
-        return cls(grid, cfg.N, cfg.P)
+            return cls(sample_frequencies(kernel, cfg.D, cfg.rff_seed).frequencies, cfg.N, cfg.P)
+        # slot (p, n') draws with seed rff_seed + p * N + n'
+        seeds = range(cfg.rff_seed, cfg.rff_seed + cfg.P * cfg.N)
+        grid = np.stack([sample_frequencies(kernel, cfg.D, s).frequencies for s in seeds])
+        return cls(grid.reshape(cfg.P, cfg.N, cfg.D), cfg.N, cfg.P)
 
 
 @dataclass
@@ -208,8 +193,34 @@ def build_feature_vector(history: np.ndarray, maps: FeatureMaps) -> np.ndarray:
         raise ValueError(f"history must have shape (P, N) = {(maps.P, maps.N)}, got {history.shape}")
     if not np.isfinite(history).all():
         raise ValueError("history contains non-finite values")
-    arg = history[:, :, None] * maps.frequencies
-    return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1) / np.sqrt(maps.D)
+    return _lift(history, maps.frequencies)
+
+
+def _lift(x: np.ndarray, frequencies: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The random Fourier features of every entry of x, on a new last axis of length 2D.
+
+    frequencies broadcasts against x[..., None] to (..., D).  The result,
+    written to `out` when given, holds sin(x v) / sqrt(D) in its first D
+    entries and cos(x v) / sqrt(D) in the rest.  sin and cos are taken into
+    contiguous temporaries, so a sample lifted alone gets the bits it gets
+    in a whole window.
+    """
+    arg = x[..., None] * frequencies
+    D = arg.shape[-1]
+    if out is None:
+        out = np.empty(arg.shape[:-1] + (2 * D,))
+    root_d = math.sqrt(D)  # np.sqrt(D)'s value, without its microsecond of call overhead
+    np.divide(np.sin(arg), root_d, out=out[..., :D])
+    np.divide(np.cos(arg), root_d, out=out[..., D:])
+    return out
+
+
+def _as_sample(sample, N: int) -> np.ndarray:
+    """sample as a float array of shape (N,); any other shape is a ValueError."""
+    sample = np.asarray(sample, dtype=float)
+    if sample.shape != (N,):
+        raise ValueError(f"sample must have shape ({N},), got {sample.shape}")
+    return sample
 
 
 def predict(alpha_n: np.ndarray, z: np.ndarray) -> float:
@@ -355,10 +366,7 @@ def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray
     `state` is left untouched.  On DivergenceError `out` holds the rejected
     iterate.
     """
-    sample = np.asarray(sample, dtype=float)
-    N, P = maps.N, maps.P
-    if sample.shape != (N,):
-        raise ValueError(f"sample must have shape ({N},), got {sample.shape}")
+    sample = _as_sample(sample, maps.N)
     z = build_feature_vector(history, maps)
     if out is None:
         out = np.empty(state.alpha.shape)
@@ -441,9 +449,6 @@ class OnlineEstimator:
                                           t=state.t)
         self._window = LagWindow(cfg.N, cfg.P, history, warm)
         self._lifted = None  # the lift of the lag window, from the first update on
-        # the newest sample's sin and cos rows, and the divisor of the lift
-        self._trig = np.empty((2, cfg.N, cfg.D))
-        self._root_d = np.sqrt(cfg.D)
 
     @cached_property
     def maps(self) -> FeatureMaps:
@@ -466,9 +471,7 @@ class OnlineEstimator:
 
     def step(self, sample: np.ndarray):
         """Ingest one sample; returns (predictions, losses) or None during warm-up."""
-        sample = np.asarray(sample, dtype=float)
-        if sample.shape != (self.cfg.N,):
-            raise ValueError(f"sample must have shape ({self.cfg.N},), got {sample.shape}")
+        sample = _as_sample(sample, self.cfg.N)
         if not self._window.full:
             self._window.push(sample)
             return None
@@ -480,11 +483,11 @@ class OnlineEstimator:
     def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
         """Update state.alpha in place from the lifted window; returns (predictions, losses).
 
-        The first update lifts the whole window, so a non-finite warm-up
-        sample raises build_feature_vector's ValueError there.  After each
-        update the lift is shifted by one lag and only `sample` is lifted,
-        as build_feature_vector would lift it; per-slot maps lift the whole
-        window every time, since every lag has its own frequencies.
+        The first update lifts the whole window with build_feature_vector,
+        so a non-finite warm-up sample raises its ValueError there.  After
+        each update the lift is shifted by one lag and only `sample` is
+        lifted, by the same _lift, into the newest block; per-slot maps lift
+        the whole window every time, since every lag has its own frequencies.
         """
         maps = self.maps
         if self._lifted is None or not maps.shared:
@@ -496,13 +499,9 @@ class OnlineEstimator:
             raise _divergence(f"estimator diverged at iteration {self.state.t + 1}", norms,
                               yhat - sample)
         if maps.shared:
-            z, trig = self._lifted, self._trig
+            z = self._lifted
             z[1:] = z[:-1]
-            arg = sample[:, None] * maps.frequencies[0]
-            np.sin(arg, out=trig[0])
-            np.cos(arg, out=trig[1])
-            # z[0] viewed as (N, 2, D) holds each node's sin row, then its cos row
-            np.divide(trig.transpose(1, 0, 2), self._root_d, out=z[0].reshape(self.cfg.N, 2, -1))
+            _lift(sample, maps.frequencies[0], out=z[0])
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:
@@ -702,7 +701,7 @@ class GrowingDictionaryEstimator:
         return len(self._atoms)
 
     def step(self, sample: np.ndarray):
-        sample = np.asarray(sample, dtype=float)
+        sample = _as_sample(sample, self.N)
         if not self._window.full:
             self._window.push(sample)
             return None

@@ -19,7 +19,7 @@ commands through it.
 The JSON form of the config sections and of a command's options (keys,
 their order, and type rules) lives in `io.config_dict` and
 `io.config_from_dict`; this module declares the file's top level, its
-metrics section and the options as dataclasses for that codec.
+metrics section and each command's options as dataclasses for that codec.
 """
 
 from __future__ import annotations
@@ -260,6 +260,9 @@ def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
 def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
                  from_checkpoint=None) -> list[Path]:
     """Stream each run through the estimator; write estimates, predictions, checkpoint."""
+    if limit is not None and from_checkpoint is not None:
+        raise ConfigError("--limit and --from-checkpoint cannot be combined: a resume runs "
+                          "to the end of its series")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if from_checkpoint is not None:
         return _resume_estimate(cfg, from_checkpoint)
@@ -497,34 +500,44 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
 
 
 @dataclass(frozen=True)
-class _Options:
-    """The options of a command, as the CLI parses them and a manifest records them."""
+class _NoOptions:
+    """generate and metrics take no options."""
 
+
+@dataclass(frozen=True)
+class _EstimateOptions:
     limit: int | None = None
     from_checkpoint: str | None = None
+
+
+@dataclass(frozen=True)
+class _BenchOptions:
     T: int | None = None
     reference: bool = False
 
 
-def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
-    """Run `command` on cfg with the options it takes from `options`.
+# the options of each command, as the CLI parses them and a manifest records them
+_OPTIONS = {"generate": _NoOptions, "estimate": _EstimateOptions, "metrics": _NoOptions,
+            "bench": _BenchOptions, "bench_reference": _BenchOptions}
 
-    The one command dispatch: the CLI passes its parsed arguments, replay a
-    manifest's recorded options.  An option of the wrong type is a
-    ConfigError.
+
+def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
+    """Run `command` on cfg with `options`.
+
+    The one command dispatch: the CLI passes its parsed options, replay a
+    manifest's recorded ones.  An unknown command, an option the command
+    does not take and an option of the wrong type are ConfigErrors.
     """
-    if isinstance(options, dict):  # the CLI's arguments also hold the command and config
-        options = {k: v for k, v in options.items() if k in _Options.__dataclass_fields__}
-    opts = io.config_from_dict(_Options, options, "options")
+    if command not in _OPTIONS:
+        raise ConfigError(f"unknown command {command!r}")
+    opts = io.config_from_dict(_OPTIONS[command], options, f"{command} options")
     if command == "generate":
         return cmd_generate(cfg)
     if command == "estimate":
         return cmd_estimate(cfg, limit=opts.limit, from_checkpoint=opts.from_checkpoint)
     if command == "metrics":
         return cmd_metrics(cfg)
-    if command in ("bench", "bench_reference"):
-        return cmd_bench(cfg, T=opts.T, reference=opts.reference)
-    raise ConfigError(f"unknown command {command!r}")
+    return cmd_bench(cfg, T=opts.T, reference=opts.reference)
 
 
 def replay(manifest_path) -> list[Path]:

@@ -13,12 +13,13 @@ other tools.
 The run files `metrics` scores are read in row blocks of at most
 BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`,
 `prediction_blocks` and `data_blocks` hand out one block at a time, from
-one file or a run's cut and resumed files in turn.  The whole-file readers
-(`read_estimates_npy`, `read_data_csv`, `read_predictions_csv`) are built
-on the same parsers.  The topology JSONL holds one line per record of the
-generator's `TopologyTrace`, and `read_topology` reads it back as one,
-keeping each distinct state once.  Every reader turns a missing or
-unreadable file into a DataError naming it.
+one file or a run's cut and resumed files in turn; they are the only
+readers of the estimates and predictions files.  `read_data_csv`, the
+whole-file reader of a `data_csv` input, is built on the same parser.  The
+topology JSONL holds one line per record of the generator's
+`TopologyTrace`, and `read_topology` reads it back as one, keeping each
+distinct state once.  Every reader turns a missing or unreadable file into
+a DataError naming it.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
@@ -401,32 +402,6 @@ def _npy_blocks(paths, layout, N: int, P: int):
                 yield _time_column(path, block[:, 0]), block[:, 1:].reshape(-1, N, N, P)
 
 
-def read_estimates_npy(path, N: int, P: int):
-    """Read an estimates `.npy` into (t_values, (rows, N, N, P) array).
-
-    A missing or unreadable file, an array that is not native float64
-    (rows, 1 + N*N*P) in C order, no rows, or a time column that does not
-    hold nonnegative integers is a DataError naming the file.
-    """
-    t, est = zip(*estimate_blocks(path, N, P)[1])
-    return np.concatenate(t), np.concatenate(est)
-
-
-def read_estimates_csv(path):
-    """Read an estimates CSV into (t_values, (rows, N, N, P) array)."""
-    columns, blocks = _table_blocks(path, "estimates")
-    _, _, t, arr = zip(*blocks)
-    t, arr = np.concatenate(t), np.concatenate(arr)
-    # infer (N, P) from the trailing column name b_N_N_P
-    last = columns[-1].split("_")
-    if len(last) != 4 or last[0] != "b" or not (last[1].isdigit() and last[3].isdigit()):
-        raise DataError(f"{path}: malformed estimates header column {columns[-1]!r}")
-    N, P = int(last[1]), int(last[3])
-    if columns != estimate_column_names(N, P):
-        raise DataError(f"{path}: estimate columns are not in lexicographic (n, n', p) order")
-    return t, arr.reshape(len(t), N, N, P)
-
-
 def write_predictions_csv(path, predictions: np.ndarray, t_start: int):
     """Predictions as `t,node_1,...,node_N` from t_start on."""
     N, T = predictions.shape
@@ -439,12 +414,6 @@ def prediction_blocks(paths):
     _table_blocks."""
     columns, blocks = _table_blocks(paths, "predictions")
     return len(columns), ((t, values.T) for _, _, t, values in blocks)
-
-
-def read_predictions_csv(path):
-    """Read predictions back into (t_values, (N, rows) array)."""
-    t, values = zip(*prediction_blocks(path)[1])
-    return np.concatenate(t), np.concatenate(values, axis=1)
 
 
 def write_metric_csv(path, t_values, values):

@@ -10,7 +10,6 @@ Gaussian with variance 1/s2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,26 +45,6 @@ class RFFMap:
         object.__setattr__(self, "frequencies", freqs)
         if freqs.ndim != 1 or len(freqs) != self.D:
             raise ValueError(f"expected {self.D} frequencies, got shape {freqs.shape}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": int(self.seed),
-                "D": int(self.D),
-                "variance": float(self.spec.variance),
-                "frequencies": [float(v) for v in self.frequencies],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RFFMap":
-        obj = json.loads(text)
-        return cls(
-            frequencies=np.array(obj["frequencies"], dtype=float),
-            D=obj["D"],
-            spec=GaussianKernel(obj["variance"]),
-            seed=obj["seed"],
-        )
 
 
 def sample_frequencies(spec: GaussianKernel, D: int, seed: int) -> RFFMap:

@@ -17,6 +17,8 @@ from rffgraph import experiment
 from rffgraph import metrics
 from rffgraph.cli import main as cli_main
 
+from whole_files import estimates, estimates_csv, predictions
+
 
 BASE = {
     "runs": 2,
@@ -87,7 +89,7 @@ def test_estimates_csv_round_trip(tmp_path):
     norms = np.abs(np.random.default_rng(1).normal(size=(30, 3, 3, 2)))
     path = tmp_path / "est.csv"
     io.write_estimates_csv(path, norms, t_start=2, emit_every=4)
-    tvals, back = io.read_estimates_csv(path)
+    tvals, back = estimates_csv(path, 3, 2)
     assert np.array_equal(tvals, np.arange(2, 30, 4))
     assert np.array_equal(back, norms[tvals])
     header = path.read_text().splitlines()[0].split(",")
@@ -98,7 +100,7 @@ def test_predictions_csv_round_trip(tmp_path):
     preds = np.random.default_rng(2).normal(size=(2, 25))
     path = tmp_path / "p.csv"
     io.write_predictions_csv(path, preds, t_start=3)
-    tvals, back = io.read_predictions_csv(path)
+    tvals, back = predictions(path)
     assert np.array_equal(tvals, np.arange(3, 25))
     assert np.array_equal(back, preds[:, 3:])
 
@@ -271,7 +273,7 @@ def test_metrics_report_serializes_undefined_as_null(tmp_path):
 def test_emit_every_thins_estimates(tmp_path):
     cfg_path = _cfg_with(tmp_path, runs=1)
     assert cli_main(["estimate", str(cfg_path), "--emit-every", "10"]) == 0
-    tvals, _ = io.read_estimates_csv(tmp_path / "out" / "run000_estimates.csv")
+    tvals, _ = estimates(tmp_path / "out" / "run000_estimates.npy", 3, 2)
     assert np.array_equal(tvals, np.arange(2, 120, 10))
 
 
@@ -337,8 +339,8 @@ def test_limit_and_resume_via_cli(tmp_path):
                          str(out2 / "run000_checkpoint.json")]) == 0
     finally:
         del os.environ[experiment.ENV_OUTPUT_DIR]
-    t_res, res = io.read_estimates_csv(out2 / "run000_estimates_resumed.csv")
-    t_full, full = io.read_estimates_csv(tmp_path / "out" / "run000_estimates.csv")
+    t_res, res = estimates(out2 / "run000_estimates_resumed.npy", 3, 2)
+    t_full, full = estimates(tmp_path / "out" / "run000_estimates.npy", 3, 2)
     sel = np.isin(t_full, t_res)
     assert np.array_equal(full[sel], res)
     assert full_est == (tmp_path / "out" / "run000_estimates.csv").read_bytes()
@@ -523,7 +525,7 @@ def test_malformed_predictions_row_is_a_data_error(tmp_path, defect):
         lines[5] = lines[5].replace(",", ".5,", 1)
     pred.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="line 6" if defect == "ragged" else "integers"):
-        io.read_predictions_csv(pred)
+        predictions(pred)
     assert cli_main(["metrics", str(cfg_path)]) == 3
 
 
@@ -748,7 +750,7 @@ def test_metrics_scales_the_data_as_its_estimate_did(tmp_path, standardize, argv
     for r in range(cfg.runs):
         extra = json.loads((out / f"run{r:03d}_checkpoint.json").read_text())["extra"]
         mean, std = np.array(extra["mean"]), np.array(extra["std"])
-        t, preds = io.read_predictions_csv(out / f"run{r:03d}_predictions.csv")
+        t, preds = predictions(out / f"run{r:03d}_predictions.csv")
         values = generate(cfg.generator_for_run(r)).values[:, t]
         runs.append(((values - mean[:, None]) / std[:, None], preds))
     assert np.array_equal(_metric_values(out / "mse.csv"), metrics.mse_curve(runs=runs))
@@ -889,3 +891,50 @@ def test_replayed_options_of_the_wrong_type_are_config_errors(tmp_path, capsys, 
     capsys.readouterr()
     assert cli_main(["replay", str(path)]) == 2
     assert f"{key or 'options'} must be" in capsys.readouterr().err
+
+
+def test_limit_with_from_checkpoint_is_a_config_error(tmp_path, capsys):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    out = tmp_path / "out"
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"]) == 0
+    ckpt = str(out / "run000_checkpoint.json")
+    manifest = out / "estimate_manifest.json"
+    obj = json.loads(manifest.read_text())
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--limit", "10", "--from-checkpoint", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--limit" in err and "--from-checkpoint" in err
+    # the same pair, replayed from the cut's manifest, which records limit 60
+    obj["options"]["from_checkpoint"] = ckpt
+    manifest.write_text(json.dumps(obj))
+    assert cli_main(["replay", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--limit" in err and "--from-checkpoint" in err
+    before[manifest.name] = manifest.read_bytes()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("manifest, options, unknown", [
+    ("estimate", {"limt": 5}, "limt"),
+    ("estimate", {"limit": 60, "from_checkpoint": None, "T": 30}, "T"),
+    ("metrics", {"limit": 60}, "limit"),
+], ids=["misspelt key", "bench key in an estimate manifest", "any key in a metrics manifest"])
+def test_replayed_options_the_command_does_not_take_are_config_errors(tmp_path, capsys,
+                                                                      manifest, options,
+                                                                      unknown):
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    out = tmp_path / "out"
+    assert cli_main(["generate", str(cfg_path)]) == 0
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"]) == 0
+    assert cli_main(["metrics", str(cfg_path)]) == 0
+    path = out / f"{manifest}_manifest.json"
+    obj = json.loads(path.read_text())
+    obj["options"] = options
+    path.write_text(json.dumps(obj))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert cli_main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key(s) in ") and repr(unknown) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -7,8 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from rffgraph import DataError, DetectionConfig, io, pmd_pfa
+from rffgraph import DataError, DetectionConfig, pmd_pfa
 from rffgraph.cli import main as cli_main
+
+from whole_files import estimates, estimates_csv
 
 BASE = {
     "runs": 2,
@@ -47,8 +49,8 @@ def test_npy_holds_the_csv_rows_bit_for_bit(tmp_path, argv, resume):
                              str(out / f"run{r:03d}_checkpoint.json")]) == 0
         names += [f"run{r:03d}_estimates_resumed" for r in range(2)]
     for name in names:
-        t_csv, est_csv = io.read_estimates_csv(out / f"{name}.csv")
-        t_npy, est_npy = io.read_estimates_npy(out / f"{name}.npy", N=3, P=2)
+        t_csv, est_csv = estimates_csv(out / f"{name}.csv", 3, 2)
+        t_npy, est_npy = estimates(out / f"{name}.npy", 3, 2)
         assert np.array_equal(t_csv, t_npy), name
         assert _same_bits(est_csv, est_npy), name
         table = np.load(out / f"{name}.npy")
@@ -99,7 +101,7 @@ def test_bad_estimates_npy_is_a_data_error_naming_the_file(tmp_path, capsys, def
     path = tmp_path / "out" / "run001_estimates.npy"
     rewrite(path)
     with pytest.raises(DataError, match=message):
-        io.read_estimates_npy(path, N=3, P=2)
+        estimates(path, 3, 2)
     capsys.readouterr()
     assert cli_main(["metrics", str(cfg_path)]) == 3
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from rffgraph import (
     GrowingDictionaryEstimator,
     LinearBaseline,
     OnlineEstimator,
-    RFFMap,
     batch_oracle,
     build_feature_vector,
     comid_group_update,
@@ -29,7 +29,7 @@ from rffgraph import (
 
 
 def _maps(N=2, P=1, D=3, seed=0, variance=0.5):
-    return FeatureMaps(sample_frequencies(GaussianKernel(variance), D, seed), N, P)
+    return FeatureMaps(sample_frequencies(GaussianKernel(variance), D, seed).frequencies, N, P)
 
 
 # --- feature stacking --------------------------------------------------------
@@ -70,7 +70,7 @@ def test_build_feature_vector_block_matches_feature_map():
     maps = _maps(N=4, P=3, D=6, seed=2)
     hist = np.random.default_rng(3).normal(size=(3, 4))
     z = build_feature_vector(hist, maps)
-    direct = feature_map(maps.maps, hist[1, 2])  # shared RFFMap
+    direct = feature_map(sample_frequencies(GaussianKernel(0.5), 6, 2), hist[1, 2])
     assert np.allclose(z[1, 2], direct, atol=1e-14)
 
 
@@ -90,6 +90,16 @@ def test_per_slot_maps_differ():
     assert not np.array_equal(maps.frequencies[0, 0], maps.frequencies[0, 1])
     shared = FeatureMaps.from_config(EstimatorConfig(N=2, P=2, D=4, rff_seed=5))
     assert np.array_equal(shared.frequencies[0, 0], shared.frequencies[1, 1])
+
+
+def test_per_slot_maps_draw_each_slot_with_its_own_seed():
+    cfg = EstimatorConfig(N=3, P=2, D=4, kernel_variance=0.3, rff_seed=5, per_slot_maps=True)
+    maps = FeatureMaps.from_config(cfg)
+    assert not maps.shared and maps.frequencies.shape == (2, 3, 4)
+    for p in range(2):
+        for n in range(3):
+            expect = sample_frequencies(GaussianKernel(0.3), 4, 5 + p * 3 + n).frequencies
+            assert np.array_equal(maps.frequencies[p, n], expect)
 
 
 # --- elementary operations ---------------------------------------------------
@@ -291,8 +301,7 @@ def test_online_three_step_hand_trace():
     samples = [0.5, -0.3, 0.8, 0.2]
     cfg = EstimatorConfig(N=1, P=1, D=1, lam=lam, gamma=1.0 / gamma_step,
                           kernel_variance=1.0, rff_seed=0)
-    maps = FeatureMaps(RFFMap(frequencies=np.array([v]), D=1,
-                              spec=GaussianKernel(1.0), seed=0), 1, 1)
+    maps = FeatureMaps(np.array([v]), 1, 1)
     est = OnlineEstimator(cfg, maps=maps)
 
     alpha = [0.0, 0.0]
@@ -496,3 +505,20 @@ def test_growing_dictionary_grows_per_step():
     assert gd.dictionary_size == 18
     yhat, losses = gd.step(rng.normal(size=2))
     assert np.isfinite(yhat).all() and np.isfinite(losses).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OnlineEstimator(EstimatorConfig(N=3, P=2, D=4)),
+    lambda: LinearBaseline(N=3, P=2),
+    lambda: GrowingDictionaryEstimator(N=3, P=2),
+], ids=["online", "linear baseline", "growing dictionary"])
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["scalar", "N+1 values"])
+@pytest.mark.parametrize("taken", [0, 1, 3], ids=["empty", "warming up", "warmed up"])
+def test_every_estimator_rejects_a_sample_of_another_shape(make, shape, taken):
+    est = make()
+    for _ in range(taken):
+        est.step(np.ones(3))
+    message = rf"^sample must have shape \(3,\), got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        est.step(np.ones(shape))
+    assert est.warmed_up == (taken >= 2)

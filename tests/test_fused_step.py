@@ -37,7 +37,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _setup(N, P, D, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    maps = FeatureMaps(sample_frequencies(GaussianKernel(0.5), D, seed), N, P)
+    maps = FeatureMaps(sample_frequencies(GaussianKernel(0.5), D, seed).frequencies, N, P)
     alpha = scale * rng.normal(size=(N, P, N, 2 * D))
     return rng, maps, CoefficientState(alpha=alpha, t=int(rng.integers(0, 100)))
 
@@ -169,7 +169,7 @@ def _doubling_run(c0, k, nan_sample_at=None):
     coefficient stays 0, so |alpha| after iteration j is |c0| * 2**j.  This
     is exact while 3c needs no more than 53 mantissa bits.  Returns the
     iteration that raised, or None."""
-    maps = FeatureMaps(sample_frequencies(GaussianKernel(0.5), 1, 0), 1, 1)
+    maps = FeatureMaps(sample_frequencies(GaussianKernel(0.5), 1, 0).frequencies, 1, 1)
     state = CoefficientState(alpha=np.array([[[[0.0, c0]]]]))
     for j in range(1, k + 2):
         y = np.nan if j == nan_sample_at else 0.0

@@ -143,17 +143,6 @@ def test_kernel_approx_unbiasedness_rate():
         assert abs(mean_approx - kernel_exact(spec, 0.0, delta)) < tol
 
 
-def test_rffmap_json_round_trip():
-    rff = sample_frequencies(GaussianKernel(0.25), D=17, seed=42)
-    clone = RFFMap.from_json(rff.to_json())
-    assert np.array_equal(clone.frequencies, rff.frequencies)
-    assert clone.D == rff.D and clone.seed == rff.seed
-    assert clone.spec.variance == rff.spec.variance
-    # the serialized record is enough to regenerate bit-exactly
-    regen = sample_frequencies(clone.spec, clone.D, clone.seed)
-    assert np.array_equal(regen.frequencies, rff.frequencies)
-
-
 def test_rffmap_validates_length():
     with pytest.raises(ValueError):
         RFFMap(frequencies=np.zeros(3), D=4, spec=GaussianKernel(1.0), seed=0)

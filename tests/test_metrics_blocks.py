@@ -21,6 +21,8 @@ from rffgraph import DataError, DetectionConfig, EstimatorConfig, OnlineEstimato
 from rffgraph.cli import main as cli_main
 from rffgraph.metrics import DetectionCounts, ErrorSums, mse_curve, normalize_series, pmd_pfa
 
+from whole_files import estimates, predictions
+
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 PRODUCTS = ("pmd.csv", "pfa.csv", "mse.csv", "report.json")
 
@@ -185,7 +187,7 @@ def test_block_parsers_give_the_whole_file_values(tmp_path, monkeypatch, block_b
     io.write_predictions_csv(tmp_path / "p.csv", np.where(values > 0, values, np.nan), t_start=3)
     parsed = _whole_parse(tmp_path / "d.csv", 3)
     assert _same_bits(io.read_data_csv(tmp_path / "d.csv"), np.ascontiguousarray(parsed[:, 1:].T))
-    t, preds = io.read_predictions_csv(tmp_path / "p.csv")
+    t, preds = predictions(tmp_path / "p.csv")
     parsed = _whole_parse(tmp_path / "p.csv", 3)
     assert np.array_equal(t, np.arange(3, 40)) and np.array_equal(preds, parsed[:, 1:].T,
                                                                   equal_nan=True)
@@ -231,10 +233,10 @@ def test_a_table_without_rows_or_header_is_a_data_error(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("t,node_1\n")
     with pytest.raises(DataError, match="no predictions rows"):
-        io.read_predictions_csv(path)
+        predictions(path)
     path.write_text("x,node_1\n0,1.0\n")
     with pytest.raises(DataError, match="expected a predictions header"):
-        io.read_predictions_csv(path)
+        predictions(path)
 
 
 # --- the .npy writer and reader -----------------------------------------------
@@ -256,7 +258,7 @@ def test_the_streamed_npy_holds_np_save_bytes(tmp_path_factory, T, N, P, K, t_st
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "BLOCK_BYTES", block_bytes)
         io.write_estimates_npy(d / "streamed.npy", norms, t_start, K)
-        t, est = io.read_estimates_npy(d / "streamed.npy", N, P)
+        t, est = estimates(d / "streamed.npy", N, P)
     assert (d / "streamed.npy").read_bytes() == (d / "saved.npy").read_bytes()
     assert np.array_equal(t, np.array(t_values)) and _same_bits(est, norms[t_start::K])
 
@@ -269,7 +271,7 @@ def test_an_npy_estimate_never_writes_is_a_data_error_naming_it(tmp_path, layout
     np.save(path, np.asfortranarray(table) if layout == "fortran"
             else table.astype(table.dtype.newbyteorder()))
     with pytest.raises(DataError, match="run000_estimates.npy"):
-        io.read_estimates_npy(path, N=3, P=2)
+        estimates(path, N=3, P=2)
 
 
 # --- JSON through the C encoder -------------------------------------------------
