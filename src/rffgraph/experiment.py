@@ -8,11 +8,14 @@ written, regenerates the numeric outputs byte for byte.
 Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
 
-Every stage gets run r's series from `_run_series`, which regenerates it
-from the config (a cut estimate only as far as the cut) or reads `data_csv`
-once per command; `metrics` gets it from `_written_series`, which reads the
-data CSV `generate` wrote in row blocks.
-A fresh and a resumed estimate share one run body, `_estimate_run`.
+`estimate` and `bench` get run r's series from `_run_series`, which
+regenerates it from the config (a cut estimate only as far as the cut) or
+reads `data_csv` once per command.  A fresh and a resumed estimate share one
+run body, `_estimate_run`, which writes every trace `metrics` scores: the
+estimates `.npy` and the residuals `.npy` (the prediction errors of the
+series it consumed, scaled as it was).  So `metrics` reads those two traces
+and the topology `generate` wrote, and no series, predictions or checkpoint.
+A fresh estimate deletes the resume files a previous estimate left.
 `execute` is the one command dispatch: the CLI and `replay` both run
 commands through it.
 
@@ -172,6 +175,11 @@ def _run_prefix(r: int) -> str:
     return f"run{r:03d}"
 
 
+# (kind, extension) of the files of one run that _estimate_run writes
+_RUN_FILES = [("estimates", "csv"), ("estimates", "npy"), ("predictions", "csv"),
+              ("residuals", "npy"), ("checkpoint", "json")]
+
+
 def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
                 stop: int | None = None):
     """The function from run r to its (N, T) input series, for one command.
@@ -207,26 +215,6 @@ def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
     return checked
 
 
-def _written_series(cfg: ExperimentConfig, N: int):
-    """For metrics: the function from run r to its series as (N, rows)
-    blocks of consecutive samples from t=0 on.
-
-    A generator config's runs are read in row blocks from the
-    runNNN_data.csv files that `generate` wrote to the output directory; a
-    missing one is a DataError naming it.  A data_csv is read once, as for
-    any command, and handed to every run as one block.
-    """
-    if cfg.generator is None:
-        data = _run_series(cfg, N)(0)
-        return lambda r: [data]
-
-    def blocks(r):
-        nodes, rows = io.data_blocks(cfg.output_dir / f"{_run_prefix(r)}_data.csv")
-        _check_nodes(nodes, N)
-        return rows
-    return blocks
-
-
 def _check_nodes(nodes: int, N: int):
     if nodes != N:
         raise DataError(f"data has {nodes} nodes but the estimator expects {N}")
@@ -259,7 +247,11 @@ def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
                  from_checkpoint=None) -> list[Path]:
-    """Stream each run through the estimator; write estimates, predictions, checkpoint."""
+    """Stream each run through the estimator; write its traces, predictions and checkpoint.
+
+    Each run's `_resumed` files and resume manifest, left by an earlier
+    estimate, are deleted: they continue a run this estimate replaces.
+    """
     if limit is not None and from_checkpoint is not None:
         raise ConfigError("--limit and --from-checkpoint cannot be combined: a resume runs "
                           "to the end of its series")
@@ -271,6 +263,8 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     series = _run_series(cfg, cfg.estimator.N, stop=limit)
     written = []
     for r in range(cfg.runs):
+        for name in _resume_files(r):
+            (cfg.output_dir / name).unlink(missing_ok=True)
         values = series(r)
         mean = std = None
         if cfg.standardize:
@@ -286,6 +280,13 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     return written
 
 
+def _resume_files(r: int) -> list[str]:
+    """The names of the files a resume of run r writes."""
+    prefix = _run_prefix(r)
+    return [f"{prefix}_{kind}_resumed.{ext}" for kind, ext in _RUN_FILES] + \
+        [f"{prefix}_estimate_resumed_manifest.json"]
+
+
 def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     """Continue a checkpointed run over the remaining samples of its series."""
     est, extra = io.read_checkpoint(checkpoint_path, with_extra=True)
@@ -294,8 +295,7 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
         if not io.is_integer(value) or value < 0:
             raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
                             f"got {value!r}")
-    values = _run_series(cfg, est.cfg.N)(r)
-    values = _checkpoint_scaling(checkpoint_path, extra, est.cfg.N)(values)
+    values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, est.cfg.N)(r))
     written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
@@ -305,9 +305,9 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                                       name=f"{_run_prefix(r)}_estimate_resumed")]
 
 
-def _checkpoint_scaling(checkpoint_path, extra: dict, N: int):
-    """The function that scales an (N, rows) series, or a block of one, as
-    the estimate that wrote the checkpoint scaled its series.
+def _checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray) -> np.ndarray:
+    """The (N, T) series values scaled as the estimate that wrote the
+    checkpoint scaled its series.
 
     extra is the checkpoint's record.  Its standardize, when present, must
     be a boolean; when true, its mean and std must be finite and one per
@@ -318,21 +318,23 @@ def _checkpoint_scaling(checkpoint_path, extra: dict, N: int):
         raise DataError(f"{checkpoint_path}: extra.standardize must be true or false, "
                         f"got {standardize!r}")
     if not standardize:
-        return lambda values: values
+        return values
+    N = len(values)
     mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", (N,))
     std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", (N,))
     if not (std > 0).all():
         raise DataError(f"{checkpoint_path}: extra.std must be positive")
-    return lambda values: (values - mean[:, None]) / std[:, None]
+    return (values - mean[:, None]) / std[:, None]
 
 
 def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray, start: int,
                   extra: dict, suffix: str) -> list[Path]:
-    """Stream values from t=start through est; write its estimates, predictions, checkpoint.
+    """Stream values from t=start through est; write its estimates (CSV and
+    `.npy`), predictions, residuals and checkpoint, and return their paths.
 
-    A fresh run (start 0) and a resumed one share one grid: predictions
-    from s = max(start, P) and estimates from the first t >= s on the
-    grid P, P + K, P + 2K, ... of emit_every K.  extra is the checkpoint
+    A fresh run (start 0) and a resumed one share one grid: predictions and
+    residuals from s = max(start, P) and estimates from the first t >= s on
+    the grid P, P + K, P + 2K, ... of emit_every K.  extra is the checkpoint
     record, written back with next_t set to the end of the series.
     """
     P, T = est.cfg.P, values.shape[1]
@@ -341,33 +343,32 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
         raise DataError(f"{prefix} has {T - start} samples from t={start}; the estimator "
                         f"needs more than {P - est.warm}")
     series = est.run(values, start=start, emit_every=cfg.emit_every)
-    est_path = cfg.output_dir / f"{prefix}_estimates{suffix}.csv"
-    pred_path = cfg.output_dir / f"{prefix}_predictions{suffix}.csv"
-    ckpt_path = cfg.output_dir / f"{prefix}_checkpoint{suffix}.json"
+    paths = [cfg.output_dir / f"{prefix}_{kind}{suffix}.{ext}" for kind, ext in _RUN_FILES]
+    est_csv, est_npy, pred_csv, res_npy, ckpt = paths
     s = max(start, P)
     grid = {"t_start": s + (P - s) % cfg.emit_every, "emit_every": cfg.emit_every}
-    io.write_estimates_csv(est_path, series.group_norms, **grid)
-    io.write_estimates_npy(est_path.with_suffix(".npy"), series.group_norms, **grid)
-    io.write_predictions_csv(pred_path, series.predictions, t_start=s)
-    io.write_checkpoint(ckpt_path, est, extra={**extra, "next_t": T})
-    return [est_path, pred_path, ckpt_path]
+    io.write_estimates_csv(est_csv, series.group_norms, **grid)
+    io.write_estimates_npy(est_npy, series.group_norms, **grid)
+    io.write_predictions_csv(pred_csv, series.predictions, t_start=s)
+    io.write_residuals_npy(res_npy, values, series.predictions, t_start=s)
+    io.write_checkpoint(ckpt, est, extra={**extra, "next_t": T})
+    return paths
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     """Detection and error curves from previously written run files.
 
-    Reads the runs one at a time, and each run's files in row blocks: the
-    estimates from its `.npy` file beside the topology looked up at the
-    block's rows, and the predictions in lockstep with the data CSV that
-    `generate` wrote.  If the runs were cut and resumed (all or none), each
-    is read as its cut files and then its `_resumed` files.  Each run's data
-    is scaled as recorded in the checkpoint of the estimate that wrote its
-    predictions.  Apart from the curves and the time grids the runs share,
-    memory does not grow with T.
+    Reads the runs one at a time, and each run's two `.npy` traces in row
+    blocks: the estimates beside the topology `generate` wrote, looked up
+    at the block's rows, and the residuals, the prediction errors as the
+    estimate computed them (on its scaled series, when it standardized).
+    If the runs were cut and resumed (all or none), each is read as its
+    cut files and then its `_resumed` files.  No series, predictions CSV or
+    checkpoint is read.  Apart from the curves and the time grids the runs
+    share, memory does not grow with T.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     N, P = cfg.estimator.N, cfg.estimator.P
-    series = _written_series(cfg, N)
     detection, errors = DetectionCounts(cfg.detection), ErrorSums()
     grids = {}  # kind -> the first run's time grid, which every run must share
     unresumed = [r for r in range(cfg.runs)
@@ -383,7 +384,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
         bad = np.flatnonzero(np.diff(t) != (np.diff(t[:2]) if step is None else step))
         if len(paths) > 1 and len(bad):
             raise DataError(f"{paths[1]} does not continue {paths[0]}: t={t[bad[0] + 1]} "
-                            f"follows t={t[bad[0]]}; a resume left by an earlier estimate?")
+                            f"follows t={t[bad[0]]}; a resume of an earlier estimate's checkpoint?")
         if not np.array_equal(grids.setdefault(kind, t), t):
             raise DataError(f"runs have mismatched {kind} time axes")
 
@@ -403,14 +404,11 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
             t_blocks.append(t)
         same_grid("estimate", paths, t_blocks)
 
-        paths = [Path(f"{run}_predictions{part}.csv") for part in parts]
-        _, blocks = io.prediction_blocks(paths)
-        ckpt_path = Path(f"{run}_checkpoint.json")
-        _, extra = io.read_checkpoint(ckpt_path, with_extra=True)
-        data = _SeriesRows(map(_checkpoint_scaling(ckpt_path, extra, N), series(r)))
+        paths = [Path(f"{run}_residuals{part}.npy") for part in parts]
+        _, blocks = io.residual_blocks(paths, N)
         t_blocks = []
-        for t, preds in blocks:
-            errors.add(data.at(paths[0], t), preds, at=sum(map(len, t_blocks)))
+        for t, err in blocks:
+            errors.add(err, at=sum(map(len, t_blocks)))
             t_blocks.append(t)
         same_grid("prediction", paths, t_blocks, step=1)
 
@@ -434,34 +432,6 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     io.write_json(report_path, report)
     manifest = _write_manifest(cfg, "metrics")
     return [pmd_path, pfa_path, mse_path, report_path, manifest]
-
-
-class _SeriesRows:
-    """A series read in (N, rows) blocks from t=0 on, handed out at
-    increasing times: rows before the times asked for are skipped, and
-    blocks are read only as far as those times reach."""
-
-    def __init__(self, blocks):
-        self.blocks, self.buf, self.base = iter(blocks), None, 0  # buf holds t = base, ...
-
-    def at(self, pred_path, t: np.ndarray) -> np.ndarray:
-        """The (N, len(t)) series rows at times t, which must increase from
-        the last call's on."""
-        if t[0] < self.base or (np.diff(t) <= 0).any():
-            raise DataError(f"{pred_path}: prediction times must increase")
-        while self.buf is None or self.base + self.buf.shape[1] <= t[-1]:
-            block = next(self.blocks, None)
-            if block is None:
-                raise DataError("predictions extend past the data series")
-            if self.buf is None:
-                self.buf = block
-            else:
-                skip = min(t[0] - self.base, self.buf.shape[1])
-                self.buf = np.concatenate([self.buf[:, skip:], block], axis=1)
-                self.base += skip
-        rows = self.buf[:, t - self.base]
-        self.buf, self.base = self.buf[:, t[-1] + 1 - self.base:], t[-1] + 1
-        return rows
 
 
 def cmd_bench(cfg: ExperimentConfig, T: int | None = None,

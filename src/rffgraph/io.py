@@ -1,25 +1,24 @@
 """File formats: data/prediction/metric CSVs, topology JSONL, checkpoints,
-and the binary twin of the estimates CSV.
+and the binary traces beside them.
 
 All numeric text is written with Python's shortest round-trip float
 representation, so re-running a recorded experiment reproduces files
 byte for byte.  No timestamps are embedded anywhere.
 
 Beside each estimates CSV sits a `.npy` file with the same rows as a
-float64 array (`np.save`'s bytes, written as a header and then the rows in
-blocks).  `metrics` reads that binary file; the CSV is kept for people and
-other tools.
+float64 array, and beside each predictions CSV a residuals `.npy` file with
+the prediction errors of the same rows (both `np.save`'s bytes, written as
+a header and then the rows in blocks).  `metrics` reads those two binary
+traces; the CSVs are kept for people and other tools.
 
 The run files `metrics` scores are read in row blocks of at most
-BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`,
-`prediction_blocks` and `data_blocks` hand out one block at a time, from
-one file or a run's cut and resumed files in turn; they are the only
-readers of the estimates and predictions files.  `read_data_csv`, the
-whole-file reader of a `data_csv` input, is built on the same parser.  The
-topology JSONL holds one line per record of the generator's
-`TopologyTrace`, and `read_topology` reads it back as one, keeping each
-distinct state once.  Every reader turns a missing or unreadable file into
-a DataError naming it.
+BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`
+and `residual_blocks` hand out one block at a time, from one file or a
+run's cut and resumed files in turn.  `read_data_csv`, the reader of a
+data CSV, parses it in row blocks too.  The topology JSONL
+holds one line per record of the generator's `TopologyTrace`, and
+`read_topology` reads it back as one, keeping each distinct state once.
+Every reader turns a missing or unreadable file into a DataError naming it.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
@@ -197,19 +196,14 @@ def write_data_csv(path, values: np.ndarray):
     _write_table(path, _node_columns(values.shape[0]), range(values.shape[1]), values.T)
 
 
-def data_blocks(path):
-    """A data CSV in row blocks: (N, blocks), blocks yielding (N, rows)
-    arrays of consecutive samples from t=0 on.
+def read_data_csv(path) -> np.ndarray:
+    """Read a data CSV back into an (N, T) array, parsing it in row blocks.
 
     Every value must be finite and the time column must be 0..T-1; a
     DataError names the file (and the line of a non-finite value).
     """
-    columns, blocks = _table_blocks(path, "data")
-    return len(columns), _data_rows(blocks)
-
-
-def _data_rows(blocks):
-    T = 0
+    _, blocks = _table_blocks(path, "data")
+    series, T = [], 0
     for path, first, t, values in blocks:
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
@@ -217,12 +211,8 @@ def _data_rows(blocks):
         if not np.array_equal(t, np.arange(T, T + len(t))):
             raise DataError(f"{path}: time column must be 0..T-1")
         T += len(t)
-        yield values.T
-
-
-def read_data_csv(path) -> np.ndarray:
-    """Read a data CSV back into an (N, T) array; every value must be finite."""
-    return np.concatenate(list(data_blocks(path)[1]), axis=1)
+        series.append(values.T)
+    return np.concatenate(series, axis=1)
 
 
 def write_topology_jsonl(path, ts: TimeSeries):
@@ -318,14 +308,26 @@ def write_estimates_csv(path, group_norms: np.ndarray, t_start: int, emit_every:
 
 
 def write_estimates_npy(path, group_norms: np.ndarray, t_start: int, emit_every: int = 1):
-    """The rows of write_estimates_csv as a float64 (rows, 1 + N*N*P) array, t first.
+    """The rows of write_estimates_csv as a float64 (rows, 1 + N*N*P) array, t first."""
+    _write_npy_rows(path, *_emitted(group_norms, t_start, emit_every))
+
+
+def write_residuals_npy(path, values: np.ndarray, predictions: np.ndarray, t_start: int):
+    """The prediction errors values - predictions of an (N, T) series from
+    t_start on, as a float64 (rows, 1 + N) array, t first: the rows of the
+    predictions CSV."""
+    T = values.shape[1]
+    _write_npy_rows(path, range(t_start, T), (values[:, t_start:] - predictions[:, t_start:]).T)
+
+
+def _write_npy_rows(path, t_values: range, rows: np.ndarray):
+    """Write a float64 (len(t_values), 1 + cells) array: t, then each of rows
+    flattened, rows being an array over its first axis.
 
     The file at path (no suffix is added) holds np.save's bytes: the
     header, written from the row count, then the rows in blocks.
     """
-    _, N, _, P = group_norms.shape
-    t_values, rows = _emitted(group_norms, t_start, emit_every)
-    width = 1 + N * N * P
+    width = 1 + math.prod(rows.shape[1:])
     step = _block_rows(width)
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
@@ -339,12 +341,13 @@ def write_estimates_npy(path, group_norms: np.ndarray, t_start: int, emit_every:
             fh.write(block.data)
 
 
-def _npy_rows_at(path: Path, N: int, P: int):
-    """(offset of the first row, row count) of an estimates `.npy`, from its
+def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
+    """(offset of the first row, row count) of a `.npy` trace, from its
     header alone; a DataError naming the file unless it holds a native
-    float64, C-ordered (rows, 1 + N*N*P) array."""
+    float64, C-ordered (rows, width) array.  fits names the shape the width
+    comes from, and hint ends the message of a file that is there but bad."""
     if not path.exists():
-        raise DataError(f"estimates file not found: {path}; re-run estimate to write it")
+        raise DataError(f"{what} file not found: {path}; re-run estimate to write it")
     fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
@@ -361,36 +364,34 @@ def _npy_rows_at(path: Path, N: int, P: int):
         if held < needed:
             raise ValueError(f"the header needs {needed} bytes of data, the file holds {held}")
     except (OSError, ValueError, EOFError) as e:
-        raise DataError(f"{path}: unreadable estimates array ({e})") from None
-    width = 1 + N * N * P
+        raise DataError(f"{path}: unreadable {what} array ({e}){hint}") from None
     if dtype != np.float64 or len(shape) != 2 or shape[1] != width:
-        raise DataError(f"{path}: expected a float64 (rows, {width}) array for N={N}, P={P}, "
-                        f"got {dtype} {shape}")
+        raise DataError(f"{path}: expected a float64 (rows, {width}) array for {fits}, "
+                        f"got {dtype} {shape}{hint}")
     if fortran_order:
-        raise DataError(f"{path}: a Fortran-ordered estimates array cannot be read in row "
+        raise DataError(f"{path}: a Fortran-ordered {what} array cannot be read in row "
                         f"blocks; re-run estimate")
     return offset, shape[0]
 
 
-def estimate_blocks(paths, N: int, P: int):
-    """The estimates `.npy` files at paths, read in turn in row blocks.
+def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
+    """The `.npy` traces at paths, read in turn in row blocks.
 
     Every file's header is checked first, before any row is read (see
     _npy_rows_at); one may hold no rows (a resume past the last grid row),
     but not all.  Returns (rows, blocks): the total row count, and a
-    generator of (integer t values, (rows, N, N, P) array) blocks whose time
-    column is checked one block at a time.
+    generator of (integer t values, (rows, width - 1) array) blocks whose
+    time column is checked one block at a time.
     """
     paths = _paths(paths)
-    layout = [_npy_rows_at(p, N, P) for p in paths]
+    layout = [_npy_rows_at(p, what, width, fits, hint) for p in paths]
     rows = sum(rows for _, rows in layout)
     if not rows:
-        raise DataError(f"{paths[0]}: no estimates rows")
-    return rows, _npy_blocks(paths, layout, N, P)
+        raise DataError(f"{paths[0]}: no {what} rows{hint}")
+    return rows, _npy_blocks(paths, layout, what, width, hint)
 
 
-def _npy_blocks(paths, layout, N: int, P: int):
-    width = 1 + N * N * P
+def _npy_blocks(paths, layout, what: str, width: int, hint: str):
     step = _block_rows(width)
     for path, (offset, rows) in zip(paths, layout):
         with open(path, "rb") as fh:
@@ -398,22 +399,33 @@ def _npy_blocks(paths, layout, N: int, P: int):
             for i in range(0, rows, step):
                 block = np.empty((min(step, rows - i), width))
                 if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
-                    raise DataError(f"{path}: unreadable estimates array (it ended early)")
-                yield _time_column(path, block[:, 0]), block[:, 1:].reshape(-1, N, N, P)
+                    raise DataError(f"{path}: unreadable {what} array (it ended early){hint}")
+                yield _time_column(path, block[:, 0]), block[:, 1:]
+
+
+def estimate_blocks(paths, N: int, P: int):
+    """The estimates `.npy` files at paths in row blocks, as _npy_trace
+    reads them: (rows, blocks of (t values, (rows, N, N, P) array))."""
+    rows, blocks = _npy_trace(paths, "estimates", 1 + N * N * P, f"N={N}, P={P}")
+    return rows, ((t, cells.reshape(-1, N, N, P)) for t, cells in blocks)
+
+
+def residual_blocks(paths, N: int):
+    """The residuals `.npy` files at paths in row blocks, as _npy_trace reads
+    them: (rows, blocks of (t values, (N, rows) errors)).
+
+    A residuals file written before this trace existed is missing, so every
+    message about one says to re-run estimate.
+    """
+    rows, blocks = _npy_trace(paths, "residuals", 1 + N, f"N={N}",
+                              hint="; re-run estimate to write it")
+    return rows, ((t, cells.T) for t, cells in blocks)
 
 
 def write_predictions_csv(path, predictions: np.ndarray, t_start: int):
     """Predictions as `t,node_1,...,node_N` from t_start on."""
     N, T = predictions.shape
     _write_table(path, _node_columns(N), range(t_start, T), predictions[:, t_start:].T)
-
-
-def prediction_blocks(paths):
-    """The predictions CSVs at paths, read in turn in row blocks: (N, blocks),
-    blocks yielding (integer t values, (N, rows) array).  Errors as in
-    _table_blocks."""
-    columns, blocks = _table_blocks(paths, "predictions")
-    return len(columns), ((t, values.T) for _, _, t, values in blocks)
 
 
 def write_metric_csv(path, t_values, values):

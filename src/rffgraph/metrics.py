@@ -132,7 +132,7 @@ def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = T
 class ErrorSums:
     """Squared prediction error sum and count per t, over runs and nodes.
 
-    Each run is added whole or in column blocks; add(y, yhat, at) adds its
+    Each run is added whole or in column blocks; add(errors, at) adds its
     columns at..at+T-1, and the sums grow to the longest run.  NaN or
     infinite errors (warm-up) are not counted.  The sum at each t runs from
     zero over the runs, then the nodes, in the order added: the column sum
@@ -143,9 +143,9 @@ class ErrorSums:
         self.sums = np.zeros(0)
         self.counts = np.zeros(0, dtype=np.intp)
 
-    def add(self, y, yhat, at: int = 0):
-        """Add one run's (nodes, T) data y and predictions yhat."""
-        err = (y - yhat) ** 2
+    def add(self, errors, at: int = 0):
+        """Add one run's (nodes, T) prediction errors y - yhat."""
+        err = np.asarray(errors, dtype=float) ** 2
         valid = np.isfinite(err)
         end = at + err.shape[1]
         self.sums, self.counts = _grown(self.sums, end), _grown(self.counts, end)
@@ -184,7 +184,7 @@ def mse_curve(y=None, yhat=None, runs=None, window: int = 100) -> np.ndarray:
                 T = yy.shape[-1]
             elif yy.shape[-1] != T:
                 raise ValueError("runs have mismatched time axes")
-            errors.add(yy.reshape(-1, T), hh.reshape(-1, T))
+            errors.add(yy.reshape(-1, T) - hh.reshape(-1, T))
         if T is None:
             raise ValueError("need at least one run")
         return errors.curve()
@@ -194,7 +194,7 @@ def mse_curve(y=None, yhat=None, runs=None, window: int = 100) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be at least 1")
     T = y.shape[-1]
-    errors.add(y.reshape(-1, T), yhat.reshape(-1, T))
+    errors.add(y.reshape(-1, T) - yhat.reshape(-1, T))
     return errors.curve(window)
 
 

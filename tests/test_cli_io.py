@@ -100,7 +100,7 @@ def test_predictions_csv_round_trip(tmp_path):
     preds = np.random.default_rng(2).normal(size=(2, 25))
     path = tmp_path / "p.csv"
     io.write_predictions_csv(path, preds, t_start=3)
-    tvals, back = predictions(path)
+    tvals, back = predictions(path, 2)
     assert np.array_equal(tvals, np.arange(3, 25))
     assert np.array_equal(back, preds[:, 3:])
 
@@ -246,8 +246,8 @@ def test_full_pipeline_products(tmp_path):
     assert cli_main(["metrics", str(cfg_path)]) == 0
     out = tmp_path / "out"
     for name in ("run000_data.csv", "run000_topology.jsonl", "run001_data.csv",
-                 "run000_estimates.csv", "run000_predictions.csv",
-                 "run000_checkpoint.json", "pmd.csv", "pfa.csv", "mse.csv",
+                 "run000_estimates.csv", "run000_estimates.npy", "run000_predictions.csv",
+                 "run000_residuals.npy", "run000_checkpoint.json", "pmd.csv", "pfa.csv", "mse.csv",
                  "report.json", "generate_manifest.json"):
         assert (out / name).exists(), name
     report = json.loads((out / "report.json").read_text())
@@ -513,20 +513,24 @@ def test_checkpoint_missing_a_field_is_a_data_error(tmp_path, key):
 
 
 @pytest.mark.parametrize("defect", ["ragged", "fractional time"])
-def test_malformed_predictions_row_is_a_data_error(tmp_path, defect):
+def test_malformed_predictions_row_is_a_data_error(tmp_path, capsys, defect):
+    # metrics reads each prediction row as its error, from the residuals
+    # trace: a last row short of a cell, or a time that is not an integer
     cfg_path = _cfg_with(tmp_path, runs=1)
     assert cli_main(["generate", str(cfg_path)]) == 0
     assert cli_main(["estimate", str(cfg_path)]) == 0
-    pred = tmp_path / "out" / "run000_predictions.csv"
-    lines = pred.read_text().splitlines()
+    res = tmp_path / "out" / "run000_residuals.npy"
     if defect == "ragged":
-        lines[5] = lines[5].rsplit(",", 1)[0]
+        res.write_bytes(res.read_bytes()[:-8])
     else:
-        lines[5] = lines[5].replace(",", ".5,", 1)
-    pred.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match="line 6" if defect == "ragged" else "integers"):
-        predictions(pred)
+        table = np.load(res)
+        table[5, 0] += 0.5
+        np.save(res, table)
+    capsys.readouterr()
     assert cli_main(["metrics", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(res) in err
+    assert ("the file holds" if defect == "ragged" else "integers") in err
 
 
 def test_emit_every_zero_is_a_config_error(tmp_path):
@@ -571,8 +575,8 @@ def test_checkpoint_standardize_must_be_a_boolean(tmp_path, capsys, argv):
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
     err = capsys.readouterr().err
     assert "extra.standardize must be true or false, got 'no'" in err
-    assert cli_main(["metrics", str(cfg_path)]) == 3
-    assert "extra.standardize" in capsys.readouterr().err
+    # metrics reads no checkpoint: it scores the cut as the cut wrote it
+    assert cli_main(["metrics", str(cfg_path)]) == 0
 
 
 @pytest.mark.parametrize("key, value", [
@@ -645,7 +649,8 @@ def test_every_resume_stays_replayable(tmp_path):
             f"run{r:03d}_checkpoint.json")
         written = experiment.replay(manifest)
         assert {p.name for p in written} == {
-            f"run{r:03d}_{name}" for name in ("estimates_resumed.csv", "predictions_resumed.csv",
+            f"run{r:03d}_{name}" for name in ("estimates_resumed.csv", "estimates_resumed.npy",
+                                              "predictions_resumed.csv", "residuals_resumed.npy",
                                               "checkpoint_resumed.json",
                                               "estimate_resumed_manifest.json")
         } | {"estimate_manifest.json"}
@@ -750,47 +755,10 @@ def test_metrics_scales_the_data_as_its_estimate_did(tmp_path, standardize, argv
     for r in range(cfg.runs):
         extra = json.loads((out / f"run{r:03d}_checkpoint.json").read_text())["extra"]
         mean, std = np.array(extra["mean"]), np.array(extra["std"])
-        t, preds = predictions(out / f"run{r:03d}_predictions.csv")
+        t, preds = predictions(out / f"run{r:03d}_predictions.csv", cfg.estimator.N)
         values = generate(cfg.generator_for_run(r)).values[:, t]
         runs.append(((values - mean[:, None]) / std[:, None], preds))
     assert np.array_equal(_metric_values(out / "mse.csv"), metrics.mse_curve(runs=runs))
-
-
-def test_metrics_reads_the_series_generate_wrote(tmp_path, monkeypatch):
-    cfg_path = _cfg_with(tmp_path)
-    out = tmp_path / "out"
-    assert cli_main(["generate", str(cfg_path)]) == 0
-    assert cli_main(["estimate", str(cfg_path), "--emit-every", "3"]) == 0
-    calls = []
-    monkeypatch.setattr(experiment, "generate", lambda *a, **k: calls.append(a))
-    assert cli_main(["metrics", str(cfg_path)]) == 0
-    assert calls == []
-    names = ("pmd.csv", "pfa.csv", "mse.csv", "report.json")
-    read = {name: (out / name).read_bytes() for name in names}
-    # the same metrics on each run's series regenerated from the config
-    cfg = experiment.load_experiment(cfg_path)
-    regenerated = []
-
-    def regenerate(path):  # metrics reads the data CSV through io.data_blocks
-        regenerated.append(path.name)
-        values = generate(cfg.generator_for_run(int(path.name[3:6]))).values
-        return len(values), [values]
-
-    monkeypatch.setattr(io, "data_blocks", regenerate)
-    assert cli_main(["metrics", str(cfg_path)]) == 0
-    assert regenerated == ["run000_data.csv", "run001_data.csv"]
-    assert {name: (out / name).read_bytes() for name in names} == read
-
-
-def test_metrics_without_a_data_csv_is_a_data_error_naming_it(tmp_path, capsys):
-    cfg_path = _cfg_with(tmp_path)
-    out = tmp_path / "out"
-    assert cli_main(["generate", str(cfg_path)]) == 0
-    assert cli_main(["estimate", str(cfg_path)]) == 0
-    (out / "run001_data.csv").unlink()
-    capsys.readouterr()
-    assert cli_main(["metrics", str(cfg_path)]) == 3
-    assert capsys.readouterr().err == f"data error: data file not found: {out / 'run001_data.csv'}\n"
 
 
 @pytest.mark.parametrize("reference", [False, True], ids=["estimator", "reference"])

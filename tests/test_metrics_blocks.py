@@ -21,7 +21,7 @@ from rffgraph import DataError, DetectionConfig, EstimatorConfig, OnlineEstimato
 from rffgraph.cli import main as cli_main
 from rffgraph.metrics import DetectionCounts, ErrorSums, mse_curve, normalize_series, pmd_pfa
 
-from whole_files import estimates, predictions
+from whole_files import estimates
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 PRODUCTS = ("pmd.csv", "pfa.csv", "mse.csv", "report.json")
@@ -96,7 +96,7 @@ def test_error_sums_equal_the_stacked_nan_mean(runs, N, T, points, seed, nan_sha
     errors = ErrorSums()
     for y, h in pairs:
         for a, b in _splits(points, T):
-            errors.add(y[:, a:b], h[:, a:b], at=a)
+            errors.add(y[:, a:b] - h[:, a:b], at=a)
     assert _same_bits(errors.curve(), _whole_mse(pairs))
     assert _same_bits(mse_curve(runs=pairs), _whole_mse(pairs))
     window = int(rng.integers(1, T + 3))
@@ -184,18 +184,16 @@ def test_block_parsers_give_the_whole_file_values(tmp_path, monkeypatch, block_b
     rng = np.random.default_rng(3)
     values = rng.standard_normal((2, 40)) * 10.0 ** rng.integers(-300, 300, (2, 40))
     io.write_data_csv(tmp_path / "d.csv", values)
-    io.write_predictions_csv(tmp_path / "p.csv", np.where(values > 0, values, np.nan), t_start=3)
     parsed = _whole_parse(tmp_path / "d.csv", 3)
     assert _same_bits(io.read_data_csv(tmp_path / "d.csv"), np.ascontiguousarray(parsed[:, 1:].T))
-    t, preds = predictions(tmp_path / "p.csv")
-    parsed = _whole_parse(tmp_path / "p.csv", 3)
-    assert np.array_equal(t, np.arange(3, 40)) and np.array_equal(preds, parsed[:, 1:].T,
-                                                                  equal_nan=True)
-    # a run's files as a sequence: the second file's rows follow the first's,
+    # a run's traces as a sequence: the second file's rows follow the first's,
     # in blocks of at most the budget's rows
-    _, blocks = io.prediction_blocks([tmp_path / "p.csv", tmp_path / "p.csv"])
-    t = [t for t, _ in blocks]
+    preds = np.where(values > 0, values, np.nan)
+    io.write_residuals_npy(tmp_path / "r.npy", values, preds, t_start=3)
+    _, blocks = io.residual_blocks([tmp_path / "r.npy", tmp_path / "r.npy"], 2)
+    t, err = zip(*blocks)
     assert np.array_equal(np.concatenate(t), np.tile(np.arange(3, 40), 2))
+    assert _same_bits(np.concatenate(err, axis=1), np.tile(values[:, 3:] - preds[:, 3:], 2))
     assert max(map(len, t)) == min(max(1, block_bytes // (8 * 3)), 37)
 
 
@@ -230,13 +228,13 @@ def test_block_parser_errors_name_the_whole_file_line(tmp_path, monkeypatch, def
 
 
 def test_a_table_without_rows_or_header_is_a_data_error(tmp_path):
-    path = tmp_path / "p.csv"
+    path = tmp_path / "d.csv"
     path.write_text("t,node_1\n")
-    with pytest.raises(DataError, match="no predictions rows"):
-        predictions(path)
+    with pytest.raises(DataError, match="no data rows"):
+        io.read_data_csv(path)
     path.write_text("x,node_1\n0,1.0\n")
-    with pytest.raises(DataError, match="expected a predictions header"):
-        predictions(path)
+    with pytest.raises(DataError, match="expected a data header"):
+        io.read_data_csv(path)
 
 
 # --- the .npy writer and reader -----------------------------------------------
@@ -403,9 +401,8 @@ def _one_run(d, T, N=20, P=2):
         "generator": {"N": N, "P": P, "T": T, "edge_probability": 0.1},
         "estimator": {"N": N, "P": P, "D": 1}}))
     values = rng.standard_normal((N, T))
-    io.write_data_csv(d / "run000_data.csv", values)
-    io.write_predictions_csv(d / "run000_predictions.csv",
-                             values + 0.1 * rng.standard_normal((N, T)), t_start=P)
+    io.write_residuals_npy(d / "run000_residuals.npy", values,
+                           values + 0.1 * rng.standard_normal((N, T)), t_start=P)
     table = rng.random((T - P, 1 + N * N * P))
     table[:, 0] = np.arange(P, T)
     np.save(d / "run000_estimates.npy", table)
@@ -413,9 +410,6 @@ def _one_run(d, T, N=20, P=2):
     lines = [{"t": t, "coeffs": np.where(active, 0.5, 0.0).tolist(),
               "active": (active ^ (t % 2 == 1)).tolist()} for t in range(P, T, 1000)]
     (d / "run000_topology.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
-    io.write_checkpoint(d / "run000_checkpoint.json",
-                        OnlineEstimator(EstimatorConfig(N=N, P=P, D=1)),
-                        extra={"run": 0, "next_t": T, "standardize": False})
     return cfg
 
 

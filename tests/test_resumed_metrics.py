@@ -4,8 +4,9 @@ After `estimate --limit c` and a `--from-checkpoint` resume of every run,
 `metrics` reads each run's cut files followed by its `_resumed` files, so
 its products equal those of the uncut `estimate -> metrics` byte for byte.
 A run set where only some runs were resumed, or a resumed file that does
-not continue its cut file (one left by an earlier estimate in the same
-directory), is a data error naming the runs or the files.
+not continue its cut file (a resume of the checkpoint of an earlier
+estimate in the same directory), is a data error naming the runs or the
+files.
 """
 
 import json
@@ -73,8 +74,15 @@ def test_a_resume_left_by_an_earlier_estimate_is_a_data_error_naming_both_files(
         tmp_path, capsys, later):
     cfg, out = _config(tmp_path / "exp.json", "switching", 1), tmp_path / "out"
     assert cli_main(["generate", cfg]) == 0
-    _cut_and_resume(cfg, out, 45)
-    assert cli_main(["estimate", cfg] + later) == 0  # the resumed files stay behind
+    assert cli_main(["estimate", cfg, "--limit", "45"]) == 0
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for r in range(RUNS):
+        shutil.copy(out / f"run{r:03d}_checkpoint.json", kept)
+    assert cli_main(["estimate", cfg] + later) == 0
+    for r in range(RUNS):  # resumes of the earlier estimate's cut
+        assert cli_main(["estimate", cfg, "--from-checkpoint",
+                         str(kept / f"run{r:03d}_checkpoint.json")]) == 0
     capsys.readouterr()
     assert cli_main(["metrics", cfg]) == 3
     err = capsys.readouterr().err

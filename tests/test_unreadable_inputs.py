@@ -56,14 +56,11 @@ def _inputs(tmp_path, cfg, out):
         "checkpoint": (ckpt, ["estimate", str(cfg), "--from-checkpoint", str(ckpt)], 3),
         "data_csv": (csv, ["estimate", str(csv_cfg)], 3),
         "topology": (out / "run000_topology.jsonl", metrics, 3),
-        "predictions": (out / "run000_predictions.csv", metrics, 3),
-        "generated data": (out / "run000_data.csv", metrics, 3),
     }
 
 
 @pytest.mark.parametrize("damage", [_directory, _not_utf8], ids=["directory", "not UTF-8"])
-@pytest.mark.parametrize("name", ["config", "manifest", "checkpoint", "data_csv", "topology",
-                                  "predictions", "generated data"])
+@pytest.mark.parametrize("name", ["config", "manifest", "checkpoint", "data_csv", "topology"])
 def test_an_unreadable_input_is_a_named_error(tmp_path, capsys, name, damage):
     cfg, out = _setup(tmp_path)
     path, argv, code = _inputs(tmp_path, cfg, out)[name]

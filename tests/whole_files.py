@@ -1,6 +1,6 @@
-"""Whole run files, read for the tests: the estimates and predictions files
-through the block readers the pipeline uses, the estimates CSV, which no
-reader of the package parses, cell by cell."""
+"""Whole run files, read for the tests: the estimates and residuals `.npy`
+traces through the block readers the pipeline uses, and the estimates and
+predictions CSVs, which no reader of the package parses, cell by cell."""
 
 import numpy as np
 
@@ -13,16 +13,28 @@ def estimates(path, N, P):
     return np.concatenate(t), np.concatenate(est)
 
 
-def estimates_csv(path, N, P):
-    """An estimates CSV parsed cell by cell with float(), which gives back
-    the bits of the shortest repr the writer wrote: (t values, (rows, N, N, P))."""
+def residuals(path, N):
+    """A residuals .npy read whole through io.residual_blocks: (t values, (N, rows))."""
+    t, err = zip(*io.residual_blocks(path, N)[1])
+    return np.concatenate(t), np.concatenate(err, axis=1)
+
+
+def _csv(path, columns):
+    """A `t,<columns>` CSV parsed cell by cell with float(), which gives back
+    the bits of the shortest repr the writer wrote: (t values, (rows, cells))."""
     header, *lines = path.read_text().splitlines()
-    assert header.split(",") == ["t"] + io.estimate_column_names(N, P)
+    assert header.split(",") == ["t"] + columns
     rows = np.array([[float(cell) for cell in line.split(",")] for line in lines])
-    return rows[:, 0].astype(int), rows[:, 1:].reshape(-1, N, N, P)
+    return rows[:, 0].astype(int), rows[:, 1:]
 
 
-def predictions(path):
-    """A predictions CSV read whole through io.prediction_blocks: (t values, (N, rows))."""
-    t, preds = zip(*io.prediction_blocks(path)[1])
-    return np.concatenate(t), np.concatenate(preds, axis=1)
+def estimates_csv(path, N, P):
+    """An estimates CSV parsed cell by cell: (t values, (rows, N, N, P))."""
+    t, rows = _csv(path, io.estimate_column_names(N, P))
+    return t, rows.reshape(-1, N, N, P)
+
+
+def predictions(path, N):
+    """A predictions CSV parsed cell by cell: (t values, (N, rows))."""
+    t, rows = _csv(path, [f"node_{n + 1}" for n in range(N)])
+    return t, rows.T
