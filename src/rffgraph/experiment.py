@@ -15,9 +15,11 @@ run body, `_estimate_run`, which writes every trace `metrics` scores: the
 estimates `.npy` and the residuals `.npy` (the prediction errors of the
 series it consumed, scaled as it was).  So `metrics` reads those two traces
 and the topology `generate` wrote, and no series, predictions or checkpoint.
-A fresh estimate deletes the resume files a previous estimate left.
+A fresh estimate deletes the resume files a previous estimate left, and a
+resume must run under the estimator config its checkpoint saved.
 `execute` is the one command dispatch: the CLI and `replay` both run
-commands through it.
+commands through it, and it makes the output directory.  Every file is
+opened through `io.opened`.
 
 The JSON form of the config sections and of a command's options (keys,
 their order, and type rules) lives in `io.config_dict` and
@@ -164,7 +166,7 @@ def load_experiment(path) -> ExperimentConfig:
 def _write_manifest(cfg: ExperimentConfig, command: str, options: dict | None = None,
                     name: str | None = None):
     path = cfg.output_dir / f"{name or command}_manifest.json"
-    with open(path, "w") as fh:
+    with io.opened(path, "w", "manifest") as fh:
         json.dump({"command": command, "options": io.jsonable(options or {}),
                    "experiment": io.jsonable(cfg.resolved),
                    "run_seeds": cfg.run_seeds()}, fh, indent=2)
@@ -180,24 +182,18 @@ _RUN_FILES = [("estimates", "csv"), ("estimates", "npy"), ("predictions", "csv")
               ("residuals", "npy"), ("checkpoint", "json")]
 
 
-def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
-                stop: int | None = None):
+def _run_series(cfg: ExperimentConfig, N: int, stop: int | None = None):
     """The function from run r to its (N, T) input series, for one command.
 
-    A given T is the horizon: a generated series is regenerated for each
-    run, to T, and a data_csv is read once, here, and cut to T for every
-    run.  A T past the CSV's length is a DataError.  A given stop cuts every
-    run's series to its first stop samples; a generated one is generated
-    only through sample stop, so that a non-finite sample stop-1 still
-    raises as in the full series, and its config is checked against its
-    own T.  A series with a node count other than N is a DataError.
+    A generated series is regenerated for each run, and a data_csv is read
+    once, here.  A given stop cuts every run's series to its first stop
+    samples; a generated one is generated only through sample stop, so that
+    a non-finite sample stop-1 still raises as in the full series, and its
+    config is checked against its own T.  A series with a node count other
+    than N is a DataError.
     """
     if cfg.generator is None:
-        data = io.read_data_csv(cfg.data_csv)
-        if T is not None and T > data.shape[1]:
-            raise DataError(f"horizon T={T} exceeds the {data.shape[1]} samples of "
-                            f"{cfg.data_csv}")
-        data = data[:, :T][:, :stop]
+        data = io.read_data_csv(cfg.data_csv)[:, :stop]
 
         def series(r):
             return data
@@ -206,18 +202,14 @@ def _run_series(cfg: ExperimentConfig, N: int, T: int | None = None,
             gen = cfg.generator_for_run(r)
             if stop is not None:
                 return generate(gen, stop=stop + 1).values[:, :stop]
-            return generate(gen if T is None else replace(gen, T=T)).values
+            return generate(gen).values
 
     def checked(r):
         values = series(r)
-        _check_nodes(len(values), N)
+        if len(values) != N:
+            raise DataError(f"data has {len(values)} nodes but the estimator expects {N}")
         return values
     return checked
-
-
-def _check_nodes(nodes: int, N: int):
-    if nodes != N:
-        raise DataError(f"data has {nodes} nodes but the estimator expects {N}")
 
 
 def _standardize(values: np.ndarray):
@@ -232,7 +224,6 @@ def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
     """Write per-run data CSVs and topology JSONL traces."""
     if cfg.generator is None:
         raise ConfigError("generate requires a generator section")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for r in range(cfg.runs):
         ts = generate(cfg.generator_for_run(r))
@@ -255,7 +246,6 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     if limit is not None and from_checkpoint is not None:
         raise ConfigError("--limit and --from-checkpoint cannot be combined: a resume runs "
                           "to the end of its series")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if from_checkpoint is not None:
         return _resume_estimate(cfg, from_checkpoint)
     if limit is not None and limit <= cfg.estimator.P:
@@ -264,7 +254,11 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     written = []
     for r in range(cfg.runs):
         for name in _resume_files(r):
-            (cfg.output_dir / name).unlink(missing_ok=True)
+            try:
+                (cfg.output_dir / name).unlink(missing_ok=True)
+            except OSError as e:
+                raise DataError(f"{cfg.output_dir / name}: cannot delete a stale resume file "
+                                f"({e})") from None
         values = series(r)
         mean = std = None
         if cfg.standardize:
@@ -295,6 +289,12 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
         if not io.is_integer(value) or value < 0:
             raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
                             f"got {value!r}")
+    saved, now = io.config_dict(est.cfg), io.config_dict(cfg.estimator_for_run(r))
+    for key in saved:
+        if saved[key] != now[key]:
+            raise DataError(f"{checkpoint_path}: estimator {key} is {saved[key]!r} in the "
+                            f"checkpoint but {now[key]!r} in the config; a resume runs under "
+                            f"the cut's config")
     values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, est.cfg.N)(r))
     written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
@@ -367,7 +367,6 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     checkpoint is read.  Apart from the curves and the time grids the runs
     share, memory does not grow with T.
     """
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     N, P = cfg.estimator.N, cfg.estimator.P
     detection, errors = DetectionCounts(cfg.detection), ErrorSums()
     grids = {}  # kind -> the first run's time grid, which every run must share
@@ -384,7 +383,8 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
         bad = np.flatnonzero(np.diff(t) != (np.diff(t[:2]) if step is None else step))
         if len(paths) > 1 and len(bad):
             raise DataError(f"{paths[1]} does not continue {paths[0]}: t={t[bad[0] + 1]} "
-                            f"follows t={t[bad[0]]}; a resume of an earlier estimate's checkpoint?")
+                            f"follows t={t[bad[0]]}; a resume of an earlier estimate's checkpoint, "
+                            f"or one under another emit_every?")
         if not np.array_equal(grids.setdefault(kind, t), t):
             raise DataError(f"runs have mismatched {kind} time axes")
 
@@ -441,10 +441,14 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     With reference=True the loop runs the growing-dictionary kernel
     estimator instead, whose cost increases with every stored sample.
     """
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if T is not None and T <= cfg.estimator.P:
         raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
-    values = _run_series(cfg, cfg.estimator.N, T)(0)
+    if T is not None and cfg.generator is not None:
+        cfg = replace(cfg, generator=replace(cfg.generator, T=T))
+    values = _run_series(cfg, cfg.estimator.N, stop=T)(0)
+    if T is not None and T > values.shape[1]:
+        raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
+                        f"{cfg.data_csv}")
     if cfg.standardize:
         values, _, _ = _standardize(values)
     if reference:
@@ -461,11 +465,10 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
         if out is not None:
             times.append(dt * 1e-9)
             t_idx.append(t)
-    name = "bench_reference.csv" if reference else "bench.csv"
-    path = cfg.output_dir / name
+    name = "bench_reference" if reference else "bench"
+    path = cfg.output_dir / f"{name}.csv"
     io._write_table(path, ["seconds"], t_idx, np.array(times)[:, None])
-    manifest = _write_manifest(cfg, "bench_reference" if reference else "bench",
-                               {"T": T, "reference": reference})
+    manifest = _write_manifest(cfg, name, {"T": T, "reference": reference})
     return [path, manifest]
 
 
@@ -501,6 +504,10 @@ def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
     if command not in _OPTIONS:
         raise ConfigError(f"unknown command {command!r}")
     opts = io.config_from_dict(_OPTIONS[command], options, f"{command} options")
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"{cfg.output_dir}: cannot make the output directory ({e})") from None
     if command == "generate":
         return cmd_generate(cfg)
     if command == "estimate":

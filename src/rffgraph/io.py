@@ -14,11 +14,13 @@ traces; the CSVs are kept for people and other tools.
 The run files `metrics` scores are read in row blocks of at most
 BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`
 and `residual_blocks` hand out one block at a time, from one file or a
-run's cut and resumed files in turn.  `read_data_csv`, the reader of a
-data CSV, parses it in row blocks too.  The topology JSONL
-holds one line per record of the generator's `TopologyTrace`, and
-`read_topology` reads it back as one, keeping each distinct state once.
-Every reader turns a missing or unreadable file into a DataError naming it.
+run's cut and resumed files in turn.  `read_data_csv` parses one data CSV
+in row blocks too.  The topology JSONL holds one line per record of the
+generator's `TopologyTrace`, and `read_topology` reads it back as one,
+keeping each distinct state once.  `opened` is the one opener of every
+file read or written: a missing input, and any file that cannot be read
+or written, is a DataError (a ConfigError for a config file or manifest)
+naming it.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
@@ -31,6 +33,7 @@ import json
 import math
 import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -60,6 +63,25 @@ def jsonable(obj):
     return obj
 
 
+@contextmanager
+def opened(path, mode: str, what: str, error=DataError):
+    """The file at path opened in mode, the one place the package opens a file.
+
+    A file to be read that is missing is an error of class error, and so is
+    any file that cannot be opened, read or written (a directory in its
+    place, bytes that are not UTF-8, a full disk); each names the path and,
+    as what, the kind of file.
+    """
+    reading = "r" in mode
+    if reading and not Path(path).exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"{path}: cannot {'read' if reading else 'write'} {what} ({e})") from None
+
+
 def write_json(path, obj):
     """Write json.dump's text of jsonable(obj), encoded by the C encoder of
     json.dumps.
@@ -70,7 +92,7 @@ def write_json(path, obj):
     the whole object would hold all of it.  A numpy array leaf is made
     jsonable only when it is written.
     """
-    with open(path, "w") as fh:
+    with opened(path, "w", "output file") as fh:
         fh.writelines(_json_pieces(obj))
 
 
@@ -93,7 +115,7 @@ def _json_pieces(obj):
 def _write_table(path, columns, t_values, rows):
     """Write the `t,<columns>` CSV all tables share: one row per t, cells in
     shortest round-trip form."""
-    with open(path, "w") as fh:
+    with opened(path, "w", "output file") as fh:
         fh.write("t," + ",".join(columns) + "\n")
         for t, row in zip(t_values, rows):
             fh.write(f"{int(t)}," + ",".join(map(repr, np.asarray(row, dtype=float).tolist()))
@@ -111,51 +133,24 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_BYTES // (8 * width))
 
 
-def _paths(paths) -> list[Path]:
-    """One file or a sequence of files, as a list of Paths."""
-    return [Path(p) for p in ([paths] if isinstance(paths, (str, os.PathLike)) else paths)]
+def _table_blocks(path, what: str):
+    """The `t,<columns>` CSV at path in row blocks of (line number of the
+    block's first row, integer t values, (rows, columns) array); each cell
+    is parsed by float() into compact storage.
 
-
-def _lines(path, what: str):
-    """The numbered lines of a text file; a DataError naming the file if it
-    is missing, cannot be opened (a directory, say) or is not text."""
-    if not Path(path).exists():
-        raise DataError(f"{what} file not found: {path}")
-    try:
-        with open(path) as fh:
-            yield from enumerate(fh, start=1)
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"{path}: unreadable {what} file ({e})") from None
-
-
-def _table_blocks(paths, what: str):
-    """The `t,<columns>` CSVs at paths, read in turn in row blocks.
-
-    Returns (columns, blocks); every file's header is checked here: it must
-    start with `t`, and all must name the same columns.  blocks yields
-    (path, line number of the block's first row, integer t values, (rows,
-    columns) array); each cell is parsed by float() into compact storage.
-    A row of another width, a cell that is not a number, a time that is not
-    a nonnegative integer, or a file without rows is a DataError naming the
-    file (and the line), as is an unreadable file (see _lines).
+    A header that does not start with `t` and name a column after it, a
+    row of another width, a cell that is not a number, a time that is not
+    a nonnegative integer, or a file without rows is a DataError naming
+    the file (and the line).
     """
-    paths = _paths(paths)
-    headers = [next(_lines(p, what), (1, ""))[1].strip().split(",") for p in paths]
-    for path, header in zip(paths, headers):
-        if header[0] != "t" or len(header) < 2:
+    with opened(path, "r", f"{what} file") as fh:
+        header = fh.readline().strip().split(",")
+        width = len(header)
+        if header[0] != "t" or width < 2:
             raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
-        if header != headers[0]:
-            raise DataError(f"{path}: {what} columns differ from those of {paths[0]}")
-    return headers[0][1:], _table_rows(paths, what, len(headers[0]))
-
-
-def _table_rows(paths, what: str, width: int):
-    size = _block_rows(width) * width
-    for path in paths:
+        size = _block_rows(width) * width
         cells, first, lineno = array("d"), 2, 1
-        for lineno, line in _lines(path, what):
-            if lineno == 1:
-                continue
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != width:
                 raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
@@ -167,15 +162,15 @@ def _table_rows(paths, what: str, width: int):
             if len(cells) == size:
                 yield _table_block(path, first, cells, width)
                 cells, first = array("d"), lineno + 1
-        if lineno == 1:
-            raise DataError(f"{path}: no {what} rows")
-        if cells:
-            yield _table_block(path, first, cells, width)
+    if lineno == 1:
+        raise DataError(f"{path}: no {what} rows")
+    if cells:
+        yield _table_block(path, first, cells, width)
 
 
 def _table_block(path, first: int, cells, width: int):
     block = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)
-    return path, first, _time_column(path, block[:, 0]), block[:, 1:]
+    return first, _time_column(path, block[:, 0]), block[:, 1:]
 
 
 def _time_column(path, t: np.ndarray) -> np.ndarray:
@@ -202,9 +197,8 @@ def read_data_csv(path) -> np.ndarray:
     Every value must be finite and the time column must be 0..T-1; a
     DataError names the file (and the line of a non-finite value).
     """
-    _, blocks = _table_blocks(path, "data")
     series, T = [], 0
-    for path, first, t, values in blocks:
+    for first, t, values in _table_blocks(path, "data"):
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise DataError(f"{path}, line {first + int(np.argmin(finite))}: non-finite value")
@@ -221,7 +215,7 @@ def write_topology_jsonl(path, ts: TimeSeries):
     sample whose topology differs from the sample before.  Readers
     forward-fill between lines."""
     topo = ts.topology
-    with open(path, "w") as fh:
+    with opened(path, "w", "output file") as fh:
         for t, s in zip(topo.starts.tolist(), topo.which):
             fh.write(json.dumps({"t": t, "coeffs": topo.coeffs[s].tolist(),
                                  "active": topo.active[s].tolist()}) + "\n")
@@ -264,20 +258,21 @@ def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
     """
     starts, which, states = [], [], {}
     shape = None
-    for lineno, line in _lines(path, "topology"):
-        line = line.strip()
-        if not line:
-            continue
-        t, coeffs, active = _topology_record(path, lineno, line)
-        if shape is None:
-            shape = coeffs.shape
-        elif coeffs.shape != shape:
-            raise DataError(f"{path}, line {lineno}: record shape {coeffs.shape} != "
-                            f"first record's {shape}")
-        key = (coeffs.tobytes() if with_coeffs else b"") + active.tobytes()
-        starts.append(t)
-        state = (len(states), coeffs if with_coeffs else None, active)
-        which.append(states.setdefault(key, state)[0])
+    with opened(path, "r", "topology file") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            t, coeffs, active = _topology_record(path, lineno, line)
+            if shape is None:
+                shape = coeffs.shape
+            elif coeffs.shape != shape:
+                raise DataError(f"{path}, line {lineno}: record shape {coeffs.shape} != "
+                                f"first record's {shape}")
+            key = (coeffs.tobytes() if with_coeffs else b"") + active.tobytes()
+            starts.append(t)
+            state = (len(states), coeffs if with_coeffs else None, active)
+            which.append(states.setdefault(key, state)[0])
     if not starts:
         raise DataError(f"{path}: no topology records")
     starts = np.array(starts)
@@ -329,7 +324,7 @@ def _write_npy_rows(path, t_values: range, rows: np.ndarray):
     """
     width = 1 + math.prod(rows.shape[1:])
     step = _block_rows(width)
-    with open(path, "wb") as fh:
+    with opened(path, "wb", "output file") as fh:
         np.lib.format.write_array_header_1_0(fh, {
             "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
             "fortran_order": False, "shape": (len(t_values), width)})
@@ -346,11 +341,11 @@ def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
     header alone; a DataError naming the file unless it holds a native
     float64, C-ordered (rows, width) array.  fits names the shape the width
     comes from, and hint ends the message of a file that is there but bad."""
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}; re-run estimate to write it")
+    if not path.is_file():
+        raise DataError(f"no {what} file at {path}; re-run estimate to write it")
     fmt = np.lib.format
-    try:
-        with open(path, "rb") as fh:
+    with opened(path, "rb", f"{what} array") as fh:
+        try:
             version = fmt.read_magic(fh)
             if version not in ((1, 0), (2, 0)):
                 raise ValueError(f"unsupported .npy format version {version}")
@@ -358,13 +353,13 @@ def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
                 else fmt.read_array_header_2_0
             shape, fortran_order, dtype = read_header(fh)
             offset = fh.tell()
-        if dtype.hasobject:
-            raise ValueError("object arrays cannot be loaded")
-        held, needed = path.stat().st_size - offset, math.prod(shape) * dtype.itemsize
-        if held < needed:
-            raise ValueError(f"the header needs {needed} bytes of data, the file holds {held}")
-    except (OSError, ValueError, EOFError) as e:
-        raise DataError(f"{path}: unreadable {what} array ({e}){hint}") from None
+            if dtype.hasobject:
+                raise ValueError("object arrays cannot be loaded")
+            held, needed = path.stat().st_size - offset, math.prod(shape) * dtype.itemsize
+            if held < needed:
+                raise ValueError(f"the header needs {needed} bytes of data, the file holds {held}")
+        except (ValueError, EOFError) as e:
+            raise DataError(f"{path}: unreadable {what} array ({e}){hint}") from None
     if dtype != np.float64 or len(shape) != 2 or shape[1] != width:
         raise DataError(f"{path}: expected a float64 (rows, {width}) array for {fits}, "
                         f"got {dtype} {shape}{hint}")
@@ -383,7 +378,7 @@ def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
     generator of (integer t values, (rows, width - 1) array) blocks whose
     time column is checked one block at a time.
     """
-    paths = _paths(paths)
+    paths = [Path(p) for p in ([paths] if isinstance(paths, (str, os.PathLike)) else paths)]
     layout = [_npy_rows_at(p, what, width, fits, hint) for p in paths]
     rows = sum(rows for _, rows in layout)
     if not rows:
@@ -394,7 +389,7 @@ def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
 def _npy_blocks(paths, layout, what: str, width: int, hint: str):
     step = _block_rows(width)
     for path, (offset, rows) in zip(paths, layout):
-        with open(path, "rb") as fh:
+        with opened(path, "rb", f"{what} array") as fh:
             fh.seek(offset)
             for i in range(0, rows, step):
                 block = np.empty((min(step, rows - i), width))
@@ -504,14 +499,11 @@ def read_json_object(path, what: str, error=DataError) -> dict:
     """The JSON object in a config file, manifest or checkpoint; an error of
     class error naming the file as what if it is missing, unreadable, not
     JSON text or another JSON value."""
-    path = Path(path)
-    if not path.exists():
-        raise error(f"{what} not found: {path}")
-    try:
-        with open(path) as fh:
+    with opened(path, "r", what, error) as fh:
+        try:
             obj = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: not JSON, or bytes that are not text
-        raise error(f"{path}: {what} is not valid JSON ({e})") from None
+        except json.JSONDecodeError as e:
+            raise error(f"{path}: {what} is not valid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise error(f"{path}: {what} must be a JSON object")
     return obj

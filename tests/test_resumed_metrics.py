@@ -5,8 +5,9 @@ After `estimate --limit c` and a `--from-checkpoint` resume of every run,
 its products equal those of the uncut `estimate -> metrics` byte for byte.
 A run set where only some runs were resumed, or a resumed file that does
 not continue its cut file (a resume of the checkpoint of an earlier
-estimate in the same directory), is a data error naming the runs or the
-files.
+estimate in the same directory, or one under another emit_every), is a
+data error naming the runs or the files.  So is a resume under another
+estimator config than the cut's, named by the checkpoint and the key.
 """
 
 import json
@@ -88,3 +89,35 @@ def test_a_resume_left_by_an_earlier_estimate_is_a_data_error_naming_both_files(
     err = capsys.readouterr().err
     assert f"{out / 'run000_estimates_resumed.npy'} does not continue " \
            f"{out / 'run000_estimates.npy'}" in err
+
+
+@pytest.mark.parametrize("key, value", [("lambda", 5.0), ("rff_seed", 9)])
+def test_a_resume_under_another_estimator_config_is_a_data_error_naming_the_key(
+        tmp_path, capsys, key, value):
+    cfg, out = _config(tmp_path / "exp.json", "switching", 1), tmp_path / "out"
+    assert cli_main(["generate", cfg]) == 0
+    assert cli_main(["estimate", cfg, "--limit", "45"]) == 0
+    obj = json.loads((tmp_path / "exp.json").read_text())
+    obj["estimator"][key] = value
+    (tmp_path / "exp.json").write_text(json.dumps(obj))
+    ckpt = out / "run001_checkpoint.json"
+    capsys.readouterr()
+    assert cli_main(["estimate", cfg, "--from-checkpoint", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {ckpt}: estimator {key} is ")
+    assert not (out / "run001_estimates_resumed.npy").exists()
+
+
+def test_a_resume_under_another_emit_every_names_both_causes(tmp_path, capsys):
+    # the checkpoint does not record emit_every, so the resume itself runs
+    cfg, out = _config(tmp_path / "exp.json", "switching", 1), tmp_path / "out"
+    assert cli_main(["generate", cfg]) == 0
+    assert cli_main(["estimate", cfg, "--emit-every", "3", "--limit", "45"]) == 0
+    for r in range(RUNS):
+        assert cli_main(["estimate", cfg, "--emit-every", "5", "--from-checkpoint",
+                         str(out / f"run{r:03d}_checkpoint.json")]) == 0
+    capsys.readouterr()
+    assert cli_main(["metrics", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "does not continue" in err and "earlier estimate's checkpoint" in err
+    assert "another emit_every" in err
