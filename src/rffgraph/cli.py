@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .exceptions import ConfigError, DataError, DivergenceError
 from . import experiment
@@ -62,14 +63,11 @@ def main(argv=None) -> int:
             written = experiment.replay(options["manifest"])
         else:
             cfg = experiment.load_experiment(options.pop("config"))
-            # the config overrides; what is left in options is the command's own
+            # the config's own keys; what is left in options is the command's own
             overrides = {"standardize": True} if options.pop("standardize", False) else {}
-            emit_every = options.pop("emit_every", None)
-            if emit_every is not None:
+            if (emit_every := options.pop("emit_every", None)) is not None:
                 overrides["emit_every"] = emit_every
-            if overrides:
-                cfg = experiment.parse_experiment({**cfg.resolved, **overrides})
-            written = experiment.execute(cfg, command, options)
+            written = experiment.execute(replace(cfg, **overrides), command, options)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,15 +16,15 @@ estimates `.npy` and the residuals `.npy` (the prediction errors of the
 series it consumed, scaled as it was).  So `metrics` reads those two traces
 and the topology `generate` wrote, and no series, predictions or checkpoint.
 A fresh estimate deletes the resume files a previous estimate left, and a
-resume must run under the estimator config its checkpoint saved.
-`execute` is the one command dispatch: the CLI and `replay` both run
-commands through it, and it makes the output directory.  Every file is
-opened through `io.opened`.
+resume must continue one of the config's runs under the estimator config
+and emit_every its checkpoint saved.  `execute` is the one command
+dispatch: the CLI and `replay` both run commands through it, and it makes
+the output directory.  Every file is opened through `io.opened`.
 
-The JSON form of the config sections and of a command's options (keys,
-their order, and type rules) lives in `io.config_dict` and
-`io.config_from_dict`; this module declares the file's top level, its
-metrics section and each command's options as dataclasses for that codec.
+`ExperimentConfig` is the config file as one dataclass, whose echo
+(`resolved`) the manifests write and whose `replace` the CLI's overrides
+are.  The JSON form of the config and of a command's options (keys, their
+order, and type rules) lives in `io.config_dict` and `io.config_from_dict`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,26 +51,6 @@ from .metrics import DetectionConfig, DetectionCounts, ErrorSums
 ENV_OUTPUT_DIR = "RFFGRAPH_OUTPUT_DIR"
 
 @dataclass(frozen=True)
-class _ConfigFile:
-    """The top level of a config file; each section is read into its own dataclass."""
-
-    runs: int = 1
-    base_seed: int = 0
-    output_dir: str = "out"
-    generator: dict | None = None
-    data_csv: str | None = None
-    estimator: dict | None = None
-    metrics: dict = field(default_factory=dict)
-    emit_every: int = 1
-    standardize: bool = False
-
-    def __post_init__(self):
-        for key in ("runs", "emit_every"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be a positive integer, got {getattr(self, key)!r}")
-
-
-@dataclass(frozen=True)
 class _Metrics(DetectionConfig):
     """The metrics section: the detection threshold and the MSE window."""
 
@@ -84,23 +64,49 @@ class _Metrics(DetectionConfig):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment: data source, estimator, metrics, run count."""
+    """A config file's top-level keys in file order, each section its own
+    dataclass.  generator and estimator are templates whose seeds each run
+    derives; every construction, `replace` included, checks the sections
+    against each other."""
 
-    runs: int
-    base_seed: int
-    output_dir: Path
-    generator: GeneratorConfig | None  # template; per-run seed filled in
-    data_csv: str | None
-    estimator: EstimatorConfig  # template; per-run rff_seed filled in
-    detection: DetectionConfig
-    mse_window: int
-    emit_every: int
-    standardize: bool
-    resolved: dict  # JSON echo written into manifests
+    runs: int = 1
+    base_seed: int = 0
+    output_dir: str = "out"
+    generator: GeneratorConfig | None = None
+    data_csv: str | None = None
+    estimator: EstimatorConfig | None = None
+    metrics: _Metrics = _Metrics()
+    emit_every: int = 1
+    standardize: bool = False
+
+    def __post_init__(self):
+        for key in ("runs", "emit_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {getattr(self, key)!r}")
+        gen, est = self.generator, self.estimator
+        if gen is None and self.data_csv is None:
+            raise ConfigError("config needs a generator section or a data_csv path")
+        if gen is not None and self.data_csv is not None:
+            raise ConfigError("generator and data_csv are mutually exclusive")
+        if est is None:
+            raise ConfigError("config needs an estimator section")
+        for key in ("N", "P"):
+            if gen is not None and getattr(gen, key) != getattr(est, key):
+                raise ConfigError(f"generator {key}={getattr(gen, key)} does not match "
+                                  f"estimator {key}={getattr(est, key)}")
+
+    @property
+    def out_dir(self) -> Path:
+        """The directory the commands write to: $RFFGRAPH_OUTPUT_DIR if set, else output_dir."""
+        return Path(os.environ.get(ENV_OUTPUT_DIR) or self.output_dir)
+
+    @property
+    def resolved(self) -> dict:
+        """The JSON echo manifests write: the config, its generator without the seed."""
+        return {**io.config_dict(self), "generator": None if self.generator is None
+                else io.config_dict(self.generator, skip=("seed",))}
 
     def generator_for_run(self, r: int) -> GeneratorConfig:
-        if self.generator is None:
-            raise ConfigError("config has no generator section")
         return replace(self.generator, seed=self.base_seed + r)
 
     def estimator_for_run(self, r: int) -> EstimatorConfig:
@@ -112,49 +118,23 @@ class ExperimentConfig:
 
 
 def parse_experiment(obj: dict, config_dir: Path | None = None) -> ExperimentConfig:
-    """Validate a parsed JSON experiment dict; unknown keys are rejected."""
-    top = io.config_from_dict(_ConfigFile, obj, "experiment config")
-    gen = None
-    if top.generator is not None:
-        gen = io.config_from_dict(GeneratorConfig, top.generator, "generator section")
-        if "seed" in top.generator:
+    """The experiment a parsed JSON config holds; unknown keys are rejected.
+    A file's generator carries no seed and only finite real values, and a
+    relative data_csv is resolved against config_dir."""
+    cfg = io.config_from_dict(ExperimentConfig, obj, "experiment config")
+    if cfg.generator is not None:
+        if "seed" in obj["generator"]:
             raise ConfigError("generator seed is derived from base_seed; remove 'seed'")
         # GeneratorConfig lets a NaN noise through to generate()'s divergence
         # path; a config file has no use for non-finite values
         for key in ("noise_std", "kernel_variance", "beta_variance"):
-            if not math.isfinite(getattr(gen, key)):
-                raise ConfigError(f"generator {key} must be finite, got {getattr(gen, key)}")
-
-    data_csv = top.data_csv
-    if gen is None and data_csv is None:
-        raise ConfigError("config needs a generator section or a data_csv path")
-    if gen is not None and data_csv is not None:
-        raise ConfigError("generator and data_csv are mutually exclusive")
-    if data_csv is not None and config_dir is not None and not Path(data_csv).is_absolute():
-        data_csv = str((config_dir / data_csv).resolve())
-
-    if top.estimator is None:
-        raise ConfigError("config needs an estimator section")
-    est = io.config_from_dict(EstimatorConfig, top.estimator, "estimator section")
-    met = io.config_from_dict(_Metrics, top.metrics, "metrics section")
-
-    if gen is not None and gen.N != est.N:
-        raise ConfigError(f"generator N={gen.N} does not match estimator N={est.N}")
-    if gen is not None and gen.P != est.P:
-        raise ConfigError(f"generator P={gen.P} does not match estimator P={est.P}")
-
-    resolved = {
-        **io.config_dict(top),
-        "generator": None if gen is None else io.config_dict(gen, skip=("seed",)),
-        "data_csv": data_csv,
-        "estimator": io.config_dict(est),
-        "metrics": io.config_dict(met),
-    }
-    return ExperimentConfig(runs=top.runs, base_seed=top.base_seed,
-                            output_dir=Path(os.environ.get(ENV_OUTPUT_DIR) or top.output_dir),
-                            generator=gen, data_csv=data_csv, estimator=est, detection=met,
-                            mse_window=met.mse_window, emit_every=top.emit_every,
-                            standardize=top.standardize, resolved=resolved)
+            if not math.isfinite(getattr(cfg.generator, key)):
+                raise ConfigError(f"generator {key} must be finite, got "
+                                  f"{getattr(cfg.generator, key)}")
+    if cfg.data_csv is not None and config_dir is not None and \
+            not Path(cfg.data_csv).is_absolute():
+        cfg = replace(cfg, data_csv=str((config_dir / cfg.data_csv).resolve()))
+    return cfg
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -165,7 +145,7 @@ def load_experiment(path) -> ExperimentConfig:
 
 def _write_manifest(cfg: ExperimentConfig, command: str, options: dict | None = None,
                     name: str | None = None):
-    path = cfg.output_dir / f"{name or command}_manifest.json"
+    path = cfg.out_dir / f"{name or command}_manifest.json"
     with io.opened(path, "w", "manifest") as fh:
         json.dump({"command": command, "options": io.jsonable(options or {}),
                    "experiment": io.jsonable(cfg.resolved),
@@ -182,7 +162,7 @@ _RUN_FILES = [("estimates", "csv"), ("estimates", "npy"), ("predictions", "csv")
               ("residuals", "npy"), ("checkpoint", "json")]
 
 
-def _run_series(cfg: ExperimentConfig, N: int, stop: int | None = None):
+def _run_series(cfg: ExperimentConfig, stop: int | None = None):
     """The function from run r to its (N, T) input series, for one command.
 
     A generated series is regenerated for each run, and a data_csv is read
@@ -190,7 +170,7 @@ def _run_series(cfg: ExperimentConfig, N: int, stop: int | None = None):
     samples; a generated one is generated only through sample stop, so that
     a non-finite sample stop-1 still raises as in the full series, and its
     config is checked against its own T.  A series with a node count other
-    than N is a DataError.
+    than the estimator's N is a DataError.
     """
     if cfg.generator is None:
         data = io.read_data_csv(cfg.data_csv)[:, :stop]
@@ -206,8 +186,9 @@ def _run_series(cfg: ExperimentConfig, N: int, stop: int | None = None):
 
     def checked(r):
         values = series(r)
-        if len(values) != N:
-            raise DataError(f"data has {len(values)} nodes but the estimator expects {N}")
+        if len(values) != cfg.estimator.N:
+            raise DataError(f"data has {len(values)} nodes but the estimator expects "
+                            f"{cfg.estimator.N}")
         return values
     return checked
 
@@ -227,8 +208,8 @@ def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
     written = []
     for r in range(cfg.runs):
         ts = generate(cfg.generator_for_run(r))
-        data_path = cfg.output_dir / f"{_run_prefix(r)}_data.csv"
-        topo_path = cfg.output_dir / f"{_run_prefix(r)}_topology.jsonl"
+        data_path = cfg.out_dir / f"{_run_prefix(r)}_data.csv"
+        topo_path = cfg.out_dir / f"{_run_prefix(r)}_topology.jsonl"
         io.write_data_csv(data_path, ts.values)
         io.write_topology_jsonl(topo_path, ts)
         written += [data_path, topo_path]
@@ -250,20 +231,21 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
         return _resume_estimate(cfg, from_checkpoint)
     if limit is not None and limit <= cfg.estimator.P:
         raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
-    series = _run_series(cfg, cfg.estimator.N, stop=limit)
+    series = _run_series(cfg, stop=limit)
     written = []
     for r in range(cfg.runs):
         for name in _resume_files(r):
             try:
-                (cfg.output_dir / name).unlink(missing_ok=True)
+                (cfg.out_dir / name).unlink(missing_ok=True)
             except OSError as e:
-                raise DataError(f"{cfg.output_dir / name}: cannot delete a stale resume file "
+                raise DataError(f"{cfg.out_dir / name}: cannot delete a stale resume file "
                                 f"({e})") from None
         values = series(r)
         mean = std = None
         if cfg.standardize:
             values, mean, std = _standardize(values)
-        extra = {"run": r, "next_t": 0, "standardize": cfg.standardize, "mean": mean, "std": std}
+        extra = {"run": r, "next_t": 0, "emit_every": cfg.emit_every,
+                 "standardize": cfg.standardize, "mean": mean, "std": std}
         written += _estimate_run(cfg, OnlineEstimator(cfg.estimator_for_run(r)), values, 0,
                                  extra, "")
     # a resume overwrites estimate_manifest.json; the initial copy keeps
@@ -289,13 +271,24 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
         if not io.is_integer(value) or value < 0:
             raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
                             f"got {value!r}")
-    saved, now = io.config_dict(est.cfg), io.config_dict(cfg.estimator_for_run(r))
+    if r >= cfg.runs:
+        raise DataError(f"{checkpoint_path}: extra.run is {r}, but the config has {cfg.runs} "
+                        f"run(s)")
+    if next_t != est.state.t + est.warm:
+        raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, but its state has taken "
+                        f"{est.state.t + est.warm} samples")
+    saved = {**io.config_dict(est.cfg), "emit_every": extra.get("emit_every", cfg.emit_every)}
+    now = {**io.config_dict(cfg.estimator_for_run(r)), "emit_every": cfg.emit_every}
     for key in saved:
         if saved[key] != now[key]:
-            raise DataError(f"{checkpoint_path}: estimator {key} is {saved[key]!r} in the "
-                            f"checkpoint but {now[key]!r} in the config; a resume runs under "
-                            f"the cut's config")
-    values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg, est.cfg.N)(r))
+            name = "extra.emit_every" if key == "emit_every" else f"estimator {key}"
+            raise DataError(f"{checkpoint_path}: {name} is {saved[key]!r} in the checkpoint "
+                            f"but {now[key]!r} in the config; a resume runs under the cut's "
+                            f"config")
+    values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg)(r))
+    if next_t > values.shape[1]:
+        raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, past the end of the "
+                        f"{values.shape[1]} samples of {_run_prefix(r)}")
     written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
@@ -343,7 +336,7 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
         raise DataError(f"{prefix} has {T - start} samples from t={start}; the estimator "
                         f"needs more than {P - est.warm}")
     series = est.run(values, start=start, emit_every=cfg.emit_every)
-    paths = [cfg.output_dir / f"{prefix}_{kind}{suffix}.{ext}" for kind, ext in _RUN_FILES]
+    paths = [cfg.out_dir / f"{prefix}_{kind}{suffix}.{ext}" for kind, ext in _RUN_FILES]
     est_csv, est_npy, pred_csv, res_npy, ckpt = paths
     s = max(start, P)
     grid = {"t_start": s + (P - s) % cfg.emit_every, "emit_every": cfg.emit_every}
@@ -368,10 +361,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     share, memory does not grow with T.
     """
     N, P = cfg.estimator.N, cfg.estimator.P
-    detection, errors = DetectionCounts(cfg.detection), ErrorSums()
+    detection, errors = DetectionCounts(cfg.metrics), ErrorSums()
     grids = {}  # kind -> the first run's time grid, which every run must share
     unresumed = [r for r in range(cfg.runs)
-                 if not (cfg.output_dir / f"{_run_prefix(r)}_estimates_resumed.npy").exists()]
+                 if not (cfg.out_dir / f"{_run_prefix(r)}_estimates_resumed.npy").exists()]
     if 0 < len(unresumed) < cfg.runs:
         raise DataError(f"some runs were resumed and some not; runs without a resume: {unresumed}")
     parts = [""] if unresumed else ["", "_resumed"]
@@ -390,7 +383,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
 
     def score(r):
         """Add run r to the counts, one block of each of its files at a time."""
-        run = cfg.output_dir / _run_prefix(r)
+        run = cfg.out_dir / _run_prefix(r)
         paths = [Path(f"{run}_estimates{part}.npy") for part in parts]
         _, blocks = io.estimate_blocks(paths, N, P)
         topo_path = Path(f"{run}_topology.jsonl")
@@ -415,11 +408,11 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
     for r in range(cfg.runs):
         score(r)  # returns holding nothing of run r: its files are closed, its blocks freed
     pmd, pfa = detection.curves()
-    mse = errors.curve(None if cfg.runs > 1 else cfg.mse_window)
+    mse = errors.curve(None if cfg.runs > 1 else cfg.metrics.mse_window)
     t_grid, mse_t = grids["estimate"], grids["prediction"]
-    pmd_path = cfg.output_dir / "pmd.csv"
-    pfa_path = cfg.output_dir / "pfa.csv"
-    mse_path = cfg.output_dir / "mse.csv"
+    pmd_path = cfg.out_dir / "pmd.csv"
+    pfa_path = cfg.out_dir / "pfa.csv"
+    mse_path = cfg.out_dir / "mse.csv"
     io.write_metric_csv(pmd_path, t_grid, pmd)
     io.write_metric_csv(pfa_path, t_grid, pfa)
     io.write_metric_csv(mse_path, mse_t, mse)
@@ -428,7 +421,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
         "run_seeds": cfg.run_seeds(),
         "curves": {"t_detection": t_grid, "pmd": pmd, "pfa": pfa, "t_mse": mse_t, "mse": mse},
     }
-    report_path = cfg.output_dir / "report.json"
+    report_path = cfg.out_dir / "report.json"
     io.write_json(report_path, report)
     manifest = _write_manifest(cfg, "metrics")
     return [pmd_path, pfa_path, mse_path, report_path, manifest]
@@ -443,9 +436,9 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     """
     if T is not None and T <= cfg.estimator.P:
         raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
-    if T is not None and cfg.generator is not None:
-        cfg = replace(cfg, generator=replace(cfg.generator, T=T))
-    values = _run_series(cfg, cfg.estimator.N, stop=T)(0)
+    # the manifest echoes the config bench was given, not the horizon
+    gen = cfg.generator if T is None or cfg.generator is None else replace(cfg.generator, T=T)
+    values = _run_series(replace(cfg, generator=gen), stop=T)(0)
     if T is not None and T > values.shape[1]:
         raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
                         f"{cfg.data_csv}")
@@ -466,7 +459,7 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
             times.append(dt * 1e-9)
             t_idx.append(t)
     name = "bench_reference" if reference else "bench"
-    path = cfg.output_dir / f"{name}.csv"
+    path = cfg.out_dir / f"{name}.csv"
     io._write_table(path, ["seconds"], t_idx, np.array(times)[:, None])
     manifest = _write_manifest(cfg, name, {"T": T, "reference": reference})
     return [path, manifest]
@@ -505,9 +498,10 @@ def execute(cfg: ExperimentConfig, command: str, options: dict) -> list[Path]:
         raise ConfigError(f"unknown command {command!r}")
     opts = io.config_from_dict(_OPTIONS[command], options, f"{command} options")
     try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise DataError(f"{cfg.output_dir}: cannot make the output directory ({e})") from None
+        raise DataError(f"{cfg.out_dir}: cannot make the output directory ({e})") from None
+    # each cmd_* is looked up in the module's globals, where a tracer patches it
     if command == "generate":
         return cmd_generate(cfg)
     if command == "estimate":

@@ -24,7 +24,9 @@ naming it.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
-all written and checked by these two functions.
+all written and checked by these two functions.  A field typed as a
+dataclass is a section, which both functions read and write through
+themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -522,9 +524,10 @@ def is_integer(value) -> bool:
 
 def config_dict(obj, skip=()) -> dict:
     """The JSON form of dataclass obj: its fields but those in skip, in
-    declaration order under their file names."""
-    return {_FILE_NAMES.get(f.name, f.name): getattr(obj, f.name)
-            for f in fields(obj) if f.name not in skip}
+    declaration order under their file names, a section as its JSON form."""
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.name not in skip)
+    return {_FILE_NAMES.get(name, name): config_dict(value) if is_dataclass(value) else value
+            for name, value in values}
 
 
 def config_from_dict(cls, d, section: str):
@@ -533,10 +536,11 @@ def config_from_dict(cls, d, section: str):
 
     An int field takes an integer that is not a bool, and a seed a
     nonnegative one; a float field takes any number but a bool; a bool
-    field takes only true or false; a str field takes a string; an optional
-    field also takes null.  Absent fields keep their defaults, and
-    a TypeError or ValueError from cls itself (a missing required field, a
-    value out of range) is a ConfigError too.
+    field takes only true or false; a str field takes a string; a field
+    typed as a dataclass is a section, read by this function as the
+    "<key> section"; an optional field also takes null.  Absent fields keep
+    their defaults, and a TypeError or ValueError from cls itself (a
+    missing required field, a value out of range) is a ConfigError too.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{section} must be a JSON object, got {d!r}")
@@ -544,7 +548,7 @@ def config_from_dict(cls, d, section: str):
     unknown = set(d) - set(names)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
-    hints = get_type_hints(cls)
+    hints, values = get_type_hints(cls), dict(d)
     for key, value in d.items():
         kind = hints[names[key]]
         optional = [a for a in get_args(kind) if a is not type(None)]
@@ -552,6 +556,8 @@ def config_from_dict(cls, d, section: str):
             if value is None:
                 continue
             kind = optional[0]
+        if is_dataclass(kind):
+            values[key] = config_from_dict(kind, value, f"{key} section")
         if kind is int and not is_integer(value):
             raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
         if kind is int and key.endswith("seed") and value < 0:
@@ -563,6 +569,6 @@ def config_from_dict(cls, d, section: str):
         if kind is str and not isinstance(value, str):
             raise ConfigError(f"{section}: {key} must be a string, got {value!r}")
     try:
-        return cls(**{names[key]: value for key, value in d.items()})
+        return cls(**{names[key]: value for key, value in values.items()})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{section}: {e}") from None

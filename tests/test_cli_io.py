@@ -537,14 +537,27 @@ def test_emit_every_zero_is_a_config_error(tmp_path):
     assert cli_main(["estimate", str(_cfg_with(tmp_path)), "--emit-every", "0"]) == 2
 
 
-@pytest.mark.parametrize("key, value", [
-    ("mean", None), ("std", None), ("mean", [[0.0], [1.0, 2.0], [3.0]]), ("std", [1.0]),
-    ("mean", [0.0, float("nan"), 0.0]), ("std", [1.0, float("inf"), 1.0]),
-    ("std", [1.0, 0.0, 1.0]), ("run", "0"), ("run", True), ("next_t", True),
+# (key, value, the checkpoint's t or None to keep it, what the error says);
+# the checkpoint is a 1-run cut at 60 of T=120, P=2, emit_every 1
+@pytest.mark.parametrize("key, value, t, says", [
+    ("mean", None, None, "extra.mean must be"), ("std", None, None, "extra.std must be"),
+    ("mean", [[0.0], [1.0, 2.0], [3.0]], None, "extra.mean must be"),
+    ("std", [1.0], None, "extra.std must be"),
+    ("mean", [0.0, float("nan"), 0.0], None, "extra.mean must be"),
+    ("std", [1.0, float("inf"), 1.0], None, "extra.std must be"),
+    ("std", [1.0, 0.0, 1.0], None, "extra.std must be positive"),
+    ("run", "0", None, "extra.run must be"), ("run", True, None, "extra.run must be"),
+    ("next_t", True, None, "extra.next_t must be"),
+    ("emit_every", 2, None, "extra.emit_every is 2 in the checkpoint but 1 in the config"),
+    ("run", 2, None, "extra.run is 2, but the config has 1 run(s)"),
+    ("next_t", 10, None, "extra.next_t is 10, but its state has taken 60 samples"),
+    ("next_t", 500, 498, "extra.next_t is 500, past the end of the 120 samples of run000"),
 ], ids=["mean missing", "std missing", "mean ragged", "std wrong length", "mean nan", "std inf",
-        "std zero", "run not an integer", "run a boolean", "next_t a boolean"])
+        "std zero", "run not an integer", "run a boolean", "next_t a boolean",
+        "another emit_every", "a run the config does not have", "next_t not the state's",
+        "next_t past the end"])
 def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, capsys, key,
-                                                                    value):
+                                                                    value, t, says):
     cfg_path = _cfg_with(tmp_path, runs=1)
     assert cli_main(["estimate", str(cfg_path), "--standardize", "--limit", "60"]) == 0
     ck = tmp_path / "out" / "run000_checkpoint.json"
@@ -553,10 +566,32 @@ def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, c
         del obj["extra"][key]
     else:
         obj["extra"][key] = value
+    if t is not None:
+        obj["t"] = t
     ck.write_text(json.dumps(obj))
     capsys.readouterr()
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
-    assert f"extra.{key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"extra.{key}" in err and says in err
+    assert not (tmp_path / "out" / "run000_estimates_resumed.npy").exists()
+
+
+def test_a_checkpoint_without_emit_every_resumes_as_before(tmp_path):
+    # checkpoints written before emit_every was recorded resume unchecked
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    out = tmp_path / "out"
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"]) == 0
+    ck = out / "run000_checkpoint.json"
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 0
+    names = ["run000_estimates_resumed.npy", "run000_residuals_resumed.npy"]
+    resumed = [(out / name).read_bytes() for name in names]
+    obj = json.loads(ck.read_text())
+    assert obj["extra"].pop("emit_every") == 1
+    ck.write_text(json.dumps(obj))
+    for name in names:
+        (out / name).unlink()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 0
+    assert [(out / name).read_bytes() for name in names] == resumed
 
 
 @pytest.mark.parametrize("argv", [["--standardize"], []],

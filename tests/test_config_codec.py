@@ -3,18 +3,23 @@ form and `io.config_from_dict` reads it back.
 
 Config files, the `resolved` echo in manifests, checkpoint configs and
 replayed options all go through this pair, so its key names and key order
-are the file formats themselves.
+are the file formats themselves.  An experiment config is one
+`ExperimentConfig`: its echo parses back to it, every `replace` of it is
+checked as a file is, and the CLI's overrides are such a `replace`.
 """
 
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffgraph import DetectionConfig, EstimatorConfig, GeneratorConfig, OnlineEstimator
-from rffgraph import experiment, io
+from rffgraph import ConfigError, DetectionConfig, EstimatorConfig, GeneratorConfig
+from rffgraph import OnlineEstimator, experiment, io
+from rffgraph.cli import main as cli_main
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -101,3 +106,71 @@ def test_shipped_configs_parse_and_their_echo_parses_to_the_same_config():
         again = experiment.parse_experiment(json.loads(json.dumps(echo)))
         assert again == cfg
         assert again.resolved == echo
+
+
+@st.composite
+def experiment_dicts(draw):
+    """A config file's JSON object: a generator or a data_csv, every section,
+    each optional top-level key present or not, the keys in any order."""
+    est = draw(estimator_configs)
+    if draw(st.booleans()):
+        gen = draw(generator_configs())
+        est = replace(est, N=gen.N, P=gen.P)
+        obj = {"generator": io.config_dict(gen, skip=("seed",))}
+    else:
+        obj = {"data_csv": draw(st.from_regex(r"(/data/)?[a-z]{1,8}\.csv", fullmatch=True))}
+    obj["estimator"] = io.config_dict(est)
+    optional = {
+        "runs": st.integers(1, 100), "base_seed": seeds,
+        "output_dir": st.from_regex(r"[a-z]{1,8}(/[a-z]{1,8})?", fullmatch=True),
+        "metrics": st.builds(lambda det, window: {**io.config_dict(det), "mse_window": window},
+                             detection_configs, st.integers(1, 10**4)),
+        "emit_every": st.integers(1, 50), "standardize": st.booleans()}
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        obj[key] = draw(optional[key])
+    return dict(draw(st.permutations(list(obj.items()))))
+
+
+@SETTINGS
+@given(experiment_dicts())
+def test_an_experiment_echo_parses_back_to_its_config_in_file_order(obj):
+    cfg = experiment.parse_experiment(obj)
+    echo = json.loads(json.dumps(cfg.resolved))
+    assert list(echo) == TOP_KEYS
+    assert experiment.parse_experiment(echo) == cfg
+
+
+@SETTINGS
+@given(experiment_dicts())
+def test_every_replace_of_an_experiment_checks_the_sections_against_each_other(obj):
+    cfg = experiment.parse_experiment(obj)
+    est = cfg.estimator
+    gen = cfg.generator or GeneratorConfig(N=est.N, P=est.P, T=est.P + 1)
+    for changes in ({"emit_every": 0}, {"runs": 0}, {"estimator": None},
+                    {"generator": gen, "data_csv": "x.csv"},
+                    {"generator": None, "data_csv": None},
+                    {"generator": gen, "data_csv": None, "estimator": replace(est, N=est.N + 1)},
+                    {"generator": gen, "data_csv": None, "estimator": replace(est, P=est.P + 1)}):
+        with pytest.raises(ConfigError):
+            replace(cfg, **changes)
+
+
+@SETTINGS
+@given(experiment_dicts(), st.integers(1, 50))
+def test_the_cli_overrides_echo_as_a_file_that_carries_them(obj, K):
+    """estimate --emit-every K --standardize writes the manifest of a config
+    file with those two values.  Only the manifest is written: estimate is
+    replaced, as a tracer would, by a writer of its manifest."""
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "cmd_estimate", lambda cfg, **options: [
+            experiment._write_manifest(cfg, "estimate", options)])
+        manifests = []
+        for name, overrides, argv in (
+                ("cli", {}, ["--emit-every", str(K), "--standardize"]),
+                ("file", {"emit_every": K, "standardize": True}, [])):
+            path, out = Path(d) / f"{name}.json", Path(d) / name
+            path.write_text(json.dumps({**obj, **overrides}))
+            mp.setenv(experiment.ENV_OUTPUT_DIR, str(out))
+            assert cli_main(["estimate", str(path), *argv]) == 0
+            manifests.append((out / "estimate_manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]

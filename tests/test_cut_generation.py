@@ -173,4 +173,4 @@ def test_a_non_finite_sample_before_the_cut_raises_as_in_the_full_series(tmp_pat
     cfg = replace(cfg, generator=replace(cfg.generator, noise_std=float("nan")))
     for stop in (3, 4, 60):
         with pytest.raises(DivergenceError, match="non-finite history"):
-            experiment._run_series(cfg, 3, stop=stop)(0)
+            experiment._run_series(cfg, stop=stop)(0)

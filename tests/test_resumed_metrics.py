@@ -5,9 +5,10 @@ After `estimate --limit c` and a `--from-checkpoint` resume of every run,
 its products equal those of the uncut `estimate -> metrics` byte for byte.
 A run set where only some runs were resumed, or a resumed file that does
 not continue its cut file (a resume of the checkpoint of an earlier
-estimate in the same directory, or one under another emit_every), is a
-data error naming the runs or the files.  So is a resume under another
-estimator config than the cut's, named by the checkpoint and the key.
+estimate in the same directory, or of a checkpoint without its emit_every
+under another one), is a data error naming the runs or the files.  So is
+a resume under another estimator config or emit_every than the cut's,
+named by the checkpoint and the key.
 """
 
 import json
@@ -109,13 +110,24 @@ def test_a_resume_under_another_estimator_config_is_a_data_error_naming_the_key(
 
 
 def test_a_resume_under_another_emit_every_names_both_causes(tmp_path, capsys):
-    # the checkpoint does not record emit_every, so the resume itself runs
+    # the checkpoint records emit_every, so the resume itself is a data error
     cfg, out = _config(tmp_path / "exp.json", "switching", 1), tmp_path / "out"
     assert cli_main(["generate", cfg]) == 0
     assert cli_main(["estimate", cfg, "--emit-every", "3", "--limit", "45"]) == 0
+    capsys.readouterr()
+    ckpt = out / "run000_checkpoint.json"
+    assert cli_main(["estimate", cfg, "--emit-every", "5", "--from-checkpoint", str(ckpt)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {ckpt}: extra.emit_every is 3 in the checkpoint but 5 in the config")
+    # a checkpoint without the record resumes, and metrics names both causes
     for r in range(RUNS):
+        ckpt = out / f"run{r:03d}_checkpoint.json"
+        obj = json.loads(ckpt.read_text())
+        del obj["extra"]["emit_every"]
+        copy = tmp_path / ckpt.name
+        copy.write_text(json.dumps(obj))
         assert cli_main(["estimate", cfg, "--emit-every", "5", "--from-checkpoint",
-                         str(out / f"run{r:03d}_checkpoint.json")]) == 0
+                         str(copy)]) == 0
     capsys.readouterr()
     assert cli_main(["metrics", cfg]) == 3
     err = capsys.readouterr().err
