@@ -285,7 +285,7 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
             raise DataError(f"{checkpoint_path}: {name} is {saved[key]!r} in the checkpoint "
                             f"but {now[key]!r} in the config; a resume runs under the cut's "
                             f"config")
-    values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg)(r))
+    values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg)(r), cfg.standardize)
     if next_t > values.shape[1]:
         raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, past the end of the "
                         f"{values.shape[1]} samples of {_run_prefix(r)}")
@@ -298,26 +298,31 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                                       name=f"{_run_prefix(r)}_estimate_resumed")]
 
 
-def _checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray) -> np.ndarray:
+def _checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray,
+                        standardize: bool) -> np.ndarray:
     """The (N, T) series values scaled as the estimate that wrote the
     checkpoint scaled its series.
 
     extra is the checkpoint's record.  Its standardize, when present, must
     be a boolean; when true, its mean and std must be finite and one per
-    node, and std positive.
+    node, and std positive.  It must then equal standardize, the config's
+    (an absent one counts as false).
     """
-    standardize = extra.get("standardize", False)
-    if not isinstance(standardize, bool):
+    saved = extra.get("standardize", False)
+    if not isinstance(saved, bool):
         raise DataError(f"{checkpoint_path}: extra.standardize must be true or false, "
-                        f"got {standardize!r}")
-    if not standardize:
-        return values
-    N = len(values)
-    mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", (N,))
-    std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", (N,))
-    if not (std > 0).all():
-        raise DataError(f"{checkpoint_path}: extra.std must be positive")
-    return (values - mean[:, None]) / std[:, None]
+                        f"got {saved!r}")
+    if saved:
+        N = len(values)
+        mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", (N,))
+        std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", (N,))
+        if not (std > 0).all():
+            raise DataError(f"{checkpoint_path}: extra.std must be positive")
+    if saved != standardize:
+        raise DataError(f"{checkpoint_path}: extra.standardize is {json.dumps(saved)} in the "
+                        f"checkpoint but {json.dumps(standardize)} in the config; a resume runs "
+                        f"under the cut's config")
+    return (values - mean[:, None]) / std[:, None] if saved else values
 
 
 def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray, start: int,

@@ -1,9 +1,12 @@
 """File formats: data/prediction/metric CSVs, topology JSONL, checkpoints,
 and the binary traces beside them.
 
-All numeric text is written with Python's shortest round-trip float
-representation, so re-running a recorded experiment reproduces files
-byte for byte.  No timestamps are embedded anywhere.
+Every CSV cell is repr's text of its float, the shortest round-trip
+text, so re-running a recorded experiment reproduces files byte for byte.
+It is written through orjson, which prints the same digits faster, with
+repr itself for non-finite cells and cells outside [1e-4, 1e16), where
+orjson's notation differs.  JSON files keep the json module's text.  No
+timestamps are embedded anywhere.
 
 Beside each estimates CSV sits a `.npy` file with the same rows as a
 float64 array, and beside each predictions CSV a residuals `.npy` file with
@@ -54,7 +57,9 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
+        if obj.dtype.kind == "f":  # one pass: NaN cells become None in an object array
+            return np.where(np.isnan(obj), None, obj).tolist()
+        return obj.tolist() if obj.dtype.kind in "biu" else jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -114,14 +119,43 @@ def _json_pieces(obj):
     yield closing
 
 
+# A table is formatted this many cells (at least one row) at a time.
+TABLE_BLOCK_CELLS = 2048
+
+
 def _write_table(path, columns, t_values, rows):
-    """Write the `t,<columns>` CSV all tables share: one row per t, cells in
-    shortest round-trip form."""
+    """Write the `t,<columns>` CSV all tables share: one line per t of the
+    sequence t_values and row of the (rows, cells) array rows, each cell in
+    repr's text.
+
+    A block of cells is printed by one orjson call, which prints repr's
+    shortest round-trip digits, but in another notation for nonzero
+    |x| < 1e-4, for |x| >= 1e16 and for nan and inf; repr prints those
+    cells alone.
+    """
+    # imported on the first table written, not with the module: the import
+    # takes milliseconds that a command writing no table need not pay
+    import orjson
+
+    rows = np.asarray(rows, dtype=np.float64)
+    step = max(1, TABLE_BLOCK_CELLS // rows.shape[1])
     with opened(path, "w", "output file") as fh:
         fh.write("t," + ",".join(columns) + "\n")
-        for t, row in zip(t_values, rows):
-            fh.write(f"{int(t)}," + ",".join(map(repr, np.asarray(row, dtype=float).tolist()))
-                     + "\n")
+        for i in range(0, len(rows), step):
+            block = np.ascontiguousarray(rows[i:i + step])
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            lines = text[2:-2].split("],[")  # "[[a,b],[c,d]]" -> ["a,b", "c,d"]
+            magnitude = np.abs(block)
+            by_repr = (block != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
+            split = {}
+            for r, c, x in zip(*(a.tolist() for a in np.nonzero(by_repr)),
+                               block[by_repr].tolist()):
+                if r not in split:
+                    split[r] = lines[r].split(",")
+                split[r][c] = repr(x)
+            for r, cells in split.items():
+                lines[r] = ",".join(cells)
+            fh.write("".join(f"{int(t)},{line}\n" for t, line in zip(t_values[i:i + step], lines)))
 
 
 # The readers of the run files hold at most this many bytes of float64
@@ -301,7 +335,8 @@ def write_estimates_csv(path, group_norms: np.ndarray, t_start: int, emit_every:
     """Pseudo-adjacency trace, one row per (thinned) time index from t_start on."""
     _, N, _, P = group_norms.shape
     t_values, rows = _emitted(group_norms, t_start, emit_every)
-    _write_table(path, estimate_column_names(N, P), t_values, (row.ravel() for row in rows))
+    _write_table(path, estimate_column_names(N, P), t_values,
+                 rows.reshape(len(t_values), N * N * P))
 
 
 def write_estimates_npy(path, group_norms: np.ndarray, t_start: int, emit_every: int = 1):

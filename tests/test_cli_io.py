@@ -570,7 +570,8 @@ def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, c
         obj["t"] = t
     ck.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+    assert cli_main(["estimate", str(cfg_path), "--standardize", "--from-checkpoint",
+                     str(ck)]) == 3
     err = capsys.readouterr().err
     assert f"extra.{key}" in err and says in err
     assert not (tmp_path / "out" / "run000_estimates_resumed.npy").exists()
@@ -592,6 +593,22 @@ def test_a_checkpoint_without_emit_every_resumes_as_before(tmp_path):
         (out / name).unlink()
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 0
     assert [(out / name).read_bytes() for name in names] == resumed
+
+
+@pytest.mark.parametrize("cut, resume", [([], ["--standardize"]), (["--standardize"], [])],
+                         ids=["resumed with --standardize", "resumed without --standardize"])
+def test_a_resume_under_another_standardize_is_a_data_error(tmp_path, capsys, cut, resume):
+    # the resume scaled as its cut did, while its manifests echoed the config
+    cfg_path = _cfg_with(tmp_path, runs=1)
+    assert cli_main(["estimate", str(cfg_path), "--limit", "60"] + cut) == 0
+    ck = tmp_path / "out" / "run000_checkpoint.json"
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)] + resume) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {ck}: extra.standardize is {json.dumps(bool(cut))} in "
+                          f"the checkpoint but {json.dumps(bool(resume))} in the config")
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*_resumed*"))
 
 
 @pytest.mark.parametrize("argv", [["--standardize"], []],

@@ -8,6 +8,7 @@ grow with its length.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -300,12 +301,31 @@ def test_checkpoint_and_report_text_equal_json_dump(tmp_path):
     assert obj["alpha"] == [[[[5e-324, -0.0]]]] and obj["extra"] == extra
 
 
+_CELLS = st.floats() | st.just(float("nan"))
+# numpy arrays as report.json holds them: float curves with NaN, 1-D and
+# 2-D, and bool and int arrays
+_ARRAYS = (st.lists(_CELLS, max_size=5).map(lambda v: np.array(v, dtype=float))
+           | st.integers(0, 3).flatmap(lambda r: st.lists(_CELLS, min_size=2 * r, max_size=2 * r)
+                                       .map(lambda v: np.array(v, dtype=float).reshape(r, 2)))
+           | st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool))
+           | st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(
+               lambda v: np.array(v, dtype=np.int64)))
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
-    | st.floats(allow_nan=False, allow_infinity=True) | st.sampled_from([5e-324, -0.0, 1e16]),
+    | st.floats(allow_nan=False, allow_infinity=True) | st.sampled_from([5e-324, -0.0, 1e16])
+    | _ARRAYS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=4),
     max_leaves=20)
+
+
+def _listed(value):
+    """An array as json.dump is to write it: nested lists, NaN as null."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return [_listed(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -314,7 +334,7 @@ def test_write_json_writes_json_dump_text(tmp_path_factory, obj):
     d = tmp_path_factory.mktemp("json")
     io.write_json(d / "written.json", obj)
     with open(d / "dumped.json", "w") as fh:
-        json.dump(obj, fh)
+        json.dump(obj, fh, default=_listed)
     assert (d / "written.json").read_text() == (d / "dumped.json").read_text()
 
 
