@@ -383,12 +383,10 @@ class EstimateSeries:
     group_norms[t, n, n', p] is the pseudo-adjacency entry
     ||alpha_{n,n'}^{(p)}[t]||_2 recorded *after* the update at time t, on
     the rows t = P (mod emit_every) of the run that made it; rows off that
-    grid stay zero.  predictions and losses are NaN during the warm-up rows
-    (t < P).
+    grid stay zero.  predictions are NaN during the warm-up rows (t < P).
     """
 
     predictions: np.ndarray  # (N, T)
-    losses: np.ndarray  # (N, T)
     group_norms: np.ndarray  # (T, N, N, P)
     state: CoefficientState
     config: EstimatorConfig
@@ -513,11 +511,12 @@ class OnlineEstimator:
 
         The arrays cover all T time indices, so a run resumed at `start`
         lines up with the uncut one; rows before `start` stay NaN
-        (predictions, losses) and zero (group norms).  The pseudo-adjacency
-        is computed only on the rows t = P (mod emit_every), the grid an
+        (predictions) and zero (group norms).  The pseudo-adjacency is
+        computed only on the rows t = P (mod emit_every), the grid an
         estimates file of that thinning writes; the other rows of
-        group_norms stay zero.  Predictions, losses and the state do not
-        depend on emit_every.
+        group_norms stay zero.  Predictions and the state do not depend on
+        emit_every.  No loss is recorded: step's loss of sample t is
+        0.5 * d * d of d = values[:, t] - predictions[:, t].
         """
         values = np.asarray(values, dtype=float)
         N, T = values.shape
@@ -531,17 +530,16 @@ class OnlineEstimator:
             raise ValueError(f"series too short: need more than {self.cfg.P - self.warm} "
                              f"samples from t={start} (P={self.cfg.P})")
         preds = np.full((N, T), np.nan)
-        losses = np.full((N, T), np.nan)
         P = self.cfg.P
         norms = np.zeros((T, N, N, P))
         for t in range(start, T):
             out = self.step(values[:, t])
             if out is not None:
-                preds[:, t], losses[:, t] = out
+                preds[:, t] = out[0]
             if (t - P) % emit_every == 0:
                 norms[t] = self.pseudo_adjacency()
-        return EstimateSeries(predictions=preds, losses=losses, group_norms=norms,
-                              state=self.state, config=self.cfg)
+        return EstimateSeries(predictions=preds, group_norms=norms, state=self.state,
+                              config=self.cfg)
 
 
 @dataclass
@@ -685,6 +683,11 @@ class GrowingDictionaryEstimator:
     """
 
     def __init__(self, N: int, P: int, kernel_variance: float = 1.0, eta: float = 0.1):
+        if N < 1 or P < 1:
+            raise ConfigError(f"N, P must be positive, got ({N}, {P})")
+        for name, value in (("kernel_variance", kernel_variance), ("eta", eta)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         self.N, self.P = N, P
         self.kernel_variance = kernel_variance
         self.eta = eta

@@ -390,7 +390,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
         """Add run r to the counts, one block of each of its files at a time."""
         run = cfg.out_dir / _run_prefix(r)
         paths = [Path(f"{run}_estimates{part}.npy") for part in parts]
-        _, blocks = io.estimate_blocks(paths, N, P)
+        blocks = io.estimate_blocks(paths, N, P)
         topo_path = Path(f"{run}_topology.jsonl")
         topo = io.read_topology(topo_path)
         if topo.active.shape[1:] != (N, N, P):
@@ -403,7 +403,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[Path]:
         same_grid("estimate", paths, t_blocks)
 
         paths = [Path(f"{run}_residuals{part}.npy") for part in parts]
-        _, blocks = io.residual_blocks(paths, N)
+        blocks = io.residual_blocks(paths, N)
         t_blocks = []
         for t, err in blocks:
             errors.add(err, at=sum(map(len, t_blocks)))
@@ -447,6 +447,9 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
     if T is not None and T > values.shape[1]:
         raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
                         f"{cfg.data_csv}")
+    if values.shape[1] <= cfg.estimator.P:
+        raise DataError(f"{_run_prefix(0)} has {values.shape[1]} samples from t=0; the "
+                        f"estimator needs more than {cfg.estimator.P}")
     if cfg.standardize:
         values, _, _ = _standardize(values)
     if reference:

@@ -17,13 +17,14 @@ traces; the CSVs are kept for people and other tools.
 The run files `metrics` scores are read in row blocks of at most
 BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`
 and `residual_blocks` hand out one block at a time, from one file or a
-run's cut and resumed files in turn.  `read_data_csv` parses one data CSV
-in row blocks too.  The topology JSONL holds one line per record of the
-generator's `TopologyTrace`, and `read_topology` reads it back as one,
-keeping each distinct state once.  `opened` is the one opener of every
-file read or written: a missing input, and any file that cannot be read
-or written, is a DataError (a ConfigError for a config file or manifest)
-naming it.
+run's cut and resumed files in turn.  `read_data_csv` parses a data CSV
+whole, since `estimate` and `bench` hold the whole series anyway, and
+returns it C-ordered, as `generate` makes it.  The topology JSONL holds
+one line per record of the generator's `TopologyTrace`, and
+`read_topology` reads it back as one, keeping each distinct state once.
+`opened` is the one opener of every file read or written: a missing
+input, and any file that cannot be read or written, is a DataError (a
+ConfigError for a config file or manifest) naming it.
 
 `config_dict` and `config_from_dict` are the one config codec: config
 files, the config a checkpoint holds and the options a manifest records are
@@ -169,46 +170,6 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_BYTES // (8 * width))
 
 
-def _table_blocks(path, what: str):
-    """The `t,<columns>` CSV at path in row blocks of (line number of the
-    block's first row, integer t values, (rows, columns) array); each cell
-    is parsed by float() into compact storage.
-
-    A header that does not start with `t` and name a column after it, a
-    row of another width, a cell that is not a number, a time that is not
-    a nonnegative integer, or a file without rows is a DataError naming
-    the file (and the line).
-    """
-    with opened(path, "r", f"{what} file") as fh:
-        header = fh.readline().strip().split(",")
-        width = len(header)
-        if header[0] != "t" or width < 2:
-            raise DataError(f"{path}: expected a {what} header 't,...', got {header!r}")
-        size = _block_rows(width) * width
-        cells, first, lineno = array("d"), 2, 1
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != width:
-                raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
-                                f"header width {width}")
-            try:
-                cells.extend(map(float, parts))
-            except ValueError:
-                raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
-            if len(cells) == size:
-                yield _table_block(path, first, cells, width)
-                cells, first = array("d"), lineno + 1
-    if lineno == 1:
-        raise DataError(f"{path}: no {what} rows")
-    if cells:
-        yield _table_block(path, first, cells, width)
-
-
-def _table_block(path, first: int, cells, width: int):
-    block = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)
-    return first, _time_column(path, block[:, 0]), block[:, 1:]
-
-
 def _time_column(path, t: np.ndarray) -> np.ndarray:
     """t as integers; a DataError naming the file unless every value is a
     nonnegative integer."""
@@ -228,21 +189,39 @@ def write_data_csv(path, values: np.ndarray):
 
 
 def read_data_csv(path) -> np.ndarray:
-    """Read a data CSV back into an (N, T) array, parsing it in row blocks.
+    """Read a data CSV back into a C-ordered (N, T) array, parsing it in one
+    pass: each cell by float() into one compact array.
 
-    Every value must be finite and the time column must be 0..T-1; a
-    DataError names the file (and the line of a non-finite value).
+    A header that does not start with `t` and name a column after it, a
+    row of another width, a cell that is not a number or not finite, a time
+    column other than 0..T-1, or a file without rows is a DataError naming
+    the file (and the line).
     """
-    series, T = [], 0
-    for first, t, values in _table_blocks(path, "data"):
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise DataError(f"{path}, line {first + int(np.argmin(finite))}: non-finite value")
-        if not np.array_equal(t, np.arange(T, T + len(t))):
-            raise DataError(f"{path}: time column must be 0..T-1")
-        T += len(t)
-        series.append(values.T)
-    return np.concatenate(series, axis=1)
+    with opened(path, "r", "data file") as fh:
+        header = fh.readline().strip().split(",")
+        width = len(header)
+        if header[0] != "t" or width < 2:
+            raise DataError(f"{path}: expected a data header 't,...', got {header!r}")
+        cells = array("d")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != width:
+                raise DataError(f"{path}, line {lineno}: row width {len(parts)} != "
+                                f"header width {width}")
+            try:
+                cells.extend(map(float, parts))
+            except ValueError:
+                raise DataError(f"{path}, line {lineno}: empty or non-numeric cell") from None
+    if not cells:
+        raise DataError(f"{path}: no data rows")
+    table = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)
+    t, values = _time_column(path, table[:, 0]), table[:, 1:]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}, line {2 + int(np.argmin(finite))}: non-finite value")
+    if not np.array_equal(t, np.arange(len(t))):
+        raise DataError(f"{path}: time column must be 0..T-1")
+    return np.ascontiguousarray(values.T)
 
 
 def write_topology_jsonl(path, ts: TimeSeries):
@@ -411,16 +390,15 @@ def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
 
     Every file's header is checked first, before any row is read (see
     _npy_rows_at); one may hold no rows (a resume past the last grid row),
-    but not all.  Returns (rows, blocks): the total row count, and a
-    generator of (integer t values, (rows, width - 1) array) blocks whose
-    time column is checked one block at a time.
+    but not all.  Returns a generator of (integer t values, (rows,
+    width - 1) array) blocks whose time column is checked one block at a
+    time.
     """
     paths = [Path(p) for p in ([paths] if isinstance(paths, (str, os.PathLike)) else paths)]
     layout = [_npy_rows_at(p, what, width, fits, hint) for p in paths]
-    rows = sum(rows for _, rows in layout)
-    if not rows:
+    if not any(rows for _, rows in layout):
         raise DataError(f"{paths[0]}: no {what} rows{hint}")
-    return rows, _npy_blocks(paths, layout, what, width, hint)
+    return _npy_blocks(paths, layout, what, width, hint)
 
 
 def _npy_blocks(paths, layout, what: str, width: int, hint: str):
@@ -437,21 +415,21 @@ def _npy_blocks(paths, layout, what: str, width: int, hint: str):
 
 def estimate_blocks(paths, N: int, P: int):
     """The estimates `.npy` files at paths in row blocks, as _npy_trace
-    reads them: (rows, blocks of (t values, (rows, N, N, P) array))."""
-    rows, blocks = _npy_trace(paths, "estimates", 1 + N * N * P, f"N={N}, P={P}")
-    return rows, ((t, cells.reshape(-1, N, N, P)) for t, cells in blocks)
+    reads them: blocks of (t values, (rows, N, N, P) array)."""
+    blocks = _npy_trace(paths, "estimates", 1 + N * N * P, f"N={N}, P={P}")
+    return ((t, cells.reshape(-1, N, N, P)) for t, cells in blocks)
 
 
 def residual_blocks(paths, N: int):
     """The residuals `.npy` files at paths in row blocks, as _npy_trace reads
-    them: (rows, blocks of (t values, (N, rows) errors)).
+    them: blocks of (t values, (N, rows) errors).
 
     A residuals file written before this trace existed is missing, so every
     message about one says to re-run estimate.
     """
-    rows, blocks = _npy_trace(paths, "residuals", 1 + N, f"N={N}",
-                              hint="; re-run estimate to write it")
-    return rows, ((t, cells.T) for t, cells in blocks)
+    blocks = _npy_trace(paths, "residuals", 1 + N, f"N={N}",
+                        hint="; re-run estimate to write it")
+    return ((t, cells.T) for t, cells in blocks)
 
 
 def write_predictions_csv(path, predictions: np.ndarray, t_start: int):

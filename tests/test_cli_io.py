@@ -480,10 +480,36 @@ def test_bad_data_csv_cell_is_a_data_error_naming_the_line(tmp_path, cell, recwa
 
 
 @pytest.mark.parametrize("T", [1, 2])
-def test_estimate_on_a_data_csv_no_longer_than_p_is_a_data_error(tmp_path, T):
+def test_estimate_on_a_data_csv_no_longer_than_p_is_a_data_error(tmp_path, capsys, T):
+    # bench too, with and without --reference: no header-only bench CSV
     path = tmp_path / "d.csv"
     io.write_data_csv(path, np.ones((2, T)))
-    assert cli_main(["estimate", str(_csv_cfg(tmp_path, path, P=2))]) == 3
+    cfg = str(_csv_cfg(tmp_path, path, P=2))
+    for command, *options in (["estimate"], ["bench"], ["bench", "--reference"]):
+        capsys.readouterr()
+        assert cli_main([command, cfg, *options]) == 3
+        assert f"run000 has {T} samples" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("bench*"))
+
+
+def test_a_standardized_data_csv_estimate_writes_the_generated_runs_bytes(tmp_path):
+    # the series read back from runNNN_data.csv is the generated one, bit for
+    # bit and C-ordered as generated, so its standardization is too
+    gen = json.loads(json.dumps(BASE))
+    gen.update(runs=1, standardize=True, output_dir=str(tmp_path / "gen"))
+    gen["generator"].update(N=4, T=300)
+    gen["estimator"].update(N=4)
+    gen_path = _write_cfg(tmp_path, gen, "gen.json")
+    assert cli_main(["generate", str(gen_path)]) == 0
+    assert cli_main(["estimate", str(gen_path)]) == 0
+    data = {key: value for key, value in gen.items() if key != "generator"}
+    data.update(data_csv=str(tmp_path / "gen" / "run000_data.csv"),
+                output_dir=str(tmp_path / "csv"))
+    assert cli_main(["estimate", str(_write_cfg(tmp_path, data, "csv.json"))]) == 0
+    for name in ("estimates.csv", "estimates.npy", "predictions.csv", "residuals.npy",
+                 "checkpoint.json"):
+        assert (tmp_path / "csv" / f"run000_{name}").read_bytes() == \
+            (tmp_path / "gen" / f"run000_{name}").read_bytes(), name
 
 
 def _cut_run(tmp_path):

@@ -473,7 +473,8 @@ def test_linear_baseline_wins_on_linear_data():
     lin = lb.run(values)
     non = rf.run(values)
     tail = slice(T // 2, T)
-    assert np.nanmean(lin.losses[:, tail]) <= np.nanmean(non.losses[:, tail])
+    d_lin, d_non = (values[:, tail] - series.predictions[:, tail] for series in (lin, non))
+    assert np.nanmean(0.5 * d_lin * d_lin) <= np.nanmean(0.5 * d_non * d_non)
 
 
 def test_linear_baseline_step_function_matches_class():
@@ -505,6 +506,24 @@ def test_growing_dictionary_grows_per_step():
     assert gd.dictionary_size == 18
     yhat, losses = gd.step(rng.normal(size=2))
     assert np.isfinite(yhat).all() and np.isfinite(losses).all()
+
+
+@pytest.mark.parametrize("args, message", [
+    ({"N": 0, "P": 0}, "N, P must be positive"),
+    ({"N": 2, "P": 0}, "N, P must be positive"),
+    ({"kernel_variance": -1.0}, "kernel_variance must be finite and positive"),
+    ({"kernel_variance": 0.0}, "kernel_variance must be finite and positive"),
+    ({"kernel_variance": math.inf}, "kernel_variance must be finite and positive"),
+    ({"eta": math.nan}, "eta must be finite and positive"),
+    ({"eta": 0.0}, "eta must be finite and positive"),
+], ids=["N=0, P=0", "P=0", "negative kernel_variance", "zero kernel_variance",
+        "infinite kernel_variance", "nan eta", "zero eta"])
+def test_growing_dictionary_checks_its_arguments(args, message):
+    # under EstimatorConfig's rules: a negative kernel_variance would weight
+    # atoms by exp(+d^2 / 2), a NaN eta give NaN predictions, and N=0, P=0
+    # fail only at step
+    with pytest.raises(ConfigError, match=message):
+        GrowingDictionaryEstimator(**{"N": 2, "P": 2, **args})
 
 
 @pytest.mark.parametrize("make", [

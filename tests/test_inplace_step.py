@@ -89,11 +89,13 @@ def _fed(est, values, split):
     With split None one run() takes every sample.  With split (a, b),
     samples [a, b) go through one run() when it takes them (it needs more
     than the rest of the warm-up) and every other sample through step(),
-    recorded as run() records them.
+    recorded as run() records them.  run() records no losses: those of its
+    samples are 0.5 * d * d of d = values - predictions.
     """
     if split is None:
         series = est.run(values)
-        return series.predictions, series.losses, series.group_norms
+        d = values - series.predictions
+        return series.predictions, 0.5 * d * d, series.group_norms
     N, T = values.shape
     a, b = sorted(min(c, T) for c in split)
     preds, losses = np.full((N, T), np.nan), np.full((N, T), np.nan)
@@ -102,7 +104,9 @@ def _fed(est, values, split):
     while t < T:
         if t == a and b - a > est.cfg.P - est.warm:
             series = est.run(values[:, :b], start=a)
-            preds[:, a:b], losses[:, a:b] = series.predictions[:, a:b], series.losses[:, a:b]
+            preds[:, a:b] = series.predictions[:, a:b]
+            d = values[:, a:b] - preds[:, a:b]
+            losses[:, a:b] = 0.5 * d * d
             rows[a:b] = series.group_norms[a:b]
             t = b
             continue
@@ -162,7 +166,8 @@ def test_in_place_linear_baseline_equals_the_functional_chain(N, P, seed, blocki
     start = CoefficientState(alpha=np.zeros((N, P, N, 1)))
     preds, losses, rows, state, _ = _chain(lb.cfg, values, start, linear=True)
     assert np.array_equal(series.predictions, preds, equal_nan=True)
-    assert np.array_equal(series.losses, losses, equal_nan=True)
+    d = values - series.predictions
+    assert np.array_equal(0.5 * d * d, losses, equal_nan=True)
     assert np.array_equal(series.group_norms, rows)
     assert np.array_equal(lb.state.alpha, state.alpha) and lb.state.t == state.t
 

@@ -2,9 +2,9 @@
 
 Block reading must not change a byte of the outputs: the accumulators equal
 the whole-array formulas bit for bit, the topology looked up at a block's
-rows equals the dense forward fill, the block table parser gives the values
-and the errors of a whole-file parse, and the memory of one run does not
-grow with its length.
+rows equals the dense forward fill, the data CSV parser gives the values
+and the errors of a cell-by-cell parse whatever the block size, and the
+memory of one run does not grow with its length.
 """
 
 import json
@@ -171,7 +171,7 @@ def test_a_drifting_topology_keeps_one_mask(tmp_path):
     assert len(io.read_topology(path, with_coeffs=True).coeffs) == 498
 
 
-# --- the block table parser ---------------------------------------------------
+# --- the data CSV parser, under any block size of the .npy readers ------------
 
 def _whole_parse(path, width):
     """Values of a well-formed `t,...` CSV, each cell through float()."""
@@ -191,7 +191,7 @@ def test_block_parsers_give_the_whole_file_values(tmp_path, monkeypatch, block_b
     # in blocks of at most the budget's rows
     preds = np.where(values > 0, values, np.nan)
     io.write_residuals_npy(tmp_path / "r.npy", values, preds, t_start=3)
-    _, blocks = io.residual_blocks([tmp_path / "r.npy", tmp_path / "r.npy"], 2)
+    blocks = io.residual_blocks([tmp_path / "r.npy", tmp_path / "r.npy"], 2)
     t, err = zip(*blocks)
     assert np.array_equal(np.concatenate(t), np.tile(np.arange(3, 40), 2))
     assert _same_bits(np.concatenate(err, axis=1), np.tile(values[:, 3:] - preds[:, 3:], 2))

@@ -10,7 +10,9 @@ relative to it).  The flows use the bundled configs cut to 2 runs:
   every run -> metrics; the same with `--emit-every 7`; the same with
   `--standardize`;
 - a `data_csv` config (1 run) whose series is a relative path to what
-  `generate` wrote: a cut, a resume and metrics;
+  `generate` wrote: a cut, a resume and metrics; the same with
+  `--standardize`, whose per-node mean and std depend on the memory
+  layout of the parsed series;
 - `bench --T 120` with and without `--reference`.
 
 Each flow then replays every manifest it wrote, from copies, in the order
@@ -67,10 +69,11 @@ def _flows():
     cut = str(gen["generator"]["T"] // 2 + 3)
     data = {key: value for key, value in gen.items() if key != "generator"}
     data["data_csv"] = "out/run000_data.csv"
-    yield "data_csv", {"gen.json": gen, "exp.json": data}, [
-        ["generate", "gen.json"], ["estimate", "exp.json", "--limit", cut],
-        ["estimate", "exp.json", "--from-checkpoint", "out/run000_checkpoint.json"],
-        ["metrics", "exp.json"]]
+    for flow, argv in (("data_csv", []), ("data_csv-standardize", ["--standardize"])):
+        yield flow, {"gen.json": gen, "exp.json": data}, [
+            ["generate", "gen.json"], ["estimate", "exp.json", "--limit", cut, *argv],
+            ["estimate", "exp.json", "--from-checkpoint", "out/run000_checkpoint.json", *argv],
+            ["metrics", "exp.json"]]
     yield "bench", {"exp.json": _config("switching")}, [
         ["bench", "exp.json", "--T", "120"], ["bench", "exp.json", "--T", "120", "--reference"]]
 
