@@ -50,7 +50,6 @@ from .estimator import (
 )
 from .metrics import (
     DetectionConfig,
-    extract_pseudo_adjacency,
     mse_curve,
     normalize,
     normalize_series,

@@ -60,7 +60,6 @@ import numpy as np
 
 from .exceptions import ConfigError, DivergenceError
 from .kernels import GaussianKernel, sample_frequencies
-from .generator import TimeSeries
 
 ALPHA_LIMIT = 1e12  # coefficient magnitude beyond which the run is declared divergent
 BLOCK_BYTES = 256 * 1024  # scratch for one block of nodes of the update, sized to stay in L2
@@ -378,7 +377,7 @@ def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray
 
 @dataclass
 class EstimateSeries:
-    """Per-sample outputs of an online run.
+    """Per-sample outputs of an online run and the state it ended in.
 
     group_norms[t, n, n', p] is the pseudo-adjacency entry
     ||alpha_{n,n'}^{(p)}[t]||_2 recorded *after* the update at time t, on
@@ -389,7 +388,6 @@ class EstimateSeries:
     predictions: np.ndarray  # (N, T)
     group_norms: np.ndarray  # (T, N, N, P)
     state: CoefficientState
-    config: EstimatorConfig
 
 
 class LagWindow:
@@ -538,8 +536,7 @@ class OnlineEstimator:
                 preds[:, t] = out[0]
             if (t - P) % emit_every == 0:
                 norms[t] = self.pseudo_adjacency()
-        return EstimateSeries(predictions=preds, group_norms=norms, state=self.state,
-                              config=self.cfg)
+        return EstimateSeries(predictions=preds, group_norms=norms, state=self.state)
 
 
 @dataclass
@@ -553,7 +550,8 @@ class BatchResult:
 
 def batch_oracle(data, cfg: EstimatorConfig, iterations: int = 2000,
                  tolerance: float = 1e-9, maps: FeatureMaps | None = None) -> BatchResult:
-    """Minimize the full-batch objective per node by proximal gradient.
+    """Minimize the full-batch objective per node of the (N, T) series
+    data by proximal gradient.
 
     Objective: 0.5 * sum_tau (y_n[tau] - alpha_n^T z_tau)^2
                + cfg.lam * sum_groups ||group||_2.
@@ -562,7 +560,7 @@ def batch_oracle(data, cfg: EstimatorConfig, iterations: int = 2000,
     decrease falls below `tolerance`; warns if that never happens within
     `iterations`.
     """
-    values = data.values if isinstance(data, TimeSeries) else np.asarray(data, dtype=float)
+    values = np.asarray(data, dtype=float)
     N, T = values.shape
     if T <= cfg.P:
         raise ValueError(f"need T > P, got T={T}, P={cfg.P}")

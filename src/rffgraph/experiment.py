@@ -265,7 +265,7 @@ def _resume_files(r: int) -> list[str]:
 
 def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
     """Continue a checkpointed run over the remaining samples of its series."""
-    est, extra = io.read_checkpoint(checkpoint_path, with_extra=True)
+    est, extra = io.read_checkpoint(checkpoint_path)
     r, next_t = extra.get("run", 0), extra.get("next_t")
     for key, value in (("run", r), ("next_t", next_t)):
         if not io.is_integer(value) or value < 0:
@@ -286,9 +286,11 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                             f"but {now[key]!r} in the config; a resume runs under the cut's "
                             f"config")
     values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg)(r), cfg.standardize)
-    if next_t > values.shape[1]:
-        raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, past the end of the "
-                        f"{values.shape[1]} samples of {_run_prefix(r)}")
+    T = values.shape[1]
+    if next_t >= T:
+        raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, "
+                        f"{'at' if next_t == T else 'past'} the end of the {T} samples of "
+                        f"{_run_prefix(r)}; nothing is left to resume")
     written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes

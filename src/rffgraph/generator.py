@@ -168,7 +168,6 @@ class TimeSeries:
     values: np.ndarray  # (N, T)
     topology: TopologyTrace
     config: GeneratorConfig
-    seed: int
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -393,4 +392,4 @@ def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
         trace = TopologyTrace(starts=np.arange(P, T, segment), which=np.arange(len(states)),
                               coeffs=np.array([s.coeffs for s in states]),
                               active=np.array([s.active for s in states]))
-    return TimeSeries(values=values, topology=trace, config=cfg, seed=cfg.seed)
+    return TimeSeries(values=values, topology=trace, config=cfg)

@@ -16,12 +16,12 @@ traces; the CSVs are kept for people and other tools.
 
 The run files `metrics` scores are read in row blocks of at most
 BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`
-and `residual_blocks` hand out one block at a time, from one file or a
-run's cut and resumed files in turn.  `read_data_csv` parses a data CSV
+and `residual_blocks` hand out one block at a time from a list of files
+(a run's one, or its cut and resumed ones).  `read_data_csv` parses a data CSV
 whole, since `estimate` and `bench` hold the whole series anyway, and
 returns it C-ordered, as `generate` makes it.  The topology JSONL holds
 one line per record of the generator's `TopologyTrace`, and
-`read_topology` reads it back as one, keeping each distinct state once.
+`read_topology` reads back its active masks, keeping each distinct one once.
 `opened` is the one opener of every file read or written: a missing
 input, and any file that cannot be read or written, is a DataError (a
 ConfigError for a config file or manifest) naming it.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -262,14 +261,13 @@ def _topology_record(path, lineno: int, line: str):
     return t, coeffs, active
 
 
-def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
-    """Read a topology JSONL, keeping each distinct state once.
+def read_topology(path) -> TopologyTrace:
+    """Read a topology JSONL as its active masks, keeping each distinct mask
+    once.
 
-    The coefficients are parsed to check them and kept only with
-    with_coeffs; a state is then a (coeffs, active) pair, else an active
-    mask.  A line that is not a JSON record with `t`, `coeffs` and
-    `active`, records of different shapes, or no records are a DataError
-    naming the file (and line).
+    The coefficients are parsed only to check them.  A line that is not a
+    JSON record with `t`, `coeffs` and `active`, records of different
+    shapes, or no records are a DataError naming the file (and line).
     """
     starts, which, states = [], [], {}
     shape = None
@@ -284,18 +282,14 @@ def read_topology(path, with_coeffs: bool = False) -> TopologyTrace:
             elif coeffs.shape != shape:
                 raise DataError(f"{path}, line {lineno}: record shape {coeffs.shape} != "
                                 f"first record's {shape}")
-            key = (coeffs.tobytes() if with_coeffs else b"") + active.tobytes()
             starts.append(t)
-            state = (len(states), coeffs if with_coeffs else None, active)
-            which.append(states.setdefault(key, state)[0])
+            which.append(states.setdefault(active.tobytes(), (len(states), active))[0])
     if not starts:
         raise DataError(f"{path}: no topology records")
     starts = np.array(starts)
     order = np.argsort(starts, kind="stable")
-    kept = list(states.values())
     return TopologyTrace(starts=starts[order], which=np.array(which)[order],
-                         active=np.array([a for _, _, a in kept]),
-                         coeffs=np.array([c for _, c, _ in kept]) if with_coeffs else None)
+                         active=np.array([a for _, a in states.values()]))
 
 
 def estimate_column_names(N: int, P: int):
@@ -386,7 +380,7 @@ def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
 
 
 def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
-    """The `.npy` traces at paths, read in turn in row blocks.
+    """The `.npy` traces in the list paths, read in turn in row blocks.
 
     Every file's header is checked first, before any row is read (see
     _npy_rows_at); one may hold no rows (a resume past the last grid row),
@@ -394,7 +388,7 @@ def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
     width - 1) array) blocks whose time column is checked one block at a
     time.
     """
-    paths = [Path(p) for p in ([paths] if isinstance(paths, (str, os.PathLike)) else paths)]
+    paths = [Path(p) for p in paths]
     layout = [_npy_rows_at(p, what, width, fits, hint) for p in paths]
     if not any(rows for _, rows in layout):
         raise DataError(f"{paths[0]}: no {what} rows{hint}")
@@ -414,15 +408,15 @@ def _npy_blocks(paths, layout, what: str, width: int, hint: str):
 
 
 def estimate_blocks(paths, N: int, P: int):
-    """The estimates `.npy` files at paths in row blocks, as _npy_trace
-    reads them: blocks of (t values, (rows, N, N, P) array)."""
+    """The estimates `.npy` files in the list paths in row blocks, as
+    _npy_trace reads them: blocks of (t values, (rows, N, N, P) array)."""
     blocks = _npy_trace(paths, "estimates", 1 + N * N * P, f"N={N}, P={P}")
     return ((t, cells.reshape(-1, N, N, P)) for t, cells in blocks)
 
 
 def residual_blocks(paths, N: int):
-    """The residuals `.npy` files at paths in row blocks, as _npy_trace reads
-    them: blocks of (t values, (N, rows) errors).
+    """The residuals `.npy` files in the list paths in row blocks, as
+    _npy_trace reads them: blocks of (t values, (N, rows) errors).
 
     A residuals file written before this trace existed is missing, so every
     message about one says to re-run estimate.
@@ -445,8 +439,14 @@ def write_metric_csv(path, t_values, values):
 
 
 def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None):
-    """JSON snapshot sufficient to resume the run bit-exactly."""
+    """JSON snapshot sufficient to resume the run bit-exactly; a ValueError,
+    before the file is opened, unless alpha has the (N, P, N, 2D) shape
+    read_checkpoint restores."""
     cfg = estimator.cfg
+    shape = (cfg.N, cfg.P, cfg.N, 2 * cfg.D)
+    if estimator.state.alpha.shape != shape:
+        raise ValueError(f"alpha has shape {estimator.state.alpha.shape}, but a checkpoint "
+                         f"holds shape {shape} for its config")
     obj = {
         "config": config_dict(cfg),
         "t": int(estimator.state.t),
@@ -470,15 +470,15 @@ def finite_array(path, value, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def read_checkpoint(path, with_extra: bool = False):
-    """Restore the estimator a checkpoint saved, after checking its arrays.
+def read_checkpoint(path):
+    """(estimator, extra): the estimator a checkpoint saved, restored after
+    checking its arrays, and the checkpoint's `extra` object ({} when
+    absent).
 
     alpha must be a finite (N, P, N, 2D) array and history, when present,
     a finite (P, N) one, for the (N, P, D) of the checkpoint's config.  The
     warm-up count is restored as saved; checkpoints written without it
-    count as warmed up whenever they hold a history.  With with_extra=True
-    returns (estimator, extra), extra being the checkpoint's `extra`
-    object ({} when absent), from the same single parse of the file.
+    count as warmed up whenever they hold a history.
     """
     obj = read_json_object(path, "checkpoint")
     missing = [k for k in ("config", "alpha", "t") if k not in obj]
@@ -502,8 +502,6 @@ def read_checkpoint(path, with_extra: bool = False):
                         f"and the saved history")
     state = CoefficientState(alpha=alpha, t=t)
     est = OnlineEstimator(cfg, state=state, history=history, warm=warm)
-    if not with_extra:
-        return est
     extra = obj.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint extra must be a JSON object")

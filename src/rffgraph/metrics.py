@@ -1,4 +1,4 @@
-"""Topology extraction and evaluation: pseudo-adjacency, detection rates, MSE.
+"""Evaluation of pseudo-adjacency traces: normalization, detection rates, MSE.
 
 The detection rates and the MSE are accumulated: DetectionCounts and
 ErrorSums take a run whole or in row blocks, so `metrics` holds one block
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import CoefficientState, group_norms
-
 
 @dataclass(frozen=True)
 class DetectionConfig:
@@ -26,11 +24,6 @@ class DetectionConfig:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
-
-
-def extract_pseudo_adjacency(state: CoefficientState) -> np.ndarray:
-    """Per-group coefficient norms arranged as (n, n', p)."""
-    return np.transpose(group_norms(state.alpha), (0, 2, 1))
 
 
 def normalize(adj: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from rffgraph import (
     ConfigError,
     EstimatorConfig,
     GeneratorConfig,
+    LinearBaseline,
     OnlineEstimator,
     generate,
 )
@@ -76,9 +77,7 @@ def test_topology_jsonl_round_trip(tmp_path):
                                   switch_interval=30, noise_std=0.1, seed=9))
     path = tmp_path / "topo.jsonl"
     io.write_topology_jsonl(path, ts)
-    topo = io.read_topology(path, with_coeffs=True)
-    coeffs, active = topo.coeffs_at(np.arange(90)), topo.active_at(np.arange(90))
-    assert np.array_equal(coeffs[2:], ts.coeffs[2:])
+    active = io.read_topology(path).active_at(np.arange(90))
     assert np.array_equal(active[2:], ts.active[2:])
     # change-only encoding: static stretches share one record
     n_lines = len(path.read_text().splitlines())
@@ -116,7 +115,7 @@ def test_checkpoint_round_trip_and_bit_exact_resume(tmp_path):
         est.step(values[:, t])
     ck = tmp_path / "ck.json"
     io.write_checkpoint(ck, est, extra={"next_t": 40})
-    resumed = io.read_checkpoint(ck)
+    resumed = io.read_checkpoint(ck)[0]
     assert np.array_equal(resumed.state.alpha, est.state.alpha)
     for t in range(40, 80):
         resumed.step(values[:, t])
@@ -152,6 +151,14 @@ def test_checkpoint_rejects_arrays_that_do_not_fit_its_config(tmp_path):
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
 
 
+def test_checkpoint_writer_refuses_an_alpha_the_reader_rejects(tmp_path):
+    # the baseline's config says D = 1, but each of its groups is one coefficient
+    ck = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match=r"\(2, 1, 2, 1\).*\(2, 1, 2, 2\)"):
+        io.write_checkpoint(ck, LinearBaseline(N=2, P=1))
+    assert not ck.exists()
+
+
 @pytest.mark.parametrize("key", ["t", "warm"])
 def test_checkpoint_counters_reject_booleans(tmp_path, capsys, key):
     cfg_path, ck = _cut_run(tmp_path)
@@ -175,7 +182,7 @@ def test_checkpoint_written_during_warm_up_resumes_warm_up(tmp_path):
         for t in range(cut):
             est.step(values[:, t])
         io.write_checkpoint(ck, est)
-        resumed = io.read_checkpoint(ck)
+        resumed = io.read_checkpoint(ck)[0]
         assert resumed.warm == cut and resumed.warmed_up == (cut == cfg.P)
         for t in range(cut, 30):
             resumed.step(values[:, t])
@@ -184,7 +191,7 @@ def test_checkpoint_written_during_warm_up_resumes_warm_up(tmp_path):
     obj = json.loads(ck.read_text())
     del obj["warm"]
     ck.write_text(json.dumps(obj))
-    assert io.read_checkpoint(ck).warmed_up
+    assert io.read_checkpoint(ck)[0].warmed_up
 
 
 # --- config parsing -----------------------------------------------------------
@@ -578,10 +585,11 @@ def test_emit_every_zero_is_a_config_error(tmp_path):
     ("run", 2, None, "extra.run is 2, but the config has 1 run(s)"),
     ("next_t", 10, None, "extra.next_t is 10, but its state has taken 60 samples"),
     ("next_t", 500, 498, "extra.next_t is 500, past the end of the 120 samples of run000"),
+    ("next_t", 120, 118, "extra.next_t is 120, at the end of the 120 samples of run000"),
 ], ids=["mean missing", "std missing", "mean ragged", "std wrong length", "mean nan", "std inf",
         "std zero", "run not an integer", "run a boolean", "next_t a boolean",
         "another emit_every", "a run the config does not have", "next_t not the state's",
-        "next_t past the end"])
+        "next_t past the end", "next_t at the end"])
 def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, capsys, key,
                                                                     value, t, says):
     cfg_path = _cfg_with(tmp_path, runs=1)

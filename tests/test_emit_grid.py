@@ -74,7 +74,7 @@ def test_cut_and_resume_fills_the_uncut_grid(tmp_path_factory, shape, K, extra, 
                 if (t - P) % K == 0:
                     rows[t] = est.pseudo_adjacency()
         io.write_checkpoint(ck, est)
-        rest = io.read_checkpoint(ck).run(values, start=c, emit_every=K)
+        rest = io.read_checkpoint(ck)[0].run(values, start=c, emit_every=K)
         assert not rest.group_norms[:c].any()
         rows[c:] = rest.group_norms[c:]
         assert np.array_equal(rows, uncut.group_norms)

@@ -214,7 +214,7 @@ def test_cut_and_resume_equals_the_uncut_run(tmp_path_factory, shape, extra, see
             for t in range(c):
                 est.step(values[:, t])
         io.write_checkpoint(ck, est)
-        resumed = io.read_checkpoint(ck)
+        resumed = io.read_checkpoint(ck)[0]
         if not resume_by_step:
             rest = resumed.run(values, start=c)
             assert np.array_equal(rest.state.alpha, full.state.alpha)

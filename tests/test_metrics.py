@@ -4,7 +4,8 @@ import pytest
 from rffgraph import (
     CoefficientState,
     DetectionConfig,
-    extract_pseudo_adjacency,
+    EstimatorConfig,
+    OnlineEstimator,
     mse_curve,
     normalize,
     normalize_series,
@@ -14,15 +15,20 @@ from rffgraph import (
 
 # --- pseudo-adjacency extraction ---------------------------------------------
 
+def _pseudo_adjacency(state: CoefficientState) -> np.ndarray:
+    N, P, _, width = state.alpha.shape
+    return OnlineEstimator(EstimatorConfig(N, P, D=width // 2), state=state).pseudo_adjacency()
+
+
 def test_extract_zero_state():
     state = CoefficientState.zeros(3, 2, 4)
-    assert np.array_equal(extract_pseudo_adjacency(state), np.zeros((3, 3, 2)))
+    assert np.array_equal(_pseudo_adjacency(state), np.zeros((3, 3, 2)))
 
 
 def test_extract_single_group():
     state = CoefficientState.zeros(2, 1, 2)
     state.alpha[0, 0, 1] = [3.0, 4.0, 0.0, 0.0]
-    adj = extract_pseudo_adjacency(state)
+    adj = _pseudo_adjacency(state)
     assert adj[0, 1, 0] == 5.0
     assert adj.sum() == 5.0
 
@@ -30,7 +36,7 @@ def test_extract_single_group():
 def test_extract_matches_naive_norms():
     rng = np.random.default_rng(0)
     state = CoefficientState(alpha=rng.normal(size=(3, 2, 3, 8)))
-    adj = extract_pseudo_adjacency(state)
+    adj = _pseudo_adjacency(state)
     for n in range(3):
         for n2 in range(3):
             for p in range(2):

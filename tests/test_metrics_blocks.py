@@ -3,8 +3,9 @@
 Block reading must not change a byte of the outputs: the accumulators equal
 the whole-array formulas bit for bit, the topology looked up at a block's
 rows equals the dense forward fill, the data CSV parser gives the values
-and the errors of a cell-by-cell parse whatever the block size, and the
-memory of one run does not grow with its length.
+and the errors of a cell-by-cell parse, the `.npy` readers give the whole
+file's rows and name a bad row in any block whatever the block size, and
+the memory of one run does not grow with its length.
 """
 
 import json
@@ -154,12 +155,10 @@ def test_topology_at_rows_equals_the_dense_forward_fill(tmp_path_factory, starts
     path = tmp_path_factory.mktemp("topo") / "topology.jsonl"
     path.write_text("".join(json.dumps({"t": t, "coeffs": c.tolist(), "active": a.tolist()})
                             + "\n" for t, c, a in records))
-    coeffs, active = _dense_fill(records, T)
+    _, active = _dense_fill(records, T)
     rows = np.sort(rng.integers(0, T, size=int(rng.integers(1, 2 * T + 1))))
     assert np.array_equal(io.read_topology(path).active_at(rows), active[rows])
-    topo = io.read_topology(path, with_coeffs=True)
-    got_coeffs, got_active = topo.coeffs_at(np.arange(T)), topo.active_at(np.arange(T))
-    assert _same_bits(got_coeffs, coeffs) and _same_bits(got_active, active)
+    assert _same_bits(io.read_topology(path).active_at(np.arange(T)), active)
 
 
 def test_a_drifting_topology_keeps_one_mask(tmp_path):
@@ -168,10 +167,9 @@ def test_a_drifting_topology_keeps_one_mask(tmp_path):
     path.write_text("".join(json.dumps({"t": t, "coeffs": [[[t * 0.1], [0.0]], [[0.0], [1.0]]],
                                         "active": active}) + "\n" for t in range(2, 500)))
     assert len(io.read_topology(path).active) == 1
-    assert len(io.read_topology(path, with_coeffs=True).coeffs) == 498
 
 
-# --- the data CSV parser, under any block size of the .npy readers ------------
+# --- the data CSV parser, and the .npy readers under any block size ------------
 
 def _whole_parse(path, width):
     """Values of a well-formed `t,...` CSV, each cell through float()."""
@@ -212,11 +210,8 @@ TABLE_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("block_bytes", [1, 8 * 3 * 7, 1 << 40], ids=["1 row", "7 rows", "all"])
 @pytest.mark.parametrize("defect", list(TABLE_DEFECTS))
-def test_block_parser_errors_name_the_whole_file_line(tmp_path, monkeypatch, defect,
-                                                      block_bytes):
-    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
+def test_data_csv_errors_name_the_whole_file_line(tmp_path, defect):
     k, row, message = TABLE_DEFECTS[defect]
     path = tmp_path / "d.csv"
     io.write_data_csv(path, np.ones((2, 30)))
@@ -260,6 +255,28 @@ def test_the_streamed_npy_holds_np_save_bytes(tmp_path_factory, T, N, P, K, t_st
         t, est = estimates(d / "streamed.npy", N, P)
     assert (d / "streamed.npy").read_bytes() == (d / "saved.npy").read_bytes()
     assert np.array_equal(t, np.array(t_values)) and _same_bits(est, norms[t_start::K])
+
+
+# an estimates .npy of N=2, P=2 (9 cells a row) and 30 rows, read in blocks
+# of (block bytes, rows)
+@pytest.mark.parametrize("block_bytes, block_rows", [(1, 1), (8 * 9 * 7, 7), (1 << 40, 30)],
+                         ids=["1 row", "7 rows", "all"])
+@pytest.mark.parametrize("row", [0, 15, 29], ids=["first row", "middle row", "last row"])
+def test_a_fractional_t_in_any_block_is_a_data_error_naming_the_file(tmp_path, monkeypatch,
+                                                                    row, block_bytes, block_rows):
+    path = tmp_path / "run000_estimates.npy"
+    io.write_estimates_npy(path, np.random.default_rng(4).random((32, 2, 2, 2)), t_start=2)
+    table = np.load(path)
+    table[row, 0] += 0.5
+    np.save(path, table)
+    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
+    read = []
+    with pytest.raises(DataError) as err:
+        for t, _ in io.estimate_blocks([path], 2, 2):
+            read.extend(t)
+    assert str(err.value).startswith(str(path)) and "nonnegative integers" in str(err.value)
+    # every block before the damaged row's was handed out whole
+    assert len(read) == row // block_rows * block_rows
 
 
 @pytest.mark.parametrize("layout", ["fortran", "byte-swapped"])

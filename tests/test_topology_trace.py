@@ -71,8 +71,7 @@ def test_topology_jsonl_equals_the_dense_diff_writer(tmp_path_factory, regime, N
     T = ts.values.shape[1]
     assert ts.coeffs.shape == ts.active.shape == (T, N, N, P)
     assert np.array_equal(ts.coeffs[:P + 1], np.broadcast_to(ts.coeffs[P], (P + 1, N, N, P)))
-    back = io.read_topology(path, with_coeffs=True)
-    assert np.array_equal(back.coeffs_at(np.arange(T)), ts.coeffs)
+    back = io.read_topology(path)
     assert np.array_equal(back.active_at(np.arange(T)), ts.active)
 
 

@@ -9,13 +9,13 @@ from rffgraph import io
 
 def estimates(path, N, P):
     """An estimates .npy read whole through io.estimate_blocks: (t values, (rows, N, N, P))."""
-    t, est = zip(*io.estimate_blocks(path, N, P))
+    t, est = zip(*io.estimate_blocks([path], N, P))
     return np.concatenate(t), np.concatenate(est)
 
 
 def residuals(path, N):
     """A residuals .npy read whole through io.residual_blocks: (t values, (N, rows))."""
-    t, err = zip(*io.residual_blocks(path, N))
+    t, err = zip(*io.residual_blocks([path], N))
     return np.concatenate(t), np.concatenate(err, axis=1)
 
 
