@@ -4,8 +4,8 @@ Block reading must not change a byte of the outputs: the accumulators equal
 the whole-array formulas bit for bit, the topology looked up at a block's
 rows equals the dense forward fill, the data CSV parser gives the values
 and the errors of a cell-by-cell parse, the `.npy` readers give the whole
-file's rows and name a bad row in any block whatever the block size, and
-the memory of one run does not grow with its length.
+file's rows and name a bad row in any block of any file whatever the block
+size, and the memory of one run does not grow with its length.
 """
 
 import json
@@ -277,6 +277,30 @@ def test_a_fractional_t_in_any_block_is_a_data_error_naming_the_file(tmp_path, m
     assert str(err.value).startswith(str(path)) and "nonnegative integers" in str(err.value)
     # every block before the damaged row's was handed out whole
     assert len(read) == row // block_rows * block_rows
+
+
+# a run's residuals .npy (N=2: 3 cells a row, 30 rows) followed by its resumed
+# one, read in blocks of (block bytes, rows)
+@pytest.mark.parametrize("block_bytes, block_rows", [(1, 1), (8 * 3 * 7, 7), (1 << 40, 30)],
+                         ids=["1 row", "7 rows", "all"])
+@pytest.mark.parametrize("row", [0, 15, 29], ids=["first row", "middle row", "last row"])
+def test_a_negative_t_in_the_second_residuals_file_is_a_data_error_naming_it(
+        tmp_path, monkeypatch, row, block_bytes, block_rows):
+    values = np.random.default_rng(5).standard_normal((2, 32))
+    first, second = tmp_path / "run000_residuals.npy", tmp_path / "run000_residuals_resumed.npy"
+    io.write_residuals_npy(first, values, np.zeros_like(values), t_start=2)
+    io.write_residuals_npy(second, values, np.zeros_like(values), t_start=2)
+    table = np.load(second)
+    table[row, 0] = -1.0
+    np.save(second, table)
+    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
+    read = []
+    with pytest.raises(DataError) as err:
+        for t, _ in io.residual_blocks([first, second], 2):
+            read.extend(t)
+    assert str(err.value).startswith(str(second)) and "nonnegative integers" in str(err.value)
+    # the whole first file, then every block before the damaged row's
+    assert len(read) == 30 + row // block_rows * block_rows
 
 
 @pytest.mark.parametrize("layout", ["fortran", "byte-swapped"])
