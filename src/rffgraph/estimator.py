@@ -28,19 +28,20 @@ whole window; after each update z is shifted by one lag block and only the
 newest sample, the one the window takes next, is lifted, by the _lift that
 build_feature_vector also calls, so z stays the full-window lift bit for
 bit.  (Per-slot maps give every lag its own frequencies, so they lift the
-whole window at every update.)  Then one step makes four passes over the
-(N, P, N, 2D) coefficient array alpha: one einsum for the predictions,
-u = alpha - step * r * z built one block of nodes at a time, one einsum for
-the group norms of u, and an in-place scale of u.  Each block of u is
-formed in a temporary of at most BLOCK_BYTES (one node's row when that is
-larger), which stays in L2, and written straight into the output, which
-the streaming estimator points at alpha itself.  So a run holds one alpha
-plus one block, and the memory per iteration is fixed like its cost.  The
-shrink returns the post-shrink group norms, and the divergence rule (every
-entry finite and at most ALPHA_LIMIT in magnitude) first looks at those
-N*P*N norms: a group's norm bounds its entries, so the full scan of the
-array runs only when some norm is NaN or above ALPHA_LIMIT / 2, and then
-decides.
+whole window at every update.)  Then the one checked step, _comid_step,
+makes four passes over the (N, P, N, 2D) coefficient array alpha: one
+einsum for the predictions, u = alpha - step * r * z built one block of
+nodes at a time, one einsum for the group norms of u, and an in-place
+scale of u.  Each block of u is formed in a temporary of at most
+BLOCK_BYTES (one node's row when that is larger), which stays in L2, and
+written straight into the output, which the streaming estimator points at
+alpha itself.  So a run holds one alpha plus one block, and the memory per
+iteration is fixed like its cost.  The shrink returns the post-shrink
+group norms, and the one divergence guard (every entry finite and at most
+ALPHA_LIMIT in magnitude) first looks at those N*P*N norms: a group's norm
+bounds its entries, so the full scan of the array runs only when some norm
+is NaN or above ALPHA_LIMIT / 2, and then decides.  Every entry point
+checks the sample's shape once, before anything is written.
 
 Step-size convention: EstimatorConfig.gamma is the proximal damping
 weight, i.e. the squared-proximity term carries weight gamma/2 and the
@@ -289,27 +290,25 @@ def _shrink_groups(u: np.ndarray, thr: float):
     return u, factor * norms
 
 
-def _diverged(alpha: np.ndarray, norms: np.ndarray) -> bool:
-    """True when some entry of alpha is non-finite or beyond ALPHA_LIMIT.
+def _reject_diverged(alpha: np.ndarray, norms: np.ndarray, resid: np.ndarray, what: str,
+                     iteration: int | None):
+    """The divergence guard: a DivergenceError when some entry of alpha is
+    non-finite or beyond ALPHA_LIMIT, naming the node with the largest of
+    alpha's (N, P, N) group norms (NaN counts as largest) and its resid.
 
-    norms are alpha's group norms.  Each bounds its group's entries and a
-    NaN fails the comparison, so the exact scan runs only when some norm is
-    NaN or above half the limit; the scan alone decides.
+    Each norm bounds its group's entries and a NaN fails the comparison, so
+    the exact scan runs only when some norm is NaN or above half the limit;
+    the scan alone decides, and only then is the message made.
     """
     if norms.max() <= 0.5 * ALPHA_LIMIT:
-        return False
-    return not np.isfinite(alpha).all() or np.abs(alpha).max() > ALPHA_LIMIT
-
-
-def _divergence(prefix: str, norms: np.ndarray, resid: np.ndarray) -> DivergenceError:
-    """The error for a rejected iterate: names the node with the largest group norm.
-
-    norms are the iterate's (N, P, N) group norms (a NaN counts as largest),
-    resid the step's prediction errors yhat - y per node.
-    """
+        return
+    if np.isfinite(alpha).all() and np.abs(alpha).max() <= ALPHA_LIMIT:
+        return
     n, p, q = np.unravel_index(np.argmax(norms), norms.shape)
-    return DivergenceError(f"{prefix}: node {n} has the largest group norm {norms[n, p, q]:.6g} "
-                           f"(source {q}, lag {p + 1}); its last residual was {resid[n]:.6g}")
+    at = "" if iteration is None else f" at iteration {iteration}"
+    raise DivergenceError(f"{what} diverged{at}: node {n} has the largest group norm "
+                          f"{norms[n, p, q]:.6g} (source {q}, lag {p + 1}); its last residual "
+                          f"was {resid[n]:.6g}")
 
 
 def _shift_block(alpha: np.ndarray, r: np.ndarray, z: np.ndarray, gamma: float,
@@ -325,13 +324,16 @@ def _shift_block(alpha: np.ndarray, r: np.ndarray, z: np.ndarray, gamma: float,
 
 
 def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: float,
-                lam: float, out: np.ndarray):
-    """Predict, step and shrink all nodes of alpha (N, P, N, G) into out; z is (P, N, G).
+                lam: float, out: np.ndarray | None, what: str, iteration: int | None = None):
+    """Predict, step, shrink and check all nodes of alpha (N, P, N, G); z is (P, N, G).
 
-    out has alpha's shape and may be alpha itself: the predictions read all
-    of alpha before any block of out is written.  Returns (predictions,
-    losses, post-shrink group norms).
+    out (None: a fresh array) has alpha's shape and may be alpha itself: the
+    predictions read all of alpha before any block of out is written.  A
+    diverged iterate stays in out, and the DivergenceError names `what` and
+    `iteration`.  Returns (out, predictions, losses).
     """
+    if out is None:
+        out = np.empty(alpha.shape)
     yhat = np.einsum("npqd,pqd->n", alpha, z)
     resid = yhat - sample
     losses = 0.5 * resid * resid
@@ -347,7 +349,8 @@ def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: flo
         for i in range(0, len(alpha), nodes):
             b = slice(i, i + nodes)
             _shift_block(alpha[b], r[b], z, gamma, out[b])
-    return yhat, losses, _shrink_groups(out, gamma * lam)[1]
+    _reject_diverged(out, _shrink_groups(out, gamma * lam)[1], resid, what, iteration)
+    return out, yhat, losses
 
 
 def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray,
@@ -362,16 +365,13 @@ def online_step(state: CoefficientState, history: np.ndarray, sample: np.ndarray
 
     The new coefficients go to `out`, an array of state.alpha's shape that
     may be state.alpha itself; with out=None they go to a fresh array and
-    `state` is left untouched.  On DivergenceError `out` holds the rejected
-    iterate.
+    `state` is left untouched.  A sample not of shape (N,) is a ValueError
+    before any write; on DivergenceError `out` holds the rejected iterate.
     """
     sample = _as_sample(sample, maps.N)
     z = build_feature_vector(history, maps)
-    if out is None:
-        out = np.empty(state.alpha.shape)
-    yhat, losses, norms = _comid_step(state.alpha, z, sample, gamma, lam, out)
-    if _diverged(out, norms):
-        raise _divergence(f"estimator diverged at iteration {state.t + 1}", norms, yhat - sample)
+    out, yhat, losses = _comid_step(state.alpha, z, sample, gamma, lam, out, "estimator",
+                                    state.t + 1)
     return CoefficientState(alpha=out, t=state.t + 1), yhat, losses
 
 
@@ -489,11 +489,8 @@ class OnlineEstimator:
         if self._lifted is None or not maps.shared:
             self._lifted = build_feature_vector(history, maps)
         alpha = self.state.alpha
-        yhat, losses, norms = _comid_step(alpha, self._lifted, sample, gamma, self.cfg.lam,
-                                          alpha)
-        if _diverged(alpha, norms):
-            raise _divergence(f"estimator diverged at iteration {self.state.t + 1}", norms,
-                              yhat - sample)
+        _, yhat, losses = _comid_step(alpha, self._lifted, sample, gamma, self.cfg.lam, alpha,
+                                      "estimator", self.state.t + 1)
         if maps.shared:
             z = self._lifted
             z[1:] = z[:-1]
@@ -627,20 +624,17 @@ def linear_baseline_step(alpha: np.ndarray, history: np.ndarray, sample: np.ndar
     as the lift and each coefficient its own group (soft-thresholding).
     Returns (new alpha, predictions, losses); the new alpha is written to
     `out` (alpha's shape, may be alpha itself) or, with out=None, to a fresh
-    array.
+    array.  Shapes are checked before any write; a DivergenceError names no
+    iteration, which this step does not count.
     """
     # C order, as in build_feature_vector: a strided window would sum in another order
     history = np.ascontiguousarray(history, dtype=float)
-    sample = np.asarray(sample, dtype=float)
     if history.shape != alpha.shape[1:]:
         raise ValueError(f"history must have shape {alpha.shape[1:]}, got {history.shape}")
-    if out is None:
-        out = np.empty(alpha.shape)
-    yhat, losses, norms = _comid_step(alpha[..., None], history[..., None], sample, gamma,
-                                      lam, out[..., None])
-    if _diverged(out, norms):
-        raise _divergence("linear baseline diverged", norms, yhat - sample)
-    return out, yhat, losses
+    sample = _as_sample(sample, len(alpha))
+    out, yhat, losses = _comid_step(alpha[..., None], history[..., None], sample, gamma, lam,
+                                    None if out is None else out[..., None], "linear baseline")
+    return out[..., 0], yhat, losses
 
 
 class LinearBaseline(OnlineEstimator):
@@ -664,9 +658,9 @@ class LinearBaseline(OnlineEstimator):
         return view
 
     def _update(self, history: np.ndarray, sample: np.ndarray, gamma: float):
-        alpha = self.state.alpha[..., 0]
-        _, yhat, losses = linear_baseline_step(alpha, history, sample, gamma, self.cfg.lam,
-                                               out=alpha)
+        alpha = self.state.alpha
+        _, yhat, losses = _comid_step(alpha, history[..., None], sample, gamma, self.cfg.lam,
+                                      alpha, "linear baseline", self.state.t + 1)
         return yhat, losses
 
 

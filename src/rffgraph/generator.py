@@ -156,7 +156,11 @@ class TopologyTrace:
         return self.active[self.states_at(t)]
 
     def coeffs_at(self, t) -> np.ndarray:
-        """The (len(t), N, N, P) coefficients at times t."""
+        """The (len(t), N, N, P) coefficients at times t; a ValueError for a
+        trace that keeps none (one read from a topology file)."""
+        if self.coeffs is None:
+            raise ValueError("this trace keeps no coefficients: a trace read from a topology "
+                             "file keeps only its active masks")
         return self.coeffs[self.states_at(t)]
 
 

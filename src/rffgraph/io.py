@@ -17,11 +17,13 @@ traces; the CSVs are kept for people and other tools.
 The run files `metrics` scores are read in row blocks of at most
 BLOCK_BYTES bytes of float64 cells (at least one row): `estimate_blocks`
 and `residual_blocks` hand out one block at a time from a list of files
-(a run's one, or its cut and resumed ones).  `read_data_csv` parses a data CSV
-whole, since `estimate` and `bench` hold the whole series anyway, and
-returns it C-ordered, as `generate` makes it.  The topology JSONL holds
-one line per record of the generator's `TopologyTrace`, and
-`read_topology` reads back its active masks, keeping each distinct one once.
+(a run's one, or its cut and resumed ones), checking each block's time
+column and, for estimates, that every cell is a finite, nonnegative group
+norm.  `read_data_csv` parses a data CSV whole, since `estimate` and
+`bench` hold the whole series anyway, and returns it C-ordered, as
+`generate` makes it.  The topology JSONL holds one line per record of the
+generator's `TopologyTrace`, and `read_topology` reads back its active
+masks, keeping each distinct one once.
 `opened` is the one opener of every file read or written: a missing
 input, and any file that cannot be read or written, is a DataError (a
 ConfigError for a config file or manifest) naming it.
@@ -379,23 +381,34 @@ def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
     return offset, shape[0]
 
 
-def _npy_trace(paths, what: str, width: int, fits: str, hint: str = ""):
+def _npy_trace(paths, what: str, width: int, fits: str, hint: str = "", norms: bool = False):
     """The `.npy` traces in the list paths, read in turn in row blocks.
 
     Every file's header is checked first, before any row is read (see
     _npy_rows_at); one may hold no rows (a resume past the last grid row),
     but not all.  Returns a generator of (integer t values, (rows,
-    width - 1) array) blocks whose time column is checked one block at a
-    time.
+    width - 1) array) blocks whose time column, and with norms=True cells
+    (see _norm_cells), are checked one block at a time.
     """
     paths = [Path(p) for p in paths]
     layout = [_npy_rows_at(p, what, width, fits, hint) for p in paths]
     if not any(rows for _, rows in layout):
         raise DataError(f"{paths[0]}: no {what} rows{hint}")
-    return _npy_blocks(paths, layout, what, width, hint)
+    return _npy_blocks(paths, layout, what, width, hint, norms)
 
 
-def _npy_blocks(paths, layout, what: str, width: int, hint: str):
+def _norm_cells(path, t: np.ndarray, cells: np.ndarray):
+    """A DataError naming the file and the first bad row's t unless every
+    cell is a finite, nonnegative group norm (NaN fails both tests)."""
+    if cells.min() >= 0.0 and cells.max() < np.inf:
+        return
+    bad = ~((cells >= 0.0) & (cells < np.inf))
+    row, col = np.unravel_index(np.argmax(bad), bad.shape)
+    raise DataError(f"{path}: the row at t={t[row]} holds {cells[row, col]}, not a finite, "
+                    f"nonnegative group norm")
+
+
+def _npy_blocks(paths, layout, what: str, width: int, hint: str, norms: bool):
     step = _block_rows(width)
     for path, (offset, rows) in zip(paths, layout):
         with opened(path, "rb", f"{what} array") as fh:
@@ -404,13 +417,17 @@ def _npy_blocks(paths, layout, what: str, width: int, hint: str):
                 block = np.empty((min(step, rows - i), width))
                 if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
                     raise DataError(f"{path}: unreadable {what} array (it ended early){hint}")
-                yield _time_column(path, block[:, 0]), block[:, 1:]
+                t, cells = _time_column(path, block[:, 0]), block[:, 1:]
+                if norms:
+                    _norm_cells(path, t, cells)
+                yield t, cells
 
 
 def estimate_blocks(paths, N: int, P: int):
     """The estimates `.npy` files in the list paths in row blocks, as
-    _npy_trace reads them: blocks of (t values, (rows, N, N, P) array)."""
-    blocks = _npy_trace(paths, "estimates", 1 + N * N * P, f"N={N}, P={P}")
+    _npy_trace reads them: blocks of (t values, (rows, N, N, P) array), each
+    cell a finite, nonnegative group norm."""
+    blocks = _npy_trace(paths, "estimates", 1 + N * N * P, f"N={N}, P={P}", norms=True)
     return ((t, cells.reshape(-1, N, N, P)) for t, cells in blocks)
 
 

@@ -8,6 +8,7 @@ import pytest
 from rffgraph import (
     CoefficientState,
     ConfigError,
+    DivergenceError,
     EstimatorConfig,
     FeatureMaps,
     GaussianKernel,
@@ -531,7 +532,7 @@ def test_growing_dictionary_checks_its_arguments(args, message):
     lambda: LinearBaseline(N=3, P=2),
     lambda: GrowingDictionaryEstimator(N=3, P=2),
 ], ids=["online", "linear baseline", "growing dictionary"])
-@pytest.mark.parametrize("shape", [(), (4,)], ids=["scalar", "N+1 values"])
+@pytest.mark.parametrize("shape", [(), (4,), (5,)], ids=["scalar", "N+1 values", "N+2 values"])
 @pytest.mark.parametrize("taken", [0, 1, 3], ids=["empty", "warming up", "warmed up"])
 def test_every_estimator_rejects_a_sample_of_another_shape(make, shape, taken):
     est = make()
@@ -541,3 +542,41 @@ def test_every_estimator_rejects_a_sample_of_another_shape(make, shape, taken):
     with pytest.raises(ValueError, match=message):
         est.step(np.ones(shape))
     assert est.warmed_up == (taken >= 2)
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["online_step", "linear_baseline_step"])
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["scalar", "N+2 values"])
+def test_the_functional_steps_reject_a_sample_of_another_shape_before_writing(linear, shape):
+    rng = np.random.default_rng(11)
+    alpha = rng.normal(size=(3, 2, 3) if linear else (3, 2, 3, 8))
+    history = rng.normal(size=(2, 3))
+    before = alpha.copy()
+    out = np.full(alpha.shape, 7.0)
+    message = rf"^sample must have shape \(3,\), got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        if linear:
+            linear_baseline_step(alpha, history, np.ones(shape), 0.05, 0.1, out=out)
+        else:
+            online_step(CoefficientState(alpha=alpha, t=4), history, np.ones(shape),
+                        _maps(N=3, P=2, D=4), 0.05, 0.1, out=out)
+    assert np.array_equal(alpha, before) and (out == 7.0).all()
+
+
+def test_a_linear_baseline_divergence_names_its_iteration_and_node():
+    lb = LinearBaseline(N=3, P=2, lam=0.05, gamma=0.02)
+    values = np.random.default_rng(7).normal(size=(3, 300))
+    for t in range(values.shape[1]):
+        try:
+            lb.step(values[:, t])
+        except DivergenceError as e:
+            message = str(e)
+            break
+    else:
+        pytest.fail("the run never diverged")
+    # the state holds the rejected iterate, t not advanced
+    norms = np.abs(lb.alpha)
+    n, p, q = np.unravel_index(np.argmax(norms), norms.shape)
+    assert lb.state.t == t - 2
+    assert message.startswith(f"linear baseline diverged at iteration {t - 1}: node {n} has the "
+                              f"largest group norm {norms[n, p, q]:.6g} (source {q}, lag {p + 1}); "
+                              f"its last residual was ")

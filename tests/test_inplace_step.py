@@ -208,7 +208,10 @@ def test_divergence_at_the_same_iteration_as_the_functional_chain(shape, seed, b
         _, error = _streamed(est, values)
     *_, rejected, expected = _chain(est.cfg, values, start, linear=linear)
     assert expected is not None, "the chain never diverged"
-    assert error is not None and str(error) == str(expected)
+    # linear_baseline_step counts no iterations; LinearBaseline names the chain's
+    message = str(expected).replace("linear baseline diverged:",
+                                    f"linear baseline diverged at iteration {rejected.t + 1}:")
+    assert error is not None and str(error) == message
     assert est.state.t == rejected.t
     assert np.array_equal(est.state.alpha, rejected.alpha, equal_nan=True)
 

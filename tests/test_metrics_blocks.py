@@ -259,23 +259,55 @@ def test_the_streamed_npy_holds_np_save_bytes(tmp_path_factory, T, N, P, K, t_st
 
 # an estimates .npy of N=2, P=2 (9 cells a row) and 30 rows, read in blocks
 # of (block bytes, rows)
-@pytest.mark.parametrize("block_bytes, block_rows", [(1, 1), (8 * 9 * 7, 7), (1 << 40, 30)],
-                         ids=["1 row", "7 rows", "all"])
-@pytest.mark.parametrize("row", [0, 15, 29], ids=["first row", "middle row", "last row"])
-def test_a_fractional_t_in_any_block_is_a_data_error_naming_the_file(tmp_path, monkeypatch,
-                                                                    row, block_bytes, block_rows):
-    path = tmp_path / "run000_estimates.npy"
+estimate_blocks = pytest.mark.parametrize(
+    "block_bytes, block_rows", [(1, 1), (8 * 9 * 7, 7), (1 << 40, 30)],
+    ids=["1 row", "7 rows", "all"])
+estimate_rows = pytest.mark.parametrize("row", [0, 15, 29],
+                                        ids=["first row", "middle row", "last row"])
+
+
+def _damaged_estimates(path, monkeypatch, block_bytes, damage):
+    """The rows an estimate_blocks read of path hands out before the
+    DataError it ends in, once damage(table) has changed the file's table."""
     io.write_estimates_npy(path, np.random.default_rng(4).random((32, 2, 2, 2)), t_start=2)
     table = np.load(path)
-    table[row, 0] += 0.5
+    damage(table)
     np.save(path, table)
     monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
     read = []
     with pytest.raises(DataError) as err:
         for t, _ in io.estimate_blocks([path], 2, 2):
             read.extend(t)
-    assert str(err.value).startswith(str(path)) and "nonnegative integers" in str(err.value)
+    assert str(err.value).startswith(str(path))
+    return read, str(err.value)
+
+
+@estimate_blocks
+@estimate_rows
+def test_a_fractional_t_in_any_block_is_a_data_error_naming_the_file(tmp_path, monkeypatch,
+                                                                    row, block_bytes, block_rows):
+    def damage(table):
+        table[row, 0] += 0.5
+
+    read, message = _damaged_estimates(tmp_path / "run000_estimates.npy", monkeypatch,
+                                       block_bytes, damage)
+    assert "nonnegative integers" in message
     # every block before the damaged row's was handed out whole
+    assert len(read) == row // block_rows * block_rows
+
+
+@estimate_blocks
+@estimate_rows
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_a_bad_group_norm_in_any_block_is_a_data_error_naming_the_file_and_t(
+        tmp_path, monkeypatch, bad, row, block_bytes, block_rows):
+    # group norms are finite and nonnegative; anything else would be scored
+    def damage(table):
+        table[row, 1 + row % 8] = bad
+
+    read, message = _damaged_estimates(tmp_path / "run000_estimates.npy", monkeypatch,
+                                       block_bytes, damage)
+    assert f"the row at t={row + 2} holds {bad}," in message
     assert len(read) == row // block_rows * block_rows
 
 

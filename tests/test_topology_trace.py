@@ -83,6 +83,16 @@ def test_a_switching_trace_holds_one_state_per_segment():
     assert np.array_equal(trace.which, np.arange(10))
 
 
+def test_a_trace_read_from_a_file_says_it_keeps_no_coefficients(tmp_path):
+    ts = generate(GeneratorConfig(N=2, P=1, T=20, edge_probability=0.5, seed=1))
+    io.write_topology_jsonl(tmp_path / "topology.jsonl", ts)
+    back = io.read_topology(tmp_path / "topology.jsonl")
+    with pytest.raises(ValueError, match="^this trace keeps no coefficients: a trace read from "
+                                         "a topology file keeps only its active masks$"):
+        back.coeffs_at(np.arange(3))
+    assert np.array_equal(back.active_at(np.arange(3)), ts.active[:3])
+
+
 _PEAK = """
 import sys
 from rffgraph.cli import main
