@@ -8,12 +8,12 @@ side-by-side of the final normalized estimate and the ground truth.
 
 from rffgraph import (
     DetectionConfig,
+    DetectionCounts,
     EstimatorConfig,
     GeneratorConfig,
     OnlineEstimator,
     generate,
     normalize,
-    pmd_pfa,
 )
 
 GEN = dict(N=5, P=2, T=1500, edge_probability=0.1, switch_interval=500,
@@ -21,17 +21,15 @@ GEN = dict(N=5, P=2, T=1500, edge_probability=0.1, switch_interval=500,
 
 
 def main():
-    runs = []
-    last = None
+    counts = DetectionCounts(DetectionConfig(delta=0.05))
     for seed in range(11, 21):
         ts = generate(GeneratorConfig(seed=seed, **GEN))
         cfg = EstimatorConfig(N=5, P=2, D=50, lam=0.1, gamma=1000.0,
                               kernel_variance=0.1, rff_seed=10_000 + seed)
         series = OnlineEstimator(cfg).run(ts.values)
-        runs.append((series.group_norms, ts.active))
-        last = (series, ts)
+        counts.add(series.group_norms, ts.active)  # one run at a time
 
-    pmd, pfa = pmd_pfa(runs, DetectionConfig(delta=0.05))
+    pmd, pfa = counts.curves()
     switch_t = 2 + 500  # first sample generated under the switched topology
     print("10-run ensemble, switch visible at t=%d" % switch_t)
     print("      t   P_MD    P_FA")
@@ -42,8 +40,7 @@ def main():
     print("firing alarms, the new edge is briefly missed), then settle as the")
     print("group-sparse updates adapt.")
 
-    series, ts = last
-    est = normalize(series.group_norms[-1])
+    est = normalize(series.group_norms[-1])  # the last run's
     print()
     print("final run, lag-1 slice: normalized estimate (left) vs truth (right)")
     for n in range(5):

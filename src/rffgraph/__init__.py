@@ -50,10 +50,10 @@ from .estimator import (
 )
 from .metrics import (
     DetectionConfig,
-    mse_curve,
+    DetectionCounts,
+    ErrorSums,
     normalize,
     normalize_series,
-    pmd_pfa,
 )
 
 __version__ = "0.1.0"

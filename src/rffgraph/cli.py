@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-divergence.
+divergence, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from . import experiment
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+EXIT_MEMORY = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,6 +78,10 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as e:
+        # numpy's message names the size and the shape it could not allocate
+        print(f"out of memory: {command}: {e}", file=sys.stderr)
+        return EXIT_MEMORY
     for path in written:
         print(path)
     return 0

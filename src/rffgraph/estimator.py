@@ -167,17 +167,6 @@ class CoefficientState:
     def zeros(cls, N: int, P: int, D: int, t: int = 0) -> "CoefficientState":
         return cls(alpha=np.zeros((N, P, N, 2 * D)), t=t)
 
-    @property
-    def shape(self):
-        return self.alpha.shape
-
-    def group(self, n: int, n_src: int, p: int) -> np.ndarray:
-        """The (n', p) coefficient group of node n; p is the lag, 1-based."""
-        return self.alpha[n, p - 1, n_src]
-
-    def stacked(self, n: int) -> np.ndarray:
-        return self.alpha[n].ravel()
-
 
 def build_feature_vector(history: np.ndarray, maps: FeatureMaps) -> np.ndarray:
     """Lift the lag window into the stacked feature array of shape (P, N, 2D).

@@ -1,9 +1,9 @@
 """Evaluation of pseudo-adjacency traces: normalization, detection rates, MSE.
 
 The detection rates and the MSE are accumulated: DetectionCounts and
-ErrorSums take a run whole or in row blocks, so `metrics` holds one block
-of one run at a time, and pmd_pfa and mse_curve are the same accumulators
-fed with whole runs.
+ErrorSums take the runs one at a time, each whole or in row blocks, so
+`metrics` holds one block of one run at a time.  Runs may differ in
+length; each t counts only the runs that reach it.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class DetectionCounts:
     """P_MD and P_FA numerators and denominators per t, pooled over runs.
 
     Each run is added whole or in row blocks; add(est, truth, at) counts
-    its rows at..at+len(est)-1, and the counts grow to the longest run.  A
-    slot counts as detected when its (per-slice normalized, unless
-    normalized=False) estimate exceeds cfg.delta:
+    its rows at..at+len(est)-1, and the counts grow to the longest run, so
+    each t pools only the runs that reach it.  A slot counts as detected
+    when its estimate, normalized by the maximum of its time slice,
+    exceeds cfg.delta:
 
         P_MD[t] = #{active slots with estimate <  delta} / #{active slots}
         P_FA[t] = #{inactive slots with estimate > delta} / #{inactive slots}
@@ -69,8 +70,8 @@ class DetectionCounts:
     with self-loops excluded by default.
     """
 
-    def __init__(self, cfg: DetectionConfig = DetectionConfig(), normalized: bool = True):
-        self.cfg, self.normalized = cfg, normalized
+    def __init__(self, cfg: DetectionConfig = DetectionConfig()):
+        self.cfg = cfg
         self.counts = np.zeros((4, 0))  # miss, active, alarm and inactive slots per t
 
     def add(self, est, truth, at: int = 0):
@@ -81,7 +82,7 @@ class DetectionCounts:
         if est.shape != truth.shape or est.ndim != 4:
             raise ValueError(f"estimates and truth must share a (T, N, N, P) shape, "
                              f"got {est.shape} vs {truth.shape}")
-        b = normalize_series(est) if self.normalized else est
+        b = normalize_series(est)
         scope = np.ones(est.shape[1:], dtype=bool)
         if self.cfg.exclude_self_loops:
             scope &= ~np.eye(est.shape[1], dtype=bool)[:, :, None]
@@ -101,35 +102,15 @@ class DetectionCounts:
         return pmd, pfa
 
 
-def pmd_pfa(runs, cfg: DetectionConfig = DetectionConfig(), normalized: bool = True):
-    """Miss-detection and false-alarm curves over an ensemble of runs.
-
-    runs: iterable of (estimates, truth) pairs, both (T, N, N, P); truth
-    is the boolean active-edge mask.  Runs are consumed one at a time, so a
-    generator need not hold them all at once.  The counts are those of
-    DetectionCounts, pooled over runs.  Returns (pmd, pfa), each of shape
-    (T,).
-    """
-    counts, T = DetectionCounts(cfg, normalized), None
-    for est, truth in runs:
-        counts.add(est, truth)
-        if T is None:
-            T = len(est)
-        elif len(est) != T:
-            raise ValueError("runs have mismatched time axes")
-    if T is None:
-        raise ValueError("need at least one run")
-    return counts.curves()
-
-
 class ErrorSums:
     """Squared prediction error sum and count per t, over runs and nodes.
 
     Each run is added whole or in column blocks; add(errors, at) adds its
-    columns at..at+T-1, and the sums grow to the longest run.  NaN or
-    infinite errors (warm-up) are not counted.  The sum at each t runs from
-    zero over the runs, then the nodes, in the order added: the column sum
-    of the stacked (runs * nodes, T) errors, bit for bit.
+    columns at..at+T-1, and the sums grow to the longest run, so each t
+    counts only the runs that reach it.  NaN or infinite errors (warm-up)
+    are not counted.  The sum at each t runs from zero over the runs, then
+    the nodes, in the order added: the column sum of the stacked
+    (runs * nodes, T) errors, bit for bit.
     """
 
     def __init__(self):
@@ -151,44 +132,11 @@ class ErrorSums:
         """The mean squared error per t, NaN where nothing was counted; with
         a window, its trailing moving average of that width instead (the
         single-run stand-in for the ensemble mean)."""
+        if window is not None and window < 1:
+            raise ValueError("window must be at least 1")
         T = len(self.sums)
         mean = np.divide(self.sums, self.counts, out=np.full(T, np.nan), where=self.counts > 0)
         return mean if window is None else _trailing_mean(mean, window)
-
-
-def mse_curve(y=None, yhat=None, runs=None, window: int = 100) -> np.ndarray:
-    """Squared prediction error over time.
-
-    With `runs` (list of (y, yhat) pairs): the ensemble mean of the
-    squared error at each t, averaged over runs and nodes.  With a single
-    (y, yhat) pair: a trailing moving average of width `window` as the
-    single-run stand-in for the ensemble mean.  NaN predictions (warm-up)
-    are ignored; entries with no finite data are NaN.  Both are ErrorSums
-    fed with whole runs.
-    """
-    errors = ErrorSums()
-    if runs is not None:
-        T = None
-        for yy, hh in runs:
-            yy, hh = np.asarray(yy, float), np.asarray(hh, float)
-            if yy.shape != hh.shape:
-                raise ValueError(f"length mismatch: {yy.shape} vs {hh.shape}")
-            if T is None:
-                T = yy.shape[-1]
-            elif yy.shape[-1] != T:
-                raise ValueError("runs have mismatched time axes")
-            errors.add(yy.reshape(-1, T) - hh.reshape(-1, T))
-        if T is None:
-            raise ValueError("need at least one run")
-        return errors.curve()
-    y, yhat = np.asarray(y, float), np.asarray(yhat, float)
-    if y.shape != yhat.shape:
-        raise ValueError(f"length mismatch: {y.shape} vs {yhat.shape}")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    T = y.shape[-1]
-    errors.add(y.reshape(-1, T) - yhat.reshape(-1, T))
-    return errors.curve(window)
 
 
 def _trailing_mean(per_t: np.ndarray, window: int) -> np.ndarray:

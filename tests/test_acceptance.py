@@ -23,6 +23,8 @@ import numpy as np
 
 from rffgraph import (
     DetectionConfig,
+    DetectionCounts,
+    ErrorSums,
     EstimatorConfig,
     GaussianKernel,
     GeneratorConfig,
@@ -37,9 +39,7 @@ from rffgraph import (
     instantaneous_loss,
     kernel_approx,
     kernel_exact,
-    mse_curve,
     normalize,
-    pmd_pfa,
     sample_frequencies,
 )
 from rffgraph.cli import main as cli_main
@@ -247,12 +247,12 @@ def test_criterion_5_switching_edge_recovery():
     switch_visible = [P + SWITCH_GEN["switch_interval"] * k for k in (1, 2)]
     tails = {}
     for D in (10, 50):
-        runs = []
+        counts = DetectionCounts(det)
         for s in seeds:
             ts = _switch_series(s)
             series = _estimate_norms(ts.values, D=D, rff_seed=10_000 + s)
-            runs.append((series.group_norms, ts.active))
-        pmd, pfa = pmd_pfa(runs, det)
+            counts.add(series.group_norms, ts.active)
+        pmd, pfa = counts.curves()
         if D == 50:
             for sw in switch_visible:
                 for name, curve in (("P_MD", pmd), ("P_FA", pfa)):
@@ -349,6 +349,12 @@ def test_criterion_7_fixed_iteration_cost():
 
 # -- 8: nonlinearity advantage -------------------------------------------------------
 
+def _terminal_mse(values, predictions, window=100):
+    errors = ErrorSums()
+    errors.add(values - predictions)
+    return errors.curve(window)[-1]
+
+
 def test_criterion_8_nonlinearity_advantage():
     t0 = time.time()
     seeds = _usable_switch_seeds(10)
@@ -358,8 +364,7 @@ def test_criterion_8_nonlinearity_advantage():
         ts = _switch_series(s)
         rf = _estimate_norms(ts.values, D=50, rff_seed=40_000 + s)
         lin = LinearBaseline(N=5, P=2, lam=0.1, gamma=1000.0).run(ts.values)
-        m_rf = mse_curve(ts.values, rf.predictions, window=100)[-1]
-        m_lin = mse_curve(ts.values, lin.predictions, window=100)[-1]
+        m_rf, m_lin = (_terminal_mse(ts.values, p) for p in (rf.predictions, lin.predictions))
         wins += m_rf < m_lin
         details.append((s, round(float(m_rf), 4), round(float(m_lin), 4)))
     assert wins >= 8, f"terminal MSE better on {wins}/10 seeds: {details}"

@@ -7,6 +7,7 @@ import pytest
 from rffgraph import (
     DataError,
     ConfigError,
+    ErrorSums,
     EstimatorConfig,
     GeneratorConfig,
     LinearBaseline,
@@ -15,7 +16,6 @@ from rffgraph import (
 )
 from rffgraph import io
 from rffgraph import experiment
-from rffgraph import metrics
 from rffgraph.cli import main as cli_main
 
 from whole_files import estimates, estimates_csv, predictions
@@ -837,14 +837,14 @@ def test_metrics_scales_the_data_as_its_estimate_did(tmp_path, standardize, argv
     assert cli_main(["estimate", str(cfg_path)] + argv) == 0
     assert cli_main(["metrics", str(cfg_path)]) == 0
     cfg = experiment.load_experiment(cfg_path)
-    runs = []
+    errors = ErrorSums()
     for r in range(cfg.runs):
         extra = json.loads((out / f"run{r:03d}_checkpoint.json").read_text())["extra"]
         mean, std = np.array(extra["mean"]), np.array(extra["std"])
         t, preds = predictions(out / f"run{r:03d}_predictions.csv", cfg.estimator.N)
         values = generate(cfg.generator_for_run(r)).values[:, t]
-        runs.append(((values - mean[:, None]) / std[:, None], preds))
-    assert np.array_equal(_metric_values(out / "mse.csv"), metrics.mse_curve(runs=runs))
+        errors.add((values - mean[:, None]) / std[:, None] - preds)
+    assert np.array_equal(_metric_values(out / "mse.csv"), errors.curve())
 
 
 @pytest.mark.parametrize("reference", [False, True], ids=["estimator", "reference"])

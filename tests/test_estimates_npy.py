@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rffgraph import DataError, DetectionConfig, pmd_pfa
+from rffgraph import DataError, DetectionCounts
 from rffgraph.cli import main as cli_main
 
 from whole_files import estimates, estimates_csv
@@ -113,30 +113,19 @@ def _ensemble(runs=4, T=6, N=3, P=2, seed=0):
     return [(rng.random((T, N, N, P)), rng.random((T, N, N, P)) < 0.3) for _ in range(runs)]
 
 
-def test_pmd_pfa_of_a_generator_equals_that_of_a_list():
-    runs = _ensemble()
-    cfg = DetectionConfig(delta=0.4)
-    from_list = pmd_pfa(runs, cfg)
-    from_generator = pmd_pfa((run for run in runs), cfg)
-    for a, b in zip(from_list, from_generator):
-        assert _same_bits(a, b)
-
-
-def test_pmd_pfa_of_an_empty_generator_is_a_value_error():
-    with pytest.raises(ValueError, match="need at least one run"):
-        pmd_pfa(run for run in [])
-
-
 def test_pmd_pfa_lets_go_of_each_run_it_has_counted():
     refs, alive = [], []
 
     def runs():
         for k in range(5):
             est, truth = _ensemble(runs=1, seed=k)[0]
-            # while run k is drawn, pmd_pfa may still hold run k - 1, no earlier one
+            # while run k is drawn, the counting loop may still hold run k - 1,
+            # and DetectionCounts none
             alive.extend(ref() is not None for ref in refs[:-1])
             refs.append(weakref.ref(est))
             yield est, truth
 
-    pmd_pfa(runs())
+    counts = DetectionCounts()
+    for est, truth in runs():
+        counts.add(est, truth)
     assert len(refs) == 5 and len(alive) == 6 and not any(alive)

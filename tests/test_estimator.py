@@ -337,19 +337,6 @@ def test_online_estimator_warmup_and_determinism():
     assert np.isfinite(a.predictions[:, cfg.P :]).all()
 
 
-def test_coefficient_state_group_addressing():
-    # group (n', p) occupies the stacked slice starting at ((p-1) N + n') 2D
-    N, P, D = 3, 2, 4
-    rng = np.random.default_rng(16)
-    state = CoefficientState(alpha=rng.normal(size=(N, P, N, 2 * D)))
-    for n in range(N):
-        flat = state.stacked(n)
-        for p in range(1, P + 1):
-            for n2 in range(N):
-                start = ((p - 1) * N + n2) * 2 * D
-                assert np.array_equal(state.group(n, n2, p), flat[start : start + 2 * D])
-
-
 def test_schedule_step_sizes():
     cfg = EstimatorConfig(N=1, P=1, D=1, gamma=50.0)
     assert cfg.step_size(1) == cfg.step_size(10) == 1.0 / 50.0

@@ -4,12 +4,12 @@ import pytest
 from rffgraph import (
     CoefficientState,
     DetectionConfig,
+    DetectionCounts,
     EstimatorConfig,
+    ErrorSums,
     OnlineEstimator,
-    mse_curve,
     normalize,
     normalize_series,
-    pmd_pfa,
 )
 
 
@@ -75,6 +75,14 @@ def test_normalize_series_keeps_zero_slices():
 
 # --- detection rates -----------------------------------------------------------
 
+def _pmd_pfa(runs, cfg=DetectionConfig()):
+    """(P_MD, P_FA) of the (estimates, truth) runs, each added whole."""
+    counts = DetectionCounts(cfg)
+    for est, truth in runs:
+        counts.add(est, truth)
+    return counts.curves()
+
+
 def _truth(N, P, edges):
     truth = np.zeros((N, N, P), dtype=bool)
     for e in edges:
@@ -86,7 +94,7 @@ def test_pmd_pfa_perfect_estimates():
     truth = _truth(3, 1, [(0, 1, 0), (2, 0, 0)])
     est = np.where(truth, 1.0, 0.0)
     T = 4
-    pmd, pfa = pmd_pfa([(np.tile(est, (T, 1, 1, 1)), np.tile(truth, (T, 1, 1, 1)))])
+    pmd, pfa = _pmd_pfa([(np.tile(est, (T, 1, 1, 1)), np.tile(truth, (T, 1, 1, 1)))])
     assert np.array_equal(pmd, np.zeros(T))
     assert np.array_equal(pfa, np.zeros(T))
 
@@ -94,14 +102,16 @@ def test_pmd_pfa_perfect_estimates():
 def test_pmd_pfa_all_zero_estimates():
     truth = _truth(3, 1, [(0, 1, 0)])
     est = np.zeros((2, 3, 3, 1))
-    pmd, pfa = pmd_pfa([(est, np.tile(truth, (2, 1, 1, 1)))])
+    pmd, pfa = _pmd_pfa([(est, np.tile(truth, (2, 1, 1, 1)))])
     assert np.array_equal(pmd, np.ones(2))
     assert np.array_equal(pfa, np.zeros(2))
 
 
 def test_pmd_pfa_hand_counted_ensemble():
     # oracle: three tiny runs counted by hand (N=2, P=1, self-loops excluded,
-    # so the off-diagonal slots are (0,1) and (1,0); delta = 0.5, raw values)
+    # so the off-diagonal slots are (0,1) and (1,0); delta = 0.5).  A 1.0 on
+    # the excluded self-loop (0,0) makes each slice's maximum 1, so the
+    # per-slice normalization leaves the values below as they are
     cfg = DetectionConfig(delta=0.5)
     # run A: truth (0,1); estimate puts 0.4 there (miss) and 0.8 on (1,0) (alarm)
     estA = np.zeros((1, 2, 2, 1)); truthA = np.zeros((1, 2, 2, 1), dtype=bool)
@@ -116,7 +126,9 @@ def test_pmd_pfa_hand_counted_ensemble():
     estC = np.zeros((1, 2, 2, 1)); truthC = np.zeros((1, 2, 2, 1), dtype=bool)
     estC[0, 1, 0, 0] = 0.7
     runs = [(estA, truthA), (estB, truthB), (estC, truthC)]
-    pmd, pfa = pmd_pfa(runs, cfg, normalized=False)
+    for est, _ in runs:
+        est[0, 0, 0, 0] = 1.0
+    pmd, pfa = _pmd_pfa(runs, cfg)
     # misses: run A only -> 1 of 2 active slots; alarms: A and C -> 2 of 4 inactive
     assert pmd[0] == 0.5
     assert pfa[0] == 0.5
@@ -125,23 +137,12 @@ def test_pmd_pfa_hand_counted_ensemble():
 def test_pmd_pfa_undefined_is_nan():
     truth = np.zeros((2, 2, 2, 1), dtype=bool)  # no true edges -> P_MD undefined
     est = np.zeros((2, 2, 2, 1))
-    pmd, pfa = pmd_pfa([(est, truth)])
+    pmd, pfa = _pmd_pfa([(est, truth)])
     assert np.isnan(pmd).all()
     assert np.array_equal(pfa, np.zeros(2))
     full = np.ones((2, 2, 2, 1), dtype=bool)  # all edges -> P_FA undefined off-diag
-    pmd2, pfa2 = pmd_pfa([(est, full)])
+    pmd2, pfa2 = _pmd_pfa([(est, full)])
     assert np.isnan(pfa2).all()
-
-
-def test_pmd_pfa_joint_rescaling_invariance():
-    rng = np.random.default_rng(2)
-    est = np.abs(rng.normal(size=(5, 3, 3, 2)))
-    truth = rng.random((5, 3, 3, 2)) < 0.3
-    for c in (0.2, 5.0):
-        a = pmd_pfa([(est, truth)], DetectionConfig(delta=0.1), normalized=False)
-        b = pmd_pfa([(c * est, truth)], DetectionConfig(delta=0.1 * c), normalized=False)
-        assert np.allclose(a[0], b[0], equal_nan=True)
-        assert np.allclose(a[1], b[1], equal_nan=True)
 
 
 def test_pmd_pfa_monotone_threshold_tradeoff():
@@ -149,8 +150,7 @@ def test_pmd_pfa_monotone_threshold_tradeoff():
     est = np.abs(rng.normal(size=(4, 4, 4, 2)))
     truth = rng.random((4, 4, 4, 2)) < 0.4
     deltas = [0.05, 0.1, 0.3, 0.6, 1.0]
-    curves = [pmd_pfa([(est, truth)], DetectionConfig(delta=d), normalized=False)
-              for d in deltas]
+    curves = [_pmd_pfa([(est, truth)], DetectionConfig(delta=d)) for d in deltas]
     for (md_lo, fa_lo), (md_hi, fa_hi) in zip(curves, curves[1:]):
         assert np.all(md_hi >= md_lo - 1e-12)
         assert np.all(fa_hi <= fa_lo + 1e-12)
@@ -160,61 +160,62 @@ def test_pmd_pfa_self_loop_scope():
     truth = np.zeros((1, 2, 2, 1), dtype=bool)
     truth[0, 0, 0, 0] = True  # self loop only
     est = np.zeros((1, 2, 2, 1))
-    pmd, _ = pmd_pfa([(est, truth)])
+    pmd, _ = _pmd_pfa([(est, truth)])
     assert np.isnan(pmd[0])  # excluded by default
-    pmd2, _ = pmd_pfa([(est, truth)], DetectionConfig(delta=0.05, exclude_self_loops=False))
+    pmd2, _ = _pmd_pfa([(est, truth)], DetectionConfig(delta=0.05, exclude_self_loops=False))
     assert pmd2[0] == 1.0
 
 
-def test_pmd_pfa_alignment_and_empty_errors():
-    est = np.zeros((3, 2, 2, 1))
-    truth = np.zeros((2, 2, 2, 1), dtype=bool)
-    with pytest.raises(ValueError):
-        pmd_pfa([(est, truth)])
-    with pytest.raises(ValueError):
-        pmd_pfa([(est, np.zeros((3, 2, 2, 1), dtype=bool)),
-                 (est[:2], np.zeros((2, 2, 2, 1), dtype=bool))])
-    with pytest.raises(ValueError):
-        pmd_pfa([])
+def test_detection_counts_need_estimates_and_truth_of_one_shape():
+    with pytest.raises(ValueError, match="must share a"):
+        DetectionCounts().add(np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 2, 1), dtype=bool))
 
 
 # --- prediction error ----------------------------------------------------------
 
+def _mse(runs, window=None):
+    """ErrorSums.curve(window) of the (y, yhat) runs, each added whole."""
+    errors = ErrorSums()
+    for y, yhat in runs:
+        errors.add(y - yhat)
+    return errors.curve(window)
+
+
 def test_mse_zero_for_perfect_predictions():
     y = np.random.default_rng(4).normal(size=(2, 30))
-    assert np.allclose(mse_curve(y, y, window=5), np.zeros(30))
-    assert np.allclose(mse_curve(runs=[(y, y), (y, y)]), np.zeros(30))
+    assert np.allclose(_mse([(y, y)], window=5), np.zeros(30))
+    assert np.allclose(_mse([(y, y), (y, y)]), np.zeros(30))
 
 
 def test_mse_constant_error_everywhere():
     y = np.zeros((1, 20))
     yhat = np.full((1, 20), 0.3)
-    assert np.allclose(mse_curve(y, yhat, window=7), np.full(20, 0.09))
-    assert np.allclose(mse_curve(runs=[(y, yhat)]), np.full(20, 0.09))
+    assert np.allclose(_mse([(y, yhat)], window=7), np.full(20, 0.09))
+    assert np.allclose(_mse([(y, yhat)]), np.full(20, 0.09))
 
 
 def test_mse_two_run_ensemble_hand_value():
     y = np.zeros((1, 3))
     run1 = (y, np.full((1, 3), 1.0))   # squared error 1
     run2 = (y, np.full((1, 3), 3.0))   # squared error 9
-    assert np.allclose(mse_curve(runs=[run1, run2]), np.full(3, 5.0))
+    assert np.allclose(_mse([run1, run2]), np.full(3, 5.0))
 
 
 def test_mse_nan_warmup_ignored():
     y = np.ones((1, 10))
     yhat = np.ones((1, 10)) * 2.0
     yhat[0, :3] = np.nan
-    out = mse_curve(y, yhat, window=4)
+    out = _mse([(y, yhat)], window=4)
     assert np.isnan(out[:3]).all()
     assert np.allclose(out[3:], 1.0)
 
 
-def test_mse_length_mismatch():
-    with pytest.raises(ValueError):
-        mse_curve(np.zeros((1, 5)), np.zeros((1, 6)))
-    with pytest.raises(ValueError):
-        mse_curve(runs=[(np.zeros((1, 5)), np.zeros((1, 5))),
-                        (np.zeros((1, 6)), np.zeros((1, 6)))])
+@pytest.mark.parametrize("window", [0, -2])
+def test_an_mse_window_below_one_is_named(window):
+    errors = ErrorSums()
+    errors.add(np.zeros((1, 5)))
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        errors.curve(window)
 
 
 def test_detection_config_validation():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from rffgraph import DataError, DetectionConfig, EstimatorConfig, OnlineEstimator, io
 from rffgraph.cli import main as cli_main
-from rffgraph.metrics import DetectionCounts, ErrorSums, mse_curve, normalize_series, pmd_pfa
+from rffgraph.metrics import DetectionCounts, ErrorSums, normalize_series
 
 from whole_files import estimates
 
@@ -95,14 +95,17 @@ def test_error_sums_equal_the_stacked_nan_mean(runs, N, T, points, seed, nan_sha
         h[rng.random((N, T)) < nan_share] = np.nan
         h[:, rng.integers(0, T)] = np.nan  # an all-NaN column in every run
         pairs.append((y, h))
-    errors = ErrorSums()
+    errors, whole = ErrorSums(), ErrorSums()
     for y, h in pairs:
         for a, b in _splits(points, T):
             errors.add(y[:, a:b] - h[:, a:b], at=a)
+        whole.add(y - h)
     assert _same_bits(errors.curve(), _whole_mse(pairs))
-    assert _same_bits(mse_curve(runs=pairs), _whole_mse(pairs))
+    assert _same_bits(whole.curve(), _whole_mse(pairs))
     window = int(rng.integers(1, T + 3))
-    assert _same_bits(mse_curve(*pairs[0], window=window), _whole_mse(pairs[:1], window))
+    first = ErrorSums()
+    first.add(pairs[0][0] - pairs[0][1])
+    assert _same_bits(first.curve(window), _whole_mse(pairs[:1], window))
 
 
 @SETTINGS
@@ -117,13 +120,51 @@ def test_detection_counts_equal_the_whole_array_formula(runs, N, P, T, points, s
         est = rng.random((T, N, N, P))
         est[rng.random(T) < 0.2] = 0.0  # all-zero slices stay zero
         pairs.append((est, rng.random((T, N, N, P)) < 0.4))
-    counts = DetectionCounts(cfg)
+    counts, whole = DetectionCounts(cfg), DetectionCounts(cfg)
     for est, truth in pairs:
         for a, b in _splits(points, T):
             counts.add(est[a:b], truth[a:b], at=a)
+        whole.add(est, truth)
     expected = _whole_pmd_pfa(pairs, cfg)
-    for got in (counts.curves(), pmd_pfa(pairs, cfg)):
+    for got in (counts.curves(), whole.curves()):
         assert all(_same_bits(g, e) for g, e in zip(got, expected))
+
+
+@SETTINGS
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=4), N=st.integers(1, 4),
+       P=st.integers(1, 2), points=st.lists(st.integers(0, 1000), max_size=6),
+       seed=st.integers(0, 2**32 - 1), exclude=st.booleans())
+def test_runs_of_different_lengths_count_only_where_they_reach(lengths, N, P, points, seed,
+                                                               exclude):
+    # at each t the curves pool only the runs whose length exceeds t: an
+    # undefined rate (no slot of its kind in those runs) and an MSE of
+    # nothing counted are NaN
+    rng = np.random.default_rng(seed)
+    cfg = DetectionConfig(delta=0.3, exclude_self_loops=exclude)
+    det, err = [], []
+    for T in lengths:
+        est = rng.random((T, N, N, P))
+        est[rng.random(T) < 0.2] = 0.0
+        det.append((est, rng.random((T, N, N, P)) < rng.choice([0.0, 0.4, 1.0])))
+        h = rng.standard_normal((N, T))
+        h[rng.random((N, T)) < 0.3] = np.nan
+        err.append((rng.standard_normal((N, T)), h))
+    counts, errors = DetectionCounts(cfg), ErrorSums()
+    for (est, truth), (y, h) in zip(det, err):
+        for a, b in _splits(points, len(est)):
+            counts.add(est[a:b], truth[a:b], at=a)
+            errors.add(y[:, a:b] - h[:, a:b], at=a)
+    end = max(lengths)
+    # P_MD and P_FA at t of the runs that reach t alone
+    per_t = [_whole_pmd_pfa([(e[t:t + 1], tr[t:t + 1]) for e, tr in det if len(e) > t], cfg)
+             for t in range(end)]
+    expected = tuple(np.concatenate([rates[k] for rates in per_t]) for k in (0, 1))
+    assert all(_same_bits(g, e) for g, e in zip(counts.curves(), expected))
+    # a run's errors past its end count as NaN ones, which are not counted
+    padded = [(np.pad(y, ((0, 0), (0, end - y.shape[1]))),
+               np.pad(h, ((0, 0), (0, end - h.shape[1])), constant_values=np.nan))
+              for y, h in err]
+    assert _same_bits(errors.curve(), _whole_mse(padded))
 
 
 # --- topology looked up at a block's rows -------------------------------------
