@@ -16,8 +16,8 @@ estimates `.npy` and the residuals `.npy` (the prediction errors of the
 series it consumed, scaled as it was).  So `metrics` reads those two traces
 and the topology `generate` wrote, and no series, predictions or checkpoint.
 A fresh estimate deletes the resume files a previous estimate left, and a
-resume must continue one of the config's runs under the estimator config
-and emit_every its checkpoint saved.  `execute` is the one command
+resume must continue one of the config's runs under the estimator config,
+emit_every and standardize its checkpoint saved.  `execute` is the one command
 dispatch: the CLI and `replay` both run commands through it, and it makes
 the output directory.  Every file is opened through `io.opened`.
 
@@ -193,12 +193,13 @@ def _run_series(cfg: ExperimentConfig, stop: int | None = None):
     return checked
 
 
-def _standardize(values: np.ndarray):
-    """Per-node zero-mean unit-variance scaling; constant nodes keep std 1."""
-    mean = values.mean(axis=1, keepdims=True)
-    std = values.std(axis=1, keepdims=True)
-    std = np.where(std > 0, std, 1.0)
-    return (values - mean) / std, mean.ravel(), std.ravel()
+def _standardize(values: np.ndarray, upto: int | None = None) -> np.ndarray:
+    """The (N, T) values scaled per node by the mean and std of their first
+    upto samples (all when None); constant nodes keep std 1."""
+    head = values[:, :upto]
+    mean = head.mean(axis=1, keepdims=True)
+    std = head.std(axis=1, keepdims=True)
+    return (values - mean) / np.where(std > 0, std, 1.0)
 
 
 def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
@@ -241,13 +242,9 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
                 raise DataError(f"{cfg.out_dir / name}: cannot delete a stale resume file "
                                 f"({e})") from None
         values = series(r)
-        mean = std = None
         if cfg.standardize:
-            values, mean, std = _standardize(values)
-        extra = {"run": r, "next_t": 0, "emit_every": cfg.emit_every,
-                 "standardize": cfg.standardize, "mean": mean, "std": std}
-        written += _estimate_run(cfg, OnlineEstimator(cfg.estimator_for_run(r)), values, 0,
-                                 extra, "")
+            values = _standardize(values)
+        written += _estimate_run(cfg, OnlineEstimator(cfg.estimator_for_run(r)), values, 0, r, "")
     # a resume overwrites estimate_manifest.json; the initial copy keeps
     # this command replayable after resumes
     options = {"limit": limit, "from_checkpoint": None}
@@ -264,34 +261,37 @@ def _resume_files(r: int) -> list[str]:
 
 
 def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
-    """Continue a checkpointed run over the remaining samples of its series."""
+    """Continue a checkpointed run from the samples its state has taken (t
+    plus the warm-up count), scaled, when standardized, as the cut was."""
     est, extra = io.read_checkpoint(checkpoint_path)
-    r, next_t = extra.get("run", 0), extra.get("next_t")
-    for key, value in (("run", r), ("next_t", next_t)):
-        if not io.is_integer(value) or value < 0:
-            raise DataError(f"{checkpoint_path}: extra.{key} must be a nonnegative integer, "
-                            f"got {value!r}")
+    r, standardize = extra.get("run", 0), extra.get("standardize", False)
+    if not io.is_integer(r) or r < 0:
+        raise DataError(f"{checkpoint_path}: extra.run must be a nonnegative integer, got {r!r}")
     if r >= cfg.runs:
         raise DataError(f"{checkpoint_path}: extra.run is {r}, but the config has {cfg.runs} "
                         f"run(s)")
-    if next_t != est.state.t + est.warm:
-        raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, but its state has taken "
-                        f"{est.state.t + est.warm} samples")
-    saved = {**io.config_dict(est.cfg), "emit_every": extra.get("emit_every", cfg.emit_every)}
-    now = {**io.config_dict(cfg.estimator_for_run(r)), "emit_every": cfg.emit_every}
+    if not isinstance(standardize, bool):
+        raise DataError(f"{checkpoint_path}: extra.standardize must be true or false, "
+                        f"got {standardize!r}")
+    saved = {**io.config_dict(est.cfg), "emit_every": extra.get("emit_every", cfg.emit_every),
+             "standardize": standardize}
+    now = {**io.config_dict(cfg.estimator_for_run(r)), "emit_every": cfg.emit_every,
+           "standardize": cfg.standardize}
     for key in saved:
         if saved[key] != now[key]:
-            name = "extra.emit_every" if key == "emit_every" else f"estimator {key}"
-            raise DataError(f"{checkpoint_path}: {name} is {saved[key]!r} in the checkpoint "
-                            f"but {now[key]!r} in the config; a resume runs under the cut's "
-                            f"config")
-    values = _checkpoint_scaling(checkpoint_path, extra, _run_series(cfg)(r), cfg.standardize)
-    T = values.shape[1]
-    if next_t >= T:
-        raise DataError(f"{checkpoint_path}: extra.next_t is {next_t}, "
-                        f"{'at' if next_t == T else 'past'} the end of the {T} samples of "
+            name = f"extra.{key}" if key in ("emit_every", "standardize") else f"estimator {key}"
+            raise DataError(f"{checkpoint_path}: {name} is {json.dumps(saved[key])} in the "
+                            f"checkpoint but {json.dumps(now[key])} in the config; a resume runs "
+                            f"under the cut's config")
+    values = _run_series(cfg)(r)
+    start, T = est.state.t + est.warm, values.shape[1]
+    if start >= T:
+        raise DataError(f"{checkpoint_path}: its state has taken {start} samples, "
+                        f"{'at' if start == T else 'past'} the end of the {T} samples of "
                         f"{_run_prefix(r)}; nothing is left to resume")
-    written = _estimate_run(cfg, est, values, next_t, extra, "_resumed")
+    if cfg.standardize:
+        values = _standardize(values, start)
+    written = _estimate_run(cfg, est, values, start, r, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
     options = {"limit": None, "from_checkpoint": str(checkpoint_path)}
@@ -300,45 +300,17 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                                       name=f"{_run_prefix(r)}_estimate_resumed")]
 
 
-def _checkpoint_scaling(checkpoint_path, extra: dict, values: np.ndarray,
-                        standardize: bool) -> np.ndarray:
-    """The (N, T) series values scaled as the estimate that wrote the
-    checkpoint scaled its series.
-
-    extra is the checkpoint's record.  Its standardize, when present, must
-    be a boolean; when true, its mean and std must be finite and one per
-    node, and std positive.  It must then equal standardize, the config's
-    (an absent one counts as false).
-    """
-    saved = extra.get("standardize", False)
-    if not isinstance(saved, bool):
-        raise DataError(f"{checkpoint_path}: extra.standardize must be true or false, "
-                        f"got {saved!r}")
-    if saved:
-        N = len(values)
-        mean = io.finite_array(checkpoint_path, extra.get("mean"), "extra.mean", (N,))
-        std = io.finite_array(checkpoint_path, extra.get("std"), "extra.std", (N,))
-        if not (std > 0).all():
-            raise DataError(f"{checkpoint_path}: extra.std must be positive")
-    if saved != standardize:
-        raise DataError(f"{checkpoint_path}: extra.standardize is {json.dumps(saved)} in the "
-                        f"checkpoint but {json.dumps(standardize)} in the config; a resume runs "
-                        f"under the cut's config")
-    return (values - mean[:, None]) / std[:, None] if saved else values
-
-
 def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray, start: int,
-                  extra: dict, suffix: str) -> list[Path]:
-    """Stream values from t=start through est; write its estimates (CSV and
-    `.npy`), predictions, residuals and checkpoint, and return their paths.
+                  r: int, suffix: str) -> list[Path]:
+    """Stream values from t=start through est; write run r's estimates (CSV
+    and `.npy`), predictions, residuals and checkpoint, and return their paths.
 
     A fresh run (start 0) and a resumed one share one grid: predictions and
     residuals from s = max(start, P) and estimates from the first t >= s on
-    the grid P, P + K, P + 2K, ... of emit_every K.  extra is the checkpoint
-    record, written back with next_t set to the end of the series.
+    the grid P, P + K, P + 2K, ... of emit_every K.
     """
     P, T = est.cfg.P, values.shape[1]
-    prefix = _run_prefix(extra.get("run", 0))
+    prefix = _run_prefix(r)
     if T - start <= P - est.warm:
         raise DataError(f"{prefix} has {T - start} samples from t={start}; the estimator "
                         f"needs more than {P - est.warm}")
@@ -351,7 +323,8 @@ def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarra
     io.write_estimates_npy(est_npy, series.group_norms, **grid)
     io.write_predictions_csv(pred_csv, series.predictions, t_start=s)
     io.write_residuals_npy(res_npy, values, series.predictions, t_start=s)
-    io.write_checkpoint(ckpt, est, extra={**extra, "next_t": T})
+    io.write_checkpoint(ckpt, est, extra={"run": r, "emit_every": cfg.emit_every,
+                                          "standardize": cfg.standardize})
     return paths
 
 
@@ -453,7 +426,7 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
         raise DataError(f"{_run_prefix(0)} has {values.shape[1]} samples from t=0; the "
                         f"estimator needs more than {cfg.estimator.P}")
     if cfg.standardize:
-        values, _, _ = _standardize(values)
+        values = _standardize(values)
     if reference:
         runner = GrowingDictionaryEstimator(cfg.estimator.N, cfg.estimator.P,
                                             kernel_variance=cfg.estimator.kernel_variance)

@@ -469,7 +469,6 @@ def write_checkpoint(path, estimator: OnlineEstimator, extra: dict | None = None
         "t": int(estimator.state.t),
         "alpha": estimator.state.alpha.tolist(),
         "history": None if estimator.history is None else estimator.history.tolist(),
-        "warmed_up": bool(estimator.warmed_up),
         "warm": int(estimator.warm),
     }
     if extra:
@@ -495,7 +494,8 @@ def read_checkpoint(path):
     alpha must be a finite (N, P, N, 2D) array and history, when present,
     a finite (P, N) one, for the (N, P, D) of the checkpoint's config.  The
     warm-up count is restored as saved; checkpoints written without it
-    count as warmed up whenever they hold a history.
+    count as warmed up whenever they hold a history.  A state that has
+    updated (t > 0) must have finished its warm-up, as every run's has.
     """
     obj = read_json_object(path, "checkpoint")
     missing = [k for k in ("config", "alpha", "t") if k not in obj]
@@ -519,6 +519,9 @@ def read_checkpoint(path):
                         f"and the saved history")
     state = CoefficientState(alpha=alpha, t=t)
     est = OnlineEstimator(cfg, state=state, history=history, warm=warm)
+    if t > 0 and not est.warmed_up:
+        raise DataError(f"{path}: t is {t} but the warm-up count is {est.warm}: a state "
+                        f"updates only after its P={cfg.P} warm-up samples")
     extra = obj.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint extra must be a JSON object")

@@ -18,7 +18,8 @@ from rffgraph import io
 from rffgraph import experiment
 from rffgraph.cli import main as cli_main
 
-from whole_files import estimates, estimates_csv, predictions
+from whole_files import (estimates, estimates_csv, predictions, residuals,
+                         scaled_as_checkpointed, standardized)
 
 
 BASE = {
@@ -172,6 +173,23 @@ def test_checkpoint_counters_reject_booleans(tmp_path, capsys, key):
     assert ck.name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes", [{"warm": 1}, {"warm": 0, "history": None}],
+                         ids=["warm 1", "no history"])
+def test_a_state_that_has_updated_has_finished_its_warm_up(tmp_path, capsys, changes):
+    # t counts updates, and a run updates only once its lag window is full;
+    # such a state would resume at t + warm, among samples it has taken
+    cfg_path, ck = _cut_run(tmp_path)
+    obj = json.loads(ck.read_text())
+    ck.write_text(json.dumps({**obj, **changes}))
+    with pytest.raises(DataError, match=f"t is {obj['t']} but the warm-up count is "
+                                        f"{changes['warm']}"):
+        io.read_checkpoint(ck)
+    capsys.readouterr()
+    assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
+    assert str(ck) in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*_resumed*"))
+
+
 def test_checkpoint_written_during_warm_up_resumes_warm_up(tmp_path):
     values = np.random.default_rng(3).normal(size=(2, 30))
     cfg = EstimatorConfig(N=2, P=3, D=4, lam=0.05, gamma=50.0, rff_seed=2)
@@ -289,10 +307,17 @@ def test_standardize_flag(tmp_path):
     assert cli_main(["estimate", str(cfg_path), "--standardize"]) == 0
     manifest = json.loads((tmp_path / "out" / "estimate_manifest.json").read_text())
     assert manifest["experiment"]["standardize"] is True
-    ck = json.loads((tmp_path / "out" / "run000_checkpoint.json").read_text())
+    ck = tmp_path / "out" / "run000_checkpoint.json"
     values = generate(GeneratorConfig(N=3, P=2, T=120, edge_probability=0.3,
                                       switch_interval=50, noise_std=0.1, seed=3)).values
-    assert np.allclose(ck["extra"]["mean"], values.mean(axis=1))
+    # the estimate scaled the whole series: its residuals are those of the
+    # series scaled by its own per-node mean and std
+    scaled = scaled_as_checkpointed(values, ck)
+    assert np.allclose(scaled, (values - values.mean(axis=1, keepdims=True))
+                       / values.std(axis=1, keepdims=True))
+    t, preds = predictions(tmp_path / "out" / "run000_predictions.csv", 3)
+    assert np.allclose(residuals(tmp_path / "out" / "run000_residuals.npy", 3)[1],
+                       scaled[:, t] - preds)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -533,15 +558,14 @@ def test_checkpoint_that_is_not_json_is_a_data_error(tmp_path):
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
 
 
-@pytest.mark.parametrize("key", ["config", "alpha", "t", "next_t"])
+@pytest.mark.parametrize("key", ["config", "alpha", "t"])
 def test_checkpoint_missing_a_field_is_a_data_error(tmp_path, key):
     cfg_path, ck = _cut_run(tmp_path)
     obj = json.loads(ck.read_text())
-    del (obj["extra"] if key == "next_t" else obj)[key]
+    del obj[key]
     ck.write_text(json.dumps(obj))
-    if key != "next_t":
-        with pytest.raises(DataError, match=key):
-            io.read_checkpoint(ck)
+    with pytest.raises(DataError, match=key):
+        io.read_checkpoint(ck)
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 3
 
 
@@ -570,44 +594,31 @@ def test_emit_every_zero_is_a_config_error(tmp_path):
     assert cli_main(["estimate", str(_cfg_with(tmp_path)), "--emit-every", "0"]) == 2
 
 
-# (key, value, the checkpoint's t or None to keep it, what the error says);
-# the checkpoint is a 1-run cut at 60 of T=120, P=2, emit_every 1
-@pytest.mark.parametrize("key, value, t, says", [
-    ("mean", None, None, "extra.mean must be"), ("std", None, None, "extra.std must be"),
-    ("mean", [[0.0], [1.0, 2.0], [3.0]], None, "extra.mean must be"),
-    ("std", [1.0], None, "extra.std must be"),
-    ("mean", [0.0, float("nan"), 0.0], None, "extra.mean must be"),
-    ("std", [1.0, float("inf"), 1.0], None, "extra.std must be"),
-    ("std", [1.0, 0.0, 1.0], None, "extra.std must be positive"),
-    ("run", "0", None, "extra.run must be"), ("run", True, None, "extra.run must be"),
-    ("next_t", True, None, "extra.next_t must be"),
-    ("emit_every", 2, None, "extra.emit_every is 2 in the checkpoint but 1 in the config"),
-    ("run", 2, None, "extra.run is 2, but the config has 1 run(s)"),
-    ("next_t", 10, None, "extra.next_t is 10, but its state has taken 60 samples"),
-    ("next_t", 500, 498, "extra.next_t is 500, past the end of the 120 samples of run000"),
-    ("next_t", 120, 118, "extra.next_t is 120, at the end of the 120 samples of run000"),
-], ids=["mean missing", "std missing", "mean ragged", "std wrong length", "mean nan", "std inf",
-        "std zero", "run not an integer", "run a boolean", "next_t a boolean",
-        "another emit_every", "a run the config does not have", "next_t not the state's",
-        "next_t past the end", "next_t at the end"])
+# (key, value, what the error says): key is one of the checkpoint's extra or
+# its t; the checkpoint is a 1-run cut at 60 of T=120, P=2, emit_every 1
+@pytest.mark.parametrize("key, value, says", [
+    ("extra.run", "0", "extra.run must be"), ("extra.run", True, "extra.run must be"),
+    ("extra.emit_every", 2, "extra.emit_every is 2 in the checkpoint but 1 in the config"),
+    ("extra.run", 2, "extra.run is 2, but the config has 1 run(s)"),
+    ("t", 498, "its state has taken 500 samples, past the end of the 120 samples of run000"),
+    ("t", 118, "its state has taken 120 samples, at the end of the 120 samples of run000"),
+], ids=["run not an integer", "run a boolean", "another emit_every",
+        "a run the config does not have", "state past the end", "state at the end"])
 def test_malformed_checkpoint_extra_is_a_data_error_naming_the_field(tmp_path, capsys, key,
-                                                                    value, t, says):
+                                                                    value, says):
     cfg_path = _cfg_with(tmp_path, runs=1)
     assert cli_main(["estimate", str(cfg_path), "--standardize", "--limit", "60"]) == 0
     ck = tmp_path / "out" / "run000_checkpoint.json"
     obj = json.loads(ck.read_text())
-    if value is None:
-        del obj["extra"][key]
+    if key.startswith("extra."):
+        obj["extra"][key.removeprefix("extra.")] = value
     else:
-        obj["extra"][key] = value
-    if t is not None:
-        obj["t"] = t
+        obj[key] = value
     ck.write_text(json.dumps(obj))
     capsys.readouterr()
     assert cli_main(["estimate", str(cfg_path), "--standardize", "--from-checkpoint",
                      str(ck)]) == 3
-    err = capsys.readouterr().err
-    assert f"extra.{key}" in err and says in err
+    assert f"{ck}: {says}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run000_estimates_resumed.npy").exists()
 
 
@@ -627,6 +638,53 @@ def test_a_checkpoint_without_emit_every_resumes_as_before(tmp_path):
         (out / name).unlink()
     assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 0
     assert [(out / name).read_bytes() for name in names] == resumed
+
+
+@pytest.mark.parametrize("cut", [1, 60], ids=["cut in the warm-up", "cut after it"])
+@pytest.mark.parametrize("standardize", [False, True], ids=["unstandardized", "standardized"])
+@pytest.mark.parametrize("source", ["generated", "data_csv"])
+def test_a_checkpoint_with_the_derived_keys_resumes_as_one_without(tmp_path, source,
+                                                                   standardize, cut):
+    # checkpoints written before the resume derived them also hold warmed_up,
+    # extra.next_t, extra.mean and extra.std; a resume ignores all four
+    gen = json.loads(json.dumps(BASE))
+    gen.update(runs=1, standardize=standardize, output_dir=str(tmp_path / "out"))
+    cfg_path = gen_path = _write_cfg(tmp_path, gen, "gen.json")
+    if source == "data_csv":
+        assert cli_main(["generate", str(gen_path)]) == 0
+        data = {key: value for key, value in gen.items() if key != "generator"}
+        data["data_csv"] = str(tmp_path / "out" / "run000_data.csv")
+        cfg_path = _write_cfg(tmp_path, data, "csv.json")
+    out, P = tmp_path / "out", BASE["estimator"]["P"]
+    ck = out / "run000_checkpoint.json"
+    values = generate(experiment.load_experiment(gen_path).generator_for_run(0)).values
+    if cut > P:
+        assert cli_main(["estimate", str(cfg_path), "--limit", str(cut)]) == 0
+    else:  # the CLI cuts only past the warm-up
+        out.mkdir(exist_ok=True)
+        est = OnlineEstimator(experiment.load_experiment(cfg_path).estimator_for_run(0))
+        head = values[:, :cut]
+        for sample in (standardized(head, cut) if standardize else head).T:
+            est.step(sample)
+        io.write_checkpoint(ck, est, extra={"run": 0, "emit_every": 1,
+                                            "standardize": standardize})
+
+    def resume():
+        assert cli_main(["estimate", str(cfg_path), "--from-checkpoint", str(ck)]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path != ck}
+
+    resumed = resume()
+    obj = json.loads(ck.read_text())
+    n = obj["t"] + obj["warm"]
+    mean = std = None
+    if standardize:
+        mean, std = values[:, :n].mean(axis=1), values[:, :n].std(axis=1)
+        mean, std = mean.tolist(), np.where(std > 0, std, 1.0).tolist()
+    obj.update(warmed_up=obj["warm"] == P)
+    obj["extra"] = {"run": 0, "next_t": n, "emit_every": 1, "standardize": standardize,
+                    "mean": mean, "std": std}
+    ck.write_text(json.dumps(obj))
+    assert resume() == resumed
 
 
 @pytest.mark.parametrize("cut, resume", [([], ["--standardize"]), (["--standardize"], [])],
@@ -839,11 +897,10 @@ def test_metrics_scales_the_data_as_its_estimate_did(tmp_path, standardize, argv
     cfg = experiment.load_experiment(cfg_path)
     errors = ErrorSums()
     for r in range(cfg.runs):
-        extra = json.loads((out / f"run{r:03d}_checkpoint.json").read_text())["extra"]
-        mean, std = np.array(extra["mean"]), np.array(extra["std"])
         t, preds = predictions(out / f"run{r:03d}_predictions.csv", cfg.estimator.N)
-        values = generate(cfg.generator_for_run(r)).values[:, t]
-        errors.add((values - mean[:, None]) / std[:, None] - preds)
+        values = scaled_as_checkpointed(generate(cfg.generator_for_run(r)).values,
+                                        out / f"run{r:03d}_checkpoint.json")
+        errors.add(values[:, t] - preds)
     assert np.array_equal(_metric_values(out / "mse.csv"), errors.curve())
 
 

@@ -23,7 +23,7 @@ from rffgraph import DataError, DetectionConfig, EstimatorConfig, OnlineEstimato
 from rffgraph.cli import main as cli_main
 from rffgraph.metrics import DetectionCounts, ErrorSums, normalize_series
 
-from whole_files import estimates
+from whole_files import estimates, scaled_as_checkpointed
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 PRODUCTS = ("pmd.csv", "pfa.csv", "mse.csv", "report.json")
@@ -477,9 +477,9 @@ def _whole_file_curves(out, runs, N, P, cfg, window):
         det.append((table[:, 1:].reshape(len(t), N, N, P), active[t]))
         data = _whole_parse(f"{pre}_data.csv", N + 1)[:, 1:].T
         preds = _whole_parse(f"{pre}_predictions.csv", N + 1)
-        extra = json.loads(Path(f"{pre}_checkpoint.json").read_text())["extra"]
-        if extra["standardize"]:
-            data = (data - np.array(extra["mean"])[:, None]) / np.array(extra["std"])[:, None]
+        checkpoint = Path(f"{pre}_checkpoint.json")
+        if json.loads(checkpoint.read_text())["extra"]["standardize"]:
+            data = scaled_as_checkpointed(data, checkpoint)
         tp = preds[:, 0].astype(int)
         err.append((data[:, tp], preds[:, 1:].T))
     pmd, pfa = _whole_pmd_pfa(det, cfg)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from rffgraph import experiment, io
 from rffgraph.cli import main as cli_main
 
-from whole_files import predictions, residuals
+from whole_files import predictions, residuals, scaled_as_checkpointed
 
 N, P, RUNS = 3, 2, 2
 PRODUCTS = ("pmd.csv", "pfa.csv", "mse.csv", "report.json")
@@ -65,10 +65,10 @@ def test_every_residual_row_is_the_data_row_minus_the_predictions_row(tmp_path_f
     for r in range(RUNS):
         pre = f"run{r:03d}"
         data = io.read_data_csv(out / f"{pre}_data.csv")
-        extra = json.loads((out / f"{pre}_checkpoint.json").read_text())["extra"]
-        assert extra["standardize"] == standardize
+        checkpoint = out / f"{pre}_checkpoint.json"
+        assert json.loads(checkpoint.read_text())["extra"]["standardize"] == standardize
         if standardize:
-            data = (data - np.array(extra["mean"])[:, None]) / np.array(extra["std"])[:, None]
+            data = scaled_as_checkpointed(data, checkpoint)
         for part in [""] if cut is None else ["", "_resumed"]:
             t, preds = predictions(out / f"{pre}_predictions{part}.csv", N)
             t_err, err = residuals(out / f"{pre}_residuals{part}.npy", N)

@@ -1,6 +1,9 @@
 """Whole run files, read for the tests: the estimates and residuals `.npy`
-traces through the block readers the pipeline uses, and the estimates and
-predictions CSVs, which no reader of the package parses, cell by cell."""
+traces through the block readers the pipeline uses, the estimates and
+predictions CSVs, which no reader of the package parses, cell by cell, and
+a series scaled as the estimate that wrote a checkpoint scaled it."""
+
+import json
 
 import numpy as np
 
@@ -38,3 +41,22 @@ def predictions(path, N):
     """A predictions CSV parsed cell by cell: (t values, (N, rows))."""
     t, rows = _csv(path, [f"node_{n + 1}" for n in range(N)])
     return t, rows.T
+
+
+def standardized(values, upto):
+    """The (N, T) series values scaled per node by the mean and std of their
+    first upto samples, a zero std counting as 1.  They are computed on the
+    C-ordered series, as the estimate computes them: sums over a strided row
+    can differ in their last bits."""
+    values = np.ascontiguousarray(values)
+    head = values[:, :upto]
+    std = head.std(axis=1, keepdims=True)
+    return (values - head.mean(axis=1, keepdims=True)) / np.where(std > 0, std, 1.0)
+
+
+def scaled_as_checkpointed(values, checkpoint):
+    """values scaled as a standardized estimate of them that wrote the
+    checkpoint file scaled them: by the samples its state has taken, its t
+    plus its warm-up count."""
+    obj = json.loads(checkpoint.read_text())
+    return standardized(values, obj["t"] + obj["warm"])
