@@ -43,6 +43,16 @@ bounds its entries, so the full scan of the array runs only when some norm
 is NaN or above ALPHA_LIMIT / 2, and then decides.  Every entry point
 checks the sample's shape once, before anything is written.
 
+Lockstep: an OnlineEstimator made with runs=R steps R runs at once, runs
+whose configs differ only in rff_seed (run i draws its maps with seed
+rff_seed + i).  Every array gains a leading run axis, and each numpy call
+of a step serves the whole batch.  The arithmetic of each run is the one
+it gets alone, bit for bit: every operation is elementwise or reduces a
+trailing axis of one run's arrays (the predictions' einsum over the last
+three axes, the group norms over the last), so a run's bits do not depend
+on the runs beside it.  `split` hands back each run as a single-run
+estimator.
+
 Step-size convention: EstimatorConfig.gamma is the proximal damping
 weight, i.e. the squared-proximity term carries weight gamma/2 and the
 resulting gradient step is 1/gamma.  Large gamma therefore means strong
@@ -54,7 +64,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +74,12 @@ from .kernels import GaussianKernel, sample_frequencies
 
 ALPHA_LIMIT = 1e12  # coefficient magnitude beyond which the run is declared divergent
 BLOCK_BYTES = 256 * 1024  # scratch for one block of nodes of the update, sized to stay in L2
+
+
+def lockstep_runs(cfg: EstimatorConfig) -> int:
+    """How many runs of cfg's shape step as one batch: as many as fit their
+    alpha in BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (8 * cfg.N * cfg.P * cfg.N * 2 * cfg.D))
 
 
 def group_norms(x: np.ndarray) -> np.ndarray:
@@ -132,23 +148,35 @@ class FeatureMaps:
     Built from one frequency array: (D,) when one map is shared by all
     slots, (P, N, D) when every slot has its own.  `frequencies` is
     (P, N, D) either way (a read-only view); slot (p, n') lifts
-    y_{n'}[t-p-1] through its row frequencies[p, n'].
+    y_{n'}[t-p-1] through its row frequencies[p, n'].  With runs=R the
+    array and `frequencies` have a leading axis of the R runs of a batch.
     """
 
-    def __init__(self, frequencies: np.ndarray, N: int, P: int):
+    def __init__(self, frequencies: np.ndarray, N: int, P: int, runs: int | None = None):
+        lead = () if runs is None else (runs,)
         self.N, self.P, self.D = N, P, frequencies.shape[-1]
-        self.shared = frequencies.ndim == 1
-        self.frequencies = np.broadcast_to(frequencies, (P, N, self.D))
+        self.shared = frequencies.ndim == len(lead) + 1
+        if self.shared:
+            frequencies = frequencies[..., None, None, :]
+        self.frequencies = np.broadcast_to(frequencies, lead + (P, N, self.D))
 
     @classmethod
-    def from_config(cls, cfg: EstimatorConfig) -> "FeatureMaps":
+    def from_config(cls, cfg: EstimatorConfig, runs: int | None = None) -> "FeatureMaps":
+        """cfg's maps; with runs=R, those of rff_seed, rff_seed + 1, ... on a leading axis."""
+        if runs is not None:
+            draws = [cls._draw(replace(cfg, rff_seed=cfg.rff_seed + i)) for i in range(runs)]
+            return cls(np.stack(draws), cfg.N, cfg.P, runs)
+        return cls(cls._draw(cfg), cfg.N, cfg.P)
+
+    @staticmethod
+    def _draw(cfg: EstimatorConfig) -> np.ndarray:
         kernel = GaussianKernel(cfg.kernel_variance)
         if not cfg.per_slot_maps:
-            return cls(sample_frequencies(kernel, cfg.D, cfg.rff_seed).frequencies, cfg.N, cfg.P)
+            return sample_frequencies(kernel, cfg.D, cfg.rff_seed).frequencies
         # slot (p, n') draws with seed rff_seed + p * N + n'
         seeds = range(cfg.rff_seed, cfg.rff_seed + cfg.P * cfg.N)
         grid = np.stack([sample_frequencies(kernel, cfg.D, s).frequencies for s in seeds])
-        return cls(grid.reshape(cfg.P, cfg.N, cfg.D), cfg.N, cfg.P)
+        return grid.reshape(cfg.P, cfg.N, cfg.D)
 
 
 @dataclass
@@ -164,8 +192,8 @@ class CoefficientState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, N: int, P: int, D: int, t: int = 0) -> "CoefficientState":
-        return cls(alpha=np.zeros((N, P, N, 2 * D)), t=t)
+    def zeros(cls, N: int, P: int, D: int, t: int = 0, lead: tuple = ()) -> "CoefficientState":
+        return cls(alpha=np.zeros(lead + (N, P, N, 2 * D)), t=t)
 
 
 def build_feature_vector(history: np.ndarray, maps: FeatureMaps) -> np.ndarray:
@@ -174,12 +202,14 @@ def build_feature_vector(history: np.ndarray, maps: FeatureMaps) -> np.ndarray:
     history[p, n'] must hold y_{n'}[t - (p+1)] (row 0 = newest past
     sample).  Block (p, n') of the result equals the feature map of slot
     (p, n') evaluated at history[p, n']; .ravel() yields the stacked
-    2*P*N*D vector.
+    2*P*N*D vector.  Maps of a batch lift an (R, P, N) history of its runs.
     """
     # C order, so that z and the step's buffers built from it are C-ordered too
     history = np.ascontiguousarray(history, dtype=float)
-    if history.shape != (maps.P, maps.N):
-        raise ValueError(f"history must have shape (P, N) = {(maps.P, maps.N)}, got {history.shape}")
+    shape = maps.frequencies.shape[:-1]  # (P, N), after the run axis of a batch's maps
+    if history.shape != shape:
+        axes = "(P, N)" if len(shape) == 2 else "(runs, P, N)"
+        raise ValueError(f"history must have shape {axes} = {shape}, got {history.shape}")
     if not np.isfinite(history).all():
         raise ValueError("history contains non-finite values")
     return _lift(history, maps.frequencies)
@@ -204,11 +234,11 @@ def _lift(x: np.ndarray, frequencies: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-def _as_sample(sample, N: int) -> np.ndarray:
-    """sample as a float array of shape (N,); any other shape is a ValueError."""
+def _as_sample(sample, N: int, lead: tuple = ()) -> np.ndarray:
+    """sample as a float array of shape lead + (N,); any other shape is a ValueError."""
     sample = np.asarray(sample, dtype=float)
-    if sample.shape != (N,):
-        raise ValueError(f"sample must have shape ({N},), got {sample.shape}")
+    if sample.shape != lead + (N,):
+        raise ValueError(f"sample must have shape {lead + (N,)}, got {sample.shape}")
     return sample
 
 
@@ -283,26 +313,31 @@ def _reject_diverged(alpha: np.ndarray, norms: np.ndarray, resid: np.ndarray, wh
                      iteration: int | None):
     """The divergence guard: a DivergenceError when some entry of alpha is
     non-finite or beyond ALPHA_LIMIT, naming the node with the largest of
-    alpha's (N, P, N) group norms (NaN counts as largest) and its resid.
+    that run's (N, P, N) group norms (NaN counts as largest) and its resid.
 
-    Each norm bounds its group's entries and a NaN fails the comparison, so
-    the exact scan runs only when some norm is NaN or above half the limit;
-    the scan alone decides, and only then is the message made.
+    alpha may have a leading run axis; the error is that of the first run
+    that diverged, and its `run` is that run's index (None without the
+    axis).  Each norm bounds its group's entries and a NaN fails the
+    comparison, so the exact scan runs only when some norm is NaN or above
+    half the limit; the scan alone decides, and only then is the message
+    made.
     """
     if norms.max() <= 0.5 * ALPHA_LIMIT:
         return
-    if np.isfinite(alpha).all() and np.abs(alpha).max() <= ALPHA_LIMIT:
-        return
-    n, p, q = np.unravel_index(np.argmax(norms), norms.shape)
-    at = "" if iteration is None else f" at iteration {iteration}"
-    raise DivergenceError(f"{what} diverged{at}: node {n} has the largest group norm "
-                          f"{norms[n, p, q]:.6g} (source {q}, lag {p + 1}); its last residual "
-                          f"was {resid[n]:.6g}")
+    for i in np.ndindex(alpha.shape[:-4]):
+        if np.isfinite(alpha[i]).all() and np.abs(alpha[i]).max() <= ALPHA_LIMIT:
+            continue
+        n, p, q = np.unravel_index(np.argmax(norms[i]), norms[i].shape)
+        at = "" if iteration is None else f" at iteration {iteration}"
+        raise DivergenceError(f"{what} diverged{at}: node {n} has the largest group norm "
+                              f"{norms[i][n, p, q]:.6g} (source {q}, lag {p + 1}); its last "
+                              f"residual was {resid[i][n]:.6g}", run=i[0] if i else None)
 
 
 def _shift_block(alpha: np.ndarray, r: np.ndarray, z: np.ndarray, gamma: float,
                  out: np.ndarray):
-    """out = alpha - gamma * r * z for one block of nodes; r is (nodes, 1, 1, 1).
+    """out = alpha - gamma * r * z for one block of nodes; r is (..., nodes, 1, 1, 1)
+    and z broadcasts against alpha.
 
     The order (r * z, then * gamma, then alpha minus) is comid_group_update's.
     The product is the block's only temporary and is freed on return.
@@ -314,7 +349,8 @@ def _shift_block(alpha: np.ndarray, r: np.ndarray, z: np.ndarray, gamma: float,
 
 def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: float,
                 lam: float, out: np.ndarray | None, what: str, iteration: int | None = None):
-    """Predict, step, shrink and check all nodes of alpha (N, P, N, G); z is (P, N, G).
+    """Predict, step, shrink and check all nodes of alpha (..., N, P, N, G); z
+    is (..., P, N, G) and sample (..., N), the leading axes those of a batch.
 
     out (None: a fresh array) has alpha's shape and may be alpha itself: the
     predictions read all of alpha before any block of out is written.  A
@@ -323,21 +359,22 @@ def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: flo
     """
     if out is None:
         out = np.empty(alpha.shape)
-    yhat = np.einsum("npqd,pqd->n", alpha, z)
+    yhat = np.einsum("...npqd,...pqd->...n", alpha, z)
     resid = yhat - sample
     losses = 0.5 * resid * resid
-    # out = alpha - gamma * resid * z, a block of nodes at a time; when all
-    # nodes fit in one block the whole arrays go in, since cutting views
-    # costs more than the arithmetic at small N
-    r = resid[:, None, None, None]
-    nodes = BLOCK_BYTES * len(alpha) // alpha.nbytes
-    if nodes >= len(alpha):
-        _shift_block(alpha, r, z, gamma, out)
+    # out = alpha - gamma * resid * z, a block of nodes at a time; when the
+    # whole batch fits in one block the whole arrays go in, since cutting
+    # views costs more than the arithmetic at small N
+    r = resid[..., None, None, None]
+    if alpha.nbytes <= BLOCK_BYTES:
+        _shift_block(alpha, r, z[..., None, :, :, :], gamma, out)
     else:
-        nodes = max(1, nodes)
-        for i in range(0, len(alpha), nodes):
-            b = slice(i, i + nodes)
-            _shift_block(alpha[b], r[b], z, gamma, out[b])
+        N, run_bytes = alpha.shape[-4], alpha.nbytes // math.prod(alpha.shape[:-4])
+        nodes = max(1, BLOCK_BYTES * N // run_bytes)
+        for i in np.ndindex(alpha.shape[:-4]):
+            for j in range(0, N, nodes):
+                b = i + (slice(j, j + nodes),)
+                _shift_block(alpha[b], r[b], z[i], gamma, out[b])
     _reject_diverged(out, _shrink_groups(out, gamma * lam)[1], resid, what, iteration)
     return out, yhat, losses
 
@@ -372,6 +409,7 @@ class EstimateSeries:
     ||alpha_{n,n'}^{(p)}[t]||_2 recorded *after* the update at time t, on
     the rows t = P (mod emit_every) of the run that made it; rows off that
     grid stay zero.  predictions are NaN during the warm-up rows (t < P).
+    A lockstep run puts its runs on a leading axis of both.
     """
 
     predictions: np.ndarray  # (N, T)
@@ -384,23 +422,25 @@ class LagWindow:
 
     rows[p] holds the sample p+1 steps back (row 0 = newest), zero where
     no sample has arrived yet.  The first P samples pushed only fill the
-    window; `count` is how many it has taken so far, at most P.
+    window; `count` is how many it has taken so far, at most P.  The
+    windows of a lockstep batch are one (R, P, N) array, pushed (R, N)
+    samples, with one count.
     """
 
     def __init__(self, N: int, P: int, rows: np.ndarray | None = None,
-                 count: int | None = None):
-        self.rows = np.zeros((P, N)) if rows is None else np.array(rows, dtype=float)
+                 count: int | None = None, lead: tuple = ()):
+        self.rows = np.zeros(lead + (P, N)) if rows is None else np.array(rows, dtype=float)
         # a window given without a count is taken as full
         self.count = count if count is not None else (0 if rows is None else P)
 
     @property
     def full(self) -> bool:
-        return self.count >= len(self.rows)
+        return self.count >= self.rows.shape[-2]
 
     def push(self, sample: np.ndarray):
-        self.rows[1:] = self.rows[:-1]
-        self.rows[0] = sample
-        self.count = min(self.count + 1, len(self.rows))
+        self.rows[..., 1:, :] = self.rows[..., :-1, :]
+        self.rows[..., 0, :] = sample
+        self.count = min(self.count + 1, self.rows.shape[-2])
 
 
 class OnlineEstimator:
@@ -419,26 +459,52 @@ class OnlineEstimator:
     the estimator starts from its own zeros.  After a DivergenceError,
     `state.alpha` holds the rejected iterate and `state.t` is not advanced;
     the estimator is not meant to step on from there.
+
+    With runs=R it steps the R runs of configs cfg, cfg with rff_seed + 1,
+    ..., in lockstep (see the module docstring): samples are (R, N), series
+    (R, N, T), and alpha, the window, the maps, the predictions and the
+    pseudo-adjacency all gain a leading run axis.  A DivergenceError is the
+    first run's to diverge, at the first sample where one does; its `run`
+    is that run's index.  `split` returns the runs as single-run estimators.
     """
 
     def __init__(self, cfg: EstimatorConfig, maps: FeatureMaps | None = None,
                  state: CoefficientState | None = None, history: np.ndarray | None = None,
-                 warm: int | None = None):
+                 warm: int | None = None, runs: int | None = None):
         self.cfg = cfg
+        self.runs = runs
+        self._lead = () if runs is None else (runs,)
         if maps is not None:
             self.maps = maps
         if state is None:
-            self.state = CoefficientState.zeros(cfg.N, cfg.P, cfg.D)
+            self.state = CoefficientState.zeros(cfg.N, cfg.P, cfg.D, lead=self._lead)
         else:
             self.state = CoefficientState(alpha=np.array(state.alpha, dtype=float, order="C"),
                                           t=state.t)
-        self._window = LagWindow(cfg.N, cfg.P, history, warm)
+        self._window = LagWindow(cfg.N, cfg.P, history, warm, self._lead)
         self._lifted = None  # the lift of the lag window, from the first update on
 
     @cached_property
     def maps(self) -> FeatureMaps:
         """The feature maps of the lift, drawn from the config on first use."""
-        return FeatureMaps.from_config(self.cfg)
+        return FeatureMaps.from_config(self.cfg, self.runs)
+
+    def split(self) -> list[OnlineEstimator]:
+        """The runs of a lockstep estimator as single-run estimators, each with
+        a copy of its state, lag window and lift, so that each steps on as
+        that run alone would."""
+        maps = self.maps
+        runs = []
+        for i in range(self.runs):
+            freqs = maps.frequencies[i, 0, 0] if maps.shared else maps.frequencies[i]
+            est = OnlineEstimator(replace(self.cfg, rff_seed=self.cfg.rff_seed + i),
+                                  FeatureMaps(freqs, self.cfg.N, self.cfg.P),
+                                  CoefficientState(self.state.alpha[i], self.state.t),
+                                  self._window.rows[i], self._window.count)
+            if self._lifted is not None:
+                est._lifted = self._lifted[i].copy()
+            runs.append(est)
+        return runs
 
     @property
     def warmed_up(self) -> bool:
@@ -456,7 +522,7 @@ class OnlineEstimator:
 
     def step(self, sample: np.ndarray):
         """Ingest one sample; returns (predictions, losses) or None during warm-up."""
-        sample = _as_sample(sample, self.cfg.N)
+        sample = _as_sample(sample, self.cfg.N, self._lead)
         if not self._window.full:
             self._window.push(sample)
             return None
@@ -482,13 +548,13 @@ class OnlineEstimator:
                                       "estimator", self.state.t + 1)
         if maps.shared:
             z = self._lifted
-            z[1:] = z[:-1]
-            _lift(sample, maps.frequencies[0], out=z[0])
+            z[..., 1:, :, :] = z[..., :-1, :, :]
+            _lift(sample, maps.frequencies[..., 0, :, :], out=z[..., 0, :, :])
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:
         """Current per-group norms arranged as (n, n', p)."""
-        return np.transpose(group_norms(self.state.alpha), (0, 2, 1))
+        return np.swapaxes(group_norms(self.state.alpha), -1, -2)
 
     def run(self, values: np.ndarray, start: int = 0, emit_every: int = 1) -> EstimateSeries:
         """Stream samples start..T-1 of an (N, T) series and record the trajectory.
@@ -503,7 +569,10 @@ class OnlineEstimator:
         0.5 * d * d of d = values[:, t] - predictions[:, t].
         """
         values = np.asarray(values, dtype=float)
-        N, T = values.shape
+        if values.ndim != len(self._lead) + 2 or values.shape[:-2] != self._lead:
+            raise ValueError(f"series must have shape {self._lead + ('N', 'T')}, "
+                             f"got {values.shape}")
+        N, T = values.shape[-2:]
         if N != self.cfg.N:
             raise ValueError(f"series has {N} nodes, config expects {self.cfg.N}")
         if start < 0:
@@ -513,15 +582,18 @@ class OnlineEstimator:
         if T - start <= self.cfg.P - self.warm:
             raise ValueError(f"series too short: need more than {self.cfg.P - self.warm} "
                              f"samples from t={start} (P={self.cfg.P})")
-        preds = np.full((N, T), np.nan)
-        P = self.cfg.P
-        norms = np.zeros((T, N, N, P))
+        lead, P = self._lead, self.cfg.P
+        preds = np.full(lead + (N, T), np.nan)
+        norms = np.zeros(lead + (T, N, N, P))
+        # per-sample views along t: rows[t] is sample t, and so on
+        rows, pred_rows = np.moveaxis(values, -1, 0), np.moveaxis(preds, -1, 0)
+        norm_rows = np.moveaxis(norms, -4, 0)
         for t in range(start, T):
-            out = self.step(values[:, t])
+            out = self.step(rows[t])
             if out is not None:
-                preds[:, t] = out[0]
+                pred_rows[t] = out[0]
             if (t - P) % emit_every == 0:
-                norms[t] = self.pseudo_adjacency()
+                norm_rows[t] = self.pseudo_adjacency()
         return EstimateSeries(predictions=preds, group_norms=norms, state=self.state)
 
 

@@ -10,4 +10,12 @@ class DataError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A numeric run left the finite range it is allowed to occupy."""
+    """A numeric run left the finite range it is allowed to occupy.
+
+    run is the index, within a lockstep batch, of the run that left it, and
+    None for a computation of one run.
+    """
+
+    def __init__(self, message: str, run: int | None = None):
+        super().__init__(message)
+        self.run = run

@@ -8,13 +8,19 @@ written, regenerates the numeric outputs byte for byte.
 Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
 
-`estimate` and `bench` get run r's series from `_run_series`, which
-regenerates it from the config (a cut estimate only as far as the cut) or
-reads `data_csv` once per command.  A fresh and a resumed estimate share one
-run body, `_estimate_run`, which writes every trace `metrics` scores: the
-estimates `.npy` and the residuals `.npy` (the prediction errors of the
-series it consumed, scaled as it was).  So `metrics` reads those two traces
-and the topology `generate` wrote, and no series, predictions or checkpoint.
+`generate` and a fresh `estimate` step their runs in lockstep batches, as
+many runs as fit the generator's and the estimator's byte bounds
+(`generator.lockstep_runs`, `estimator.lockstep_runs`); each run's files
+equal those of the run stepped alone, byte for byte.  A resume and `bench`
+step one run.  `estimate` and `bench` get their runs' series from
+`_run_series`, which regenerates them from the config (a cut estimate only
+as far as the cut) or reads `data_csv` once per command.  A fresh and a
+resumed estimate share one writer, `_write_run`, which writes every trace
+`metrics` scores: the estimates `.npy` and the residuals `.npy` (the
+prediction errors of the series it consumed, scaled as it was).  So
+`metrics` reads those two traces and the topology `generate` wrote, and no
+series, predictions or checkpoint.  A divergence writes no file of its
+batch, and with more than one run its message names the run.
 A fresh estimate deletes the resume files a previous estimate left, and a
 resume must continue one of the config's runs under the estimator config,
 emit_every and standardize its checkpoint saved.  `execute` is the one command
@@ -33,14 +39,16 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import io
-from .exceptions import ConfigError, DataError
+from . import estimator, generator, io
+from .exceptions import ConfigError, DataError, DivergenceError
 from .estimator import (
+    EstimateSeries,
     EstimatorConfig,
     GrowingDictionaryEstimator,
     OnlineEstimator,
@@ -157,37 +165,65 @@ def _run_prefix(r: int) -> str:
     return f"run{r:03d}"
 
 
-# (kind, extension) of the files of one run that _estimate_run writes
+# (kind, extension) of the files of one run that _write_run writes
 _RUN_FILES = [("estimates", "csv"), ("estimates", "npy"), ("predictions", "csv"),
               ("residuals", "npy"), ("checkpoint", "json")]
 
 
-def _run_series(cfg: ExperimentConfig, stop: int | None = None):
-    """The function from run r to its (N, T) input series, for one command.
+def _batches(cfg: ExperimentConfig, size: int) -> list[range]:
+    """The config's runs in consecutive batches of at most size runs."""
+    return [range(b, min(b + size, cfg.runs)) for b in range(0, cfg.runs, size)]
 
-    A generated series is regenerated for each run, and a data_csv is read
-    once, here.  A given stop cuts every run's series to its first stop
-    samples; a generated one is generated only through sample stop, so that
-    a non-finite sample stop-1 still raises as in the full series, and its
-    config is checked against its own T.  A series with a node count other
-    than the estimator's N is a DataError.
+
+def _generate_batch(cfg: ExperimentConfig, batch: range, stop: int | None = None):
+    """The TimeSeries of the runs of batch, generated in lockstep (one run alone)."""
+    gen = cfg.generator_for_run(batch[0])
+    # a batch of one keeps the one-run shapes, which an out-of-memory message names
+    if len(batch) == 1:
+        return [generate(gen, stop=stop)]
+    return generate(gen, stop=stop, runs=len(batch))
+
+
+@contextmanager
+def _naming_runs(cfg: ExperimentConfig, batch: range):
+    """A DivergenceError of a run of batch, its message led by the run's
+    name when the config has more than one run."""
+    try:
+        yield
+    except DivergenceError as e:
+        if cfg.runs == 1:
+            raise
+        r = batch[0 if e.run is None else e.run]
+        raise DivergenceError(f"{_run_prefix(r)}: {e}") from None
+
+
+def _run_series(cfg: ExperimentConfig, stop: int | None = None):
+    """The function from runs first..first+count-1 to the list of their
+    (N, T) input series, for one command.
+
+    Generated series are generated for each call, the runs of one call in
+    lockstep, and a data_csv is read once, here.  A given stop cuts every
+    run's series to its first stop samples; a generated one is generated
+    only through sample stop, so that a non-finite sample stop-1 still
+    raises as in the full series, and its config is checked against its
+    own T.  A series with a node count other than the estimator's N is a
+    DataError.
     """
     if cfg.generator is None:
         data = io.read_data_csv(cfg.data_csv)[:, :stop]
 
-        def series(r):
-            return data
+        def series(batch):
+            return [data] * len(batch)
     else:
-        def series(r):
-            gen = cfg.generator_for_run(r)
+        def series(batch):
             if stop is not None:
-                return generate(gen, stop=stop + 1).values[:, :stop]
-            return generate(gen).values
+                return [ts.values[:, :stop] for ts in _generate_batch(cfg, batch, stop + 1)]
+            return [ts.values for ts in _generate_batch(cfg, batch)]
 
-    def checked(r):
-        values = series(r)
-        if len(values) != cfg.estimator.N:
-            raise DataError(f"data has {len(values)} nodes but the estimator expects "
+    def checked(first, count=1):
+        values = series(range(first, first + count))
+        if len(values[0]) != cfg.estimator.N:
+            raise DataError(f"data has {len(values[0])} nodes but the estimator expects "
                             f"{cfg.estimator.N}")
         return values
     return checked
@@ -203,17 +239,23 @@ def _standardize(values: np.ndarray, upto: int | None = None) -> np.ndarray:
 
 
 def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
-    """Write per-run data CSVs and topology JSONL traces."""
+    """Write per-run data CSVs and topology JSONL traces.
+
+    The runs are generated in lockstep batches of generator.lockstep_runs;
+    a divergence writes no file of its batch.
+    """
     if cfg.generator is None:
         raise ConfigError("generate requires a generator section")
     written = []
-    for r in range(cfg.runs):
-        ts = generate(cfg.generator_for_run(r))
-        data_path = cfg.out_dir / f"{_run_prefix(r)}_data.csv"
-        topo_path = cfg.out_dir / f"{_run_prefix(r)}_topology.jsonl"
-        io.write_data_csv(data_path, ts.values)
-        io.write_topology_jsonl(topo_path, ts)
-        written += [data_path, topo_path]
+    for batch in _batches(cfg, generator.lockstep_runs(cfg.generator)):
+        with _naming_runs(cfg, batch):
+            runs = _generate_batch(cfg, batch)
+        for r, ts in zip(batch, runs):
+            data_path = cfg.out_dir / f"{_run_prefix(r)}_data.csv"
+            topo_path = cfg.out_dir / f"{_run_prefix(r)}_topology.jsonl"
+            io.write_data_csv(data_path, ts.values)
+            io.write_topology_jsonl(topo_path, ts)
+            written += [data_path, topo_path]
     written.append(_write_manifest(cfg, "generate"))
     return written
 
@@ -222,8 +264,12 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
                  from_checkpoint=None) -> list[Path]:
     """Stream each run through the estimator; write its traces, predictions and checkpoint.
 
-    Each run's `_resumed` files and resume manifest, left by an earlier
-    estimate, are deleted: they continue a run this estimate replaces.
+    The runs are stepped in lockstep batches of estimator.lockstep_runs
+    (and, for generated series, of generator.lockstep_runs), and a batch's
+    files are written once all its runs are stepped, so a divergence writes
+    no file of its batch.  Each run's `_resumed` files and resume manifest,
+    left by an earlier estimate, are deleted before its files are written:
+    they continue a run this estimate replaces.
     """
     if limit is not None and from_checkpoint is not None:
         raise ConfigError("--limit and --from-checkpoint cannot be combined: a resume runs "
@@ -233,24 +279,44 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     if limit is not None and limit <= cfg.estimator.P:
         raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
     series = _run_series(cfg, stop=limit)
+    size = estimator.lockstep_runs(cfg.estimator)
+    if cfg.generator is not None:
+        size = min(size, generator.lockstep_runs(cfg.generator))
     written = []
-    for r in range(cfg.runs):
-        for name in _resume_files(r):
-            try:
-                (cfg.out_dir / name).unlink(missing_ok=True)
-            except OSError as e:
-                raise DataError(f"{cfg.out_dir / name}: cannot delete a stale resume file "
-                                f"({e})") from None
-        values = series(r)
-        if cfg.standardize:
-            values = _standardize(values)
-        written += _estimate_run(cfg, OnlineEstimator(cfg.estimator_for_run(r)), values, 0, r, "")
+    for batch in _batches(cfg, size):
+        with _naming_runs(cfg, batch):
+            values = series(batch[0], len(batch))
+            if cfg.standardize:
+                values = [_standardize(v) for v in values]
+            runs = _step_batch(cfg, batch, values)
+        for r, v, (est, trace) in zip(batch, values, runs):
+            for name in _resume_files(r):
+                try:
+                    (cfg.out_dir / name).unlink(missing_ok=True)
+                except OSError as e:
+                    raise DataError(f"{cfg.out_dir / name}: cannot delete a stale resume file "
+                                    f"({e})") from None
+            written += _write_run(cfg, est, v, trace, 0, r, "")
     # a resume overwrites estimate_manifest.json; the initial copy keeps
     # this command replayable after resumes
     options = {"limit": limit, "from_checkpoint": None}
     written.append(_write_manifest(cfg, "estimate", options))
     written.append(_write_manifest(cfg, "estimate", options, name="estimate_initial"))
     return written
+
+
+def _step_batch(cfg: ExperimentConfig, batch: range, values: list[np.ndarray]):
+    """Stream the (N, T) series of batch's fresh runs through their
+    estimators in lockstep (one run alone); returns each run's estimator
+    and EstimateSeries, as the run alone would leave them."""
+    _check_length(cfg.estimator.P, values[0].shape[1], 0, 0, batch[0])
+    if len(batch) == 1:  # the one-run shapes, as in _generate_batch
+        est = OnlineEstimator(cfg.estimator_for_run(batch[0]))
+        return [(est, est.run(values[0], emit_every=cfg.emit_every))]
+    est = OnlineEstimator(cfg.estimator_for_run(batch[0]), runs=len(batch))
+    trace = est.run(np.stack(values), emit_every=cfg.emit_every)
+    return [(one, EstimateSeries(trace.predictions[i], trace.group_norms[i], one.state))
+            for i, one in enumerate(est.split())]
 
 
 def _resume_files(r: int) -> list[str]:
@@ -283,15 +349,18 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
             raise DataError(f"{checkpoint_path}: {name} is {json.dumps(saved[key])} in the "
                             f"checkpoint but {json.dumps(now[key])} in the config; a resume runs "
                             f"under the cut's config")
-    values = _run_series(cfg)(r)
-    start, T = est.state.t + est.warm, values.shape[1]
-    if start >= T:
-        raise DataError(f"{checkpoint_path}: its state has taken {start} samples, "
-                        f"{'at' if start == T else 'past'} the end of the {T} samples of "
-                        f"{_run_prefix(r)}; nothing is left to resume")
-    if cfg.standardize:
-        values = _standardize(values, start)
-    written = _estimate_run(cfg, est, values, start, r, "_resumed")
+    with _naming_runs(cfg, range(r, r + 1)):
+        values = _run_series(cfg)(r)[0]
+        start, T = est.state.t + est.warm, values.shape[1]
+        if start >= T:
+            raise DataError(f"{checkpoint_path}: its state has taken {start} samples, "
+                            f"{'at' if start == T else 'past'} the end of the {T} samples of "
+                            f"{_run_prefix(r)}; nothing is left to resume")
+        if cfg.standardize:
+            values = _standardize(values, start)
+        _check_length(est.cfg.P, T, start, est.warm, r)
+        trace = est.run(values, start=start, emit_every=cfg.emit_every)
+    written = _write_run(cfg, est, values, trace, start, r, "_resumed")
     # estimate_manifest.json names the latest estimate; the per-run copy
     # keeps every run's resume replayable after later resumes
     options = {"limit": None, "from_checkpoint": str(checkpoint_path)}
@@ -300,21 +369,26 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                                       name=f"{_run_prefix(r)}_estimate_resumed")]
 
 
-def _estimate_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray, start: int,
-                  r: int, suffix: str) -> list[Path]:
-    """Stream values from t=start through est; write run r's estimates (CSV
-    and `.npy`), predictions, residuals and checkpoint, and return their paths.
+def _check_length(P: int, T: int, start: int, warm: int, r: int):
+    """A DataError unless T samples from t=start leave an estimator that has
+    taken warm samples an update."""
+    if T - start <= P - warm:
+        raise DataError(f"{_run_prefix(r)} has {T - start} samples from t={start}; the "
+                        f"estimator needs more than {P - warm}")
+
+
+def _write_run(cfg: ExperimentConfig, est: OnlineEstimator, values: np.ndarray,
+               series: EstimateSeries, start: int, r: int, suffix: str) -> list[Path]:
+    """Write run r's estimates (CSV and `.npy`), predictions, residuals and
+    checkpoint from the series est made of values from t=start, and return
+    their paths.
 
     A fresh run (start 0) and a resumed one share one grid: predictions and
     residuals from s = max(start, P) and estimates from the first t >= s on
     the grid P, P + K, P + 2K, ... of emit_every K.
     """
-    P, T = est.cfg.P, values.shape[1]
+    P = est.cfg.P
     prefix = _run_prefix(r)
-    if T - start <= P - est.warm:
-        raise DataError(f"{prefix} has {T - start} samples from t={start}; the estimator "
-                        f"needs more than {P - est.warm}")
-    series = est.run(values, start=start, emit_every=cfg.emit_every)
     paths = [cfg.out_dir / f"{prefix}_{kind}{suffix}.{ext}" for kind, ext in _RUN_FILES]
     est_csv, est_npy, pred_csv, res_npy, ckpt = paths
     s = max(start, P)
@@ -418,7 +492,7 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
         raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
     # the manifest echoes the config bench was given, not the horizon
     gen = cfg.generator if T is None or cfg.generator is None else replace(cfg.generator, T=T)
-    values = _run_series(replace(cfg, generator=gen), stop=T)(0)
+    values = _run_series(replace(cfg, generator=gen), stop=T)(0)[0]
     if T is not None and T > values.shape[1]:
         raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
                         f"{cfg.data_csv}")

@@ -20,11 +20,17 @@ constant topology, the divergence check included.  The ground truth is a
 record per change; `TimeSeries.coeffs` and `.active` forward-fill it to one
 row per sample on demand.  Every seeded output is bit-identical to stepping
 `step`, `switch_edge` and `slow_drift` one sample at a time.
+
+`generate(cfg, runs=R)` generates the runs of R consecutive seeds in
+lockstep: their series, banks and coefficient rows are stacked on a
+leading run axis, and each numpy call of the recurrence serves every run.
+Every operation is elementwise or reduces trailing axes of one run's
+arrays, so each run gets the bits it gets alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +42,7 @@ from .kernels import GaussianKernel
 # Generated values beyond this magnitude abort the run instead of
 # silently saturating to inf.
 DIVERGENCE_LIMIT = 1e6
+BLOCK_BYTES = 256 * 1024  # one sample's nonlinearity scratch for a batch of runs, sized for L2
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,8 @@ class NonlinearityBank:
     """Frozen per-edge nonlinearities: Gaussian-kernel expansions.
 
     f_{n,n',p}(y) = sum_m weights[n,n',p,m] * exp(-(y - centers[n,n',p,m])^2 / (2 v))
+
+    The banks of a lockstep batch stack theirs on a leading run axis.
     """
 
     centers: np.ndarray  # (N, N, P, M)
@@ -87,7 +96,7 @@ class NonlinearityBank:
     def __post_init__(self):
         centers = np.array(self.centers, dtype=float)
         weights = np.array(self.weights, dtype=float)
-        if centers.shape != weights.shape or centers.ndim != 4 or centers.shape[3] < 1:
+        if centers.shape != weights.shape or centers.ndim not in (4, 5) or centers.shape[-1] < 1:
             raise ValueError("centers and weights must share an (N, N, P, M) shape, M >= 1")
         centers.setflags(write=False)
         weights.setflags(write=False)
@@ -243,7 +252,8 @@ def _drift_single(topo: Topology, t: int) -> Topology:
 
 def _nonlinearity_into(bank: NonlinearityBank, x: np.ndarray, buf: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
-    """Write f_{n,n',p}(x[0, n', p, 0]) into out (N, N, P); buf is (N, N, P, M) scratch.
+    """Write f_{n,n',p}(x[..., 0, n', p, 0]) into out (..., N, N, P); buf is
+    (..., N, N, P, M) scratch, the leading axis that of a batched bank.
 
     (d*d) / (-2v) equals -(d*d) / (2v) exactly in IEEE arithmetic.
     """
@@ -256,9 +266,9 @@ def _nonlinearity_into(bank: NonlinearityBank, x: np.ndarray, buf: np.ndarray,
 
 
 def _weighted_sum(coeffs: np.ndarray, f: np.ndarray, noise, out=None) -> np.ndarray:
-    """y_n = sum_{n',p} coeffs[n,n',p] * f[n,n',p] + noise_n; overwrites f."""
+    """y_n = sum_{n',p} coeffs[..., n,n',p] * f[..., n,n',p] + noise_n; overwrites f."""
     np.multiply(coeffs, f, out=f)
-    y = np.add.reduce(f, axis=(1, 2), out=out)
+    y = np.add.reduce(f, axis=(-2, -1), out=out)
     return np.add(y, noise, out=y)
 
 
@@ -290,41 +300,58 @@ def step(topo: Topology, bank: NonlinearityBank, history: np.ndarray,
 
 def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
            noise: np.ndarray, start: int):
-    """Fill values[:, start : start + len(noise)] by the model recurrence, in place.
+    """Fill values[..., start : start + len] by the model recurrence, in place.
 
-    Sample t uses the lagged values before it and the rows coeffs[t - start]
-    and noise[t - start].  The checks are those of step() and of
-    generate's per-sample limit, made by one scan after the loop: the
-    first sample whose |y| exceeds DIVERGENCE_LIMIT raises at its own t, a
-    NaN sample before it raises as non-finite history (the next sample's),
-    and a NaN in the series' last sample is returned.  Samples after the
-    first bad one are computed and discarded; the scan reports the error,
-    so their floating-point overflow is not warned about.
+    values is (N, T), coeffs (len, N, N, P) and noise (len, N), or for the
+    runs of a lockstep batch (R, N, T), (R, len, N, N, P) and (R, len, N)
+    with a batched bank.  Sample t uses the lagged values before it and the
+    rows coeffs[..., t - start, :, :, :] and noise[..., t - start, :].  The
+    checks are those of step() and of generate's per-sample limit, made by
+    one scan per run after the loop: the first sample whose |y| exceeds
+    DIVERGENCE_LIMIT raises at its own t, a NaN sample before it raises as
+    non-finite history (the next sample's), and a NaN in the series' last
+    sample is returned.  Samples after the first bad one are computed and
+    discarded; the scan reports the error, so their floating-point overflow
+    is not warned about.  In a batch the error is that of the first run
+    with one, and its `run` is that run's index.
     """
-    N, T = values.shape
+    T = values.shape[-1]
     P = coeffs.shape[-1]
+    length = noise.shape[-2]
     buf = np.empty(bank.centers.shape)
-    f = np.empty(bank.centers.shape[:3])
-    # lags[T - t] is the (1, N, P, 1) view whose [0, n', p, 0] is y_{n'}[t-1-p]
-    lags = sliding_window_view(values[:, ::-1], P, axis=1).transpose(1, 0, 2)[:, None, :, :, None]
+    f = np.empty(bank.centers.shape[:-1])
+    # lags[T - t] is the (..., 1, N, P, 1) view whose [..., 0, n', p, 0] is y_{n'}[t-1-p]
+    windows = sliding_window_view(values[..., ::-1], P, axis=-1)  # (..., N, T - P + 1, P)
+    lags = np.moveaxis(windows, -2, 0)[..., None, :, :, None]
+    # per-sample views along t, as the loop reads them
+    rows, shocks = np.moveaxis(coeffs, -4, 0), np.moveaxis(noise, -2, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, e in enumerate(noise, start):
+        for t in range(start, start + length):
             _nonlinearity_into(bank, lags[T - t], buf, f)
-            _weighted_sum(coeffs[t - start], f, e, out=values[:, t])
-    segment = values[:, start:start + len(noise)]
+            _weighted_sum(rows[t - start], f, shocks[t - start], out=values[..., t])
+    segment = values[..., start:start + length]
     # max |y| per sample without an |y| copy of the segment; NaN propagates
-    peak = np.maximum(segment.max(axis=0), -segment.min(axis=0))
-    bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-    if len(bad) == 0:
-        return
-    t = start + int(bad[0])
-    if peak[bad[0]] > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"generation diverged at t={t}: |y| > {DIVERGENCE_LIMIT:g}")
-    if t + 1 < T:
-        raise DivergenceError("generation diverged: non-finite history")
+    peak = np.maximum(segment.max(axis=-2), -segment.min(axis=-2))
+    for i in np.ndindex(peak.shape[:-1]):
+        bad = np.flatnonzero(~(peak[i] <= DIVERGENCE_LIMIT))
+        if len(bad) == 0:
+            continue
+        t = start + int(bad[0])
+        run = i[0] if i else None
+        if peak[i][bad[0]] > DIVERGENCE_LIMIT:
+            raise DivergenceError(f"generation diverged at t={t}: |y| > {DIVERGENCE_LIMIT:g}",
+                                  run=run)
+        if t + 1 < T:
+            raise DivergenceError("generation diverged: non-finite history", run=run)
 
 
-def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
+def lockstep_runs(cfg: GeneratorConfig) -> int:
+    """How many runs of cfg's shape generate as one batch: as many as fit
+    their nonlinearity scratch in BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (8 * cfg.N * cfg.N * cfg.P * cfg.M))
+
+
+def generate(cfg: GeneratorConfig, stop: int | None = None, runs: int | None = None):
     """Generate a series with its topology trace.
 
     The first P samples are iid standard normal; the rest follow the
@@ -343,6 +370,12 @@ def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
     among the generated samples; a non-finite sample stop-1 is returned,
     as the full series' last sample would be.
 
+    With runs=R the result is the list of the R TimeSeries of seeds
+    cfg.seed, cfg.seed + 1, ..., each equal to its generate alone, stepped
+    in lockstep (see the module docstring); their values are slices of one
+    (R, N, T) array.  A DivergenceError is the first run's to diverge in
+    the first segment where one does, and its `run` is that run's index.
+
     Only the model recurrence runs per sample.  The series is generated in
     segments of constant topology (one segment unless switching): each
     segment's noise is drawn as one block before switch_edge's draws, the
@@ -353,47 +386,70 @@ def generate(cfg: GeneratorConfig, stop: int | None = None) -> TimeSeries:
     """
     if stop is not None and stop <= cfg.P:
         raise ValueError(f"stop must exceed P={cfg.P}, got {stop}")
-    rng = np.random.default_rng(cfg.seed)
-    topo = init_topology(cfg, rng)
-    bank = init_bank(cfg, rng)
-    n_active = topo.n_active()
-    switches = cfg.switch_interval and cfg.T - cfg.P > cfg.switch_interval
-    if switches and n_active in (0, topo.active.size):
-        raise ConfigError(
-            f"seed {cfg.seed}: the initial topology has {n_active} of {topo.active.size} "
-            f"slots active, so no edge can switch every {cfg.switch_interval} samples")
-
+    cfgs = [cfg] if runs is None else [replace(cfg, seed=cfg.seed + i) for i in range(runs)]
+    lead = () if runs is None else (runs,)
     N, P = cfg.N, cfg.P
     T = cfg.T if stop is None else min(stop, cfg.T)
-    values = np.empty((N, T))
-    values[:, :P] = rng.standard_normal((N, P))
-    if cfg.drift:
-        drifting = topo.active
-        if cfg.drift_scope == "single":  # the lexicographically first active slot
-            drifting = np.zeros_like(topo.active)
-            drifting.flat[np.flatnonzero(topo.active)[:1]] = True
-        coeffs = np.zeros((T - P, N, N, P))
-        coeffs[0] = topo.coeffs
-        np.copyto(coeffs[1:], _drift_delta(np.arange(P, T - 1))[:, None, None, None],
-                  where=drifting)
-        np.cumsum(coeffs, axis=0, out=coeffs)
+    switches = cfg.switch_interval and cfg.T - cfg.P > cfg.switch_interval
+    values = np.empty(lead + (N, T))
+    coeffs = np.zeros(lead + (T - P, N, N, P)) if cfg.drift else None
+    # run i's values and drift coefficients, views whether or not they are batched
+    run_values = values.reshape((len(cfgs), N, T))
+    run_coeffs = coeffs.reshape((len(cfgs), T - P, N, N, P)) if cfg.drift else None
+    rngs, topos, banks = [], [], []
+    for i, c in enumerate(cfgs):
+        rng = np.random.default_rng(c.seed)
+        topo = init_topology(c, rng)
+        banks.append(init_bank(c, rng))
+        n_active = topo.n_active()
+        if switches and n_active in (0, topo.active.size):
+            raise ConfigError(
+                f"seed {c.seed}: the initial topology has {n_active} of {topo.active.size} "
+                f"slots active, so no edge can switch every {c.switch_interval} samples")
+        run_values[i, :, :P] = rng.standard_normal((N, P))
+        if cfg.drift:
+            drifting = topo.active
+            if cfg.drift_scope == "single":  # the lexicographically first active slot
+                drifting = np.zeros_like(topo.active)
+                drifting.flat[np.flatnonzero(topo.active)[:1]] = True
+            run = run_coeffs[i]
+            run[0] = topo.coeffs
+            np.copyto(run[1:], _drift_delta(np.arange(P, T - 1))[:, None, None, None],
+                      where=drifting)
+            np.cumsum(run, axis=0, out=run)
+        rngs.append(rng)
+        topos.append(topo)
+    bank = banks[0] if runs is None else NonlinearityBank(
+        centers=np.stack([b.centers for b in banks]),
+        weights=np.stack([b.weights for b in banks]), kernel=banks[0].kernel)
 
     segment = cfg.switch_interval or T - P
-    states = []
+    states = []  # per segment, the topology of every run
     for start in range(P, T, segment):
         end = min(start + segment, T)
-        noise = cfg.noise_std * rng.standard_normal((end - start, N))
-        states.append(topo)
-        rows = coeffs if cfg.drift else np.broadcast_to(topo.coeffs, (end - start, N, N, P))
-        _recur(bank, values, rows, noise, start)
+        noise = [c.noise_std * rng.standard_normal((end - start, N))
+                 for c, rng in zip(cfgs, rngs)]
+        states.append(topos)
+        if cfg.drift:
+            rows = coeffs
+        else:
+            now = topos[0].coeffs if runs is None else np.stack([t.coeffs for t in topos])
+            rows = np.broadcast_to(now[..., None, :, :, :], lead + (end - start, N, N, P))
+        _recur(bank, values, rows, noise[0] if runs is None else np.stack(noise), start)
         if end < T:
-            topo = switch_edge(topo, rng)
-    if cfg.drift:  # a record wherever the coefficients differ from the sample before
-        which = np.flatnonzero(np.r_[True, (coeffs[1:] != coeffs[:-1]).any(axis=(1, 2, 3))])
-        trace = TopologyTrace(starts=P + which, which=which, coeffs=coeffs,
-                              active=np.broadcast_to(topo.active, coeffs.shape))
-    else:  # a record at each segment's start
-        trace = TopologyTrace(starts=np.arange(P, T, segment), which=np.arange(len(states)),
-                              coeffs=np.array([s.coeffs for s in states]),
-                              active=np.array([s.active for s in states]))
-    return TimeSeries(values=values, topology=trace, config=cfg)
+            topos = [switch_edge(topo, rng) for topo, rng in zip(topos, rngs)]
+
+    series = []
+    for i, c in enumerate(cfgs):
+        if cfg.drift:  # a record wherever the coefficients differ from the sample before
+            run = run_coeffs[i]
+            which = np.flatnonzero(np.r_[True, (run[1:] != run[:-1]).any(axis=(1, 2, 3))])
+            trace = TopologyTrace(starts=P + which, which=which, coeffs=run,
+                                  active=np.broadcast_to(topos[i].active, run.shape))
+        else:  # a record at each segment's start
+            trace = TopologyTrace(starts=np.arange(P, T, segment),
+                                  which=np.arange(len(states)),
+                                  coeffs=np.array([s[i].coeffs for s in states]),
+                                  active=np.array([s[i].active for s in states]))
+        series.append(TimeSeries(values=run_values[i], topology=trace, config=c))
+    return series[0] if runs is None else series

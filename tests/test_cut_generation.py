@@ -115,21 +115,23 @@ def test_the_cut_recurrence_runs_through_sample_limit_only(tmp_path, monkeypatch
     recur, samples = generator._recur, []
 
     def counting_recur(bank, values, coeffs, noise, start):
-        samples[-1] += len(noise)
+        samples[-1] += noise.shape[-2]  # the samples of one run, of every run of a batch
         return recur(bank, values, coeffs, noise, start)
 
     gen, widths = experiment.generate, []
 
-    def recording_generate(cfg, stop=None):
+    def recording_generate(cfg, stop=None, runs=None):
         samples.append(cfg.P)  # the warm-up draws
-        ts = gen(cfg, stop=stop)
-        widths.append(ts.values.shape[1])
-        return ts
+        out = gen(cfg, stop=stop, runs=runs)
+        widths.extend(ts.values.shape[1] for ts in ([out] if runs is None else out))
+        return out
 
     monkeypatch.setattr(generator, "_recur", counting_recur)
     monkeypatch.setattr(experiment, "generate", recording_generate)
     assert cli_main(["estimate", str(cfg_path), "--limit", str(limit)]) == 0
-    assert samples == widths == [min(limit + 1, 120)] * 2
+    # the two runs are generated in one lockstep call
+    assert samples == [min(limit + 1, 120)]
+    assert widths == [min(limit + 1, 120)] * 2
 
 
 def test_an_edgeless_switching_seed_fails_a_cut_before_the_first_switch(tmp_path, capsys):
