@@ -371,10 +371,12 @@ def _comid_step(alpha: np.ndarray, z: np.ndarray, sample: np.ndarray, gamma: flo
     else:
         N, run_bytes = alpha.shape[-4], alpha.nbytes // math.prod(alpha.shape[:-4])
         nodes = max(1, BLOCK_BYTES * N // run_bytes)
-        for i in np.ndindex(alpha.shape[:-4]):
+        # a batch goes a run at a time
+        runs = zip(alpha, r, z, out) if alpha.ndim > 4 else [(alpha, r, z, out)]
+        for a, rr, zz, o in runs:
             for j in range(0, N, nodes):
-                b = i + (slice(j, j + nodes),)
-                _shift_block(alpha[b], r[b], z[i], gamma, out[b])
+                b = slice(j, j + nodes)
+                _shift_block(a[b], rr[b], zz, gamma, o[b])
     _reject_diverged(out, _shrink_groups(out, gamma * lam)[1], resid, what, iteration)
     return out, yhat, losses
 
@@ -432,14 +434,18 @@ class LagWindow:
         self.rows = np.zeros(lead + (P, N)) if rows is None else np.array(rows, dtype=float)
         # a window given without a count is taken as full
         self.count = count if count is not None else (0 if rows is None else P)
+        # the views push writes through, made once: at small N indexing
+        # costs as much as the copy
+        self._older, self._newer = self.rows[..., 1:, :], self.rows[..., :-1, :]
+        self._newest = self.rows[..., 0, :]
 
     @property
     def full(self) -> bool:
         return self.count >= self.rows.shape[-2]
 
     def push(self, sample: np.ndarray):
-        self.rows[..., 1:, :] = self.rows[..., :-1, :]
-        self.rows[..., 0, :] = sample
+        self._older[...] = self._newer
+        self._newest[...] = sample
         self.count = min(self.count + 1, self.rows.shape[-2])
 
 
@@ -491,8 +497,9 @@ class OnlineEstimator:
 
     def split(self) -> list[OnlineEstimator]:
         """The runs of a lockstep estimator as single-run estimators, each with
-        a copy of its state, lag window and lift, so that each steps on as
-        that run alone would."""
+        a copy of its state and lag window, so that each steps on as that run
+        alone would: its first update lifts the window afresh, which gives the
+        kept lift's bits, as after a resume."""
         maps = self.maps
         runs = []
         for i in range(self.runs):
@@ -501,8 +508,6 @@ class OnlineEstimator:
                                   FeatureMaps(freqs, self.cfg.N, self.cfg.P),
                                   CoefficientState(self.state.alpha[i], self.state.t),
                                   self._window.rows[i], self._window.count)
-            if self._lifted is not None:
-                est._lifted = self._lifted[i].copy()
             runs.append(est)
         return runs
 
@@ -542,14 +547,17 @@ class OnlineEstimator:
         """
         maps = self.maps
         if self._lifted is None or not maps.shared:
-            self._lifted = build_feature_vector(history, maps)
+            self._lifted = z = build_feature_vector(history, maps)
+            if maps.shared:  # the views the shift writes through, made once, as in LagWindow
+                self._shift = (z[..., 1:, :, :], z[..., :-1, :, :], z[..., 0, :, :],
+                               maps.frequencies[..., 0, :, :])
         alpha = self.state.alpha
         _, yhat, losses = _comid_step(alpha, self._lifted, sample, gamma, self.cfg.lam, alpha,
                                       "estimator", self.state.t + 1)
         if maps.shared:
-            z = self._lifted
-            z[..., 1:, :, :] = z[..., :-1, :, :]
-            _lift(sample, maps.frequencies[..., 0, :, :], out=z[..., 0, :, :])
+            older, newer, newest, frequencies = self._shift
+            older[...] = newer
+            _lift(sample, frequencies, out=newest)
         return yhat, losses
 
     def pseudo_adjacency(self) -> np.ndarray:

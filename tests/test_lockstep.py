@@ -142,12 +142,13 @@ def test_a_lockstep_divergence_is_that_of_its_run_alone():
 
 # --- the commands -----------------------------------------------------------------
 
-def _config(tmp_path, R, regime, **top):
+def _config(tmp_path, R, regime):
     gen = {"N": 3, "P": 2, "T": 70, "edge_probability": 0.3, "noise_std": 0.1,
            **({"drift": True} if regime == "drift" else {"switch_interval": 25})}
     obj = {"runs": R, "base_seed": 20, "output_dir": "out", "generator": gen,
            "estimator": {"N": 3, "P": 2, "D": 4, "lambda": 0.1, "gamma": 50.0,
-                         "kernel_variance": 0.1, "rff_seed": 7}, **top}
+                         "kernel_variance": 0.1, "rff_seed": 7,
+                         "per_slot_maps": regime == "per-slot maps"}}
     if regime == "data_csv":  # one file, so that both manifests record one path
         data = tmp_path.parent / "data.csv"
         if not data.exists():
@@ -180,7 +181,7 @@ def _run_commands(tmp_path, monkeypatch, R, regime, argv, batch):
 
 @pytest.mark.parametrize("argv", [[], ["--standardize"], ["--emit-every", "3"],
                                   ["--limit", "40"]], ids=str)
-@pytest.mark.parametrize("regime", ["switching", "drift", "data_csv"])
+@pytest.mark.parametrize("regime", ["switching", "drift", "data_csv", "per-slot maps"])
 @pytest.mark.parametrize("R", RUNS)
 def test_a_command_writes_each_run_as_it_writes_the_run_alone(tmp_path, monkeypatch, R, regime,
                                                              argv):
