@@ -43,11 +43,10 @@ bounds its entries, so the full scan of the array runs only when some norm
 is NaN or above ALPHA_LIMIT / 2, and then decides.  Every entry point
 checks the sample's shape once, before anything is written.
 
-Lockstep: an OnlineEstimator made with runs=R steps R runs at once, runs
-whose configs differ only in rff_seed (run i draws its maps with seed
-rff_seed + i).  Every array gains a leading run axis, and each numpy call
-of a step serves the whole batch.  The arithmetic of each run is the one
-it gets alone, bit for bit: every operation is elementwise or reduces a
+Lockstep: an OnlineEstimator made with a list of R configs that differ
+in their rff_seed only steps their R runs at once.  Every array gains a
+leading run axis, and each numpy call of a step serves the whole batch.
+The arithmetic of each run is the one it gets alone, bit for bit: every operation is elementwise or reduces a
 trailing axis of one run's arrays (the predictions' einsum over the last
 three axes, the group norms over the last), so a run's bits do not depend
 on the runs beside it.  `split` hands back each run as a single-run
@@ -149,7 +148,8 @@ class FeatureMaps:
     slots, (P, N, D) when every slot has its own.  `frequencies` is
     (P, N, D) either way (a read-only view); slot (p, n') lifts
     y_{n'}[t-p-1] through its row frequencies[p, n'].  With runs=R the
-    array and `frequencies` have a leading axis of the R runs of a batch.
+    array and `frequencies` have a leading axis of the R runs of a batch
+    (see `from_configs`).
     """
 
     def __init__(self, frequencies: np.ndarray, N: int, P: int, runs: int | None = None):
@@ -161,12 +161,13 @@ class FeatureMaps:
         self.frequencies = np.broadcast_to(frequencies, lead + (P, N, self.D))
 
     @classmethod
-    def from_config(cls, cfg: EstimatorConfig, runs: int | None = None) -> "FeatureMaps":
-        """cfg's maps; with runs=R, those of rff_seed, rff_seed + 1, ... on a leading axis."""
-        if runs is not None:
-            draws = [cls._draw(replace(cfg, rff_seed=cfg.rff_seed + i)) for i in range(runs)]
-            return cls(np.stack(draws), cfg.N, cfg.P, runs)
+    def from_config(cls, cfg: EstimatorConfig) -> "FeatureMaps":
         return cls(cls._draw(cfg), cfg.N, cfg.P)
+
+    @classmethod
+    def from_configs(cls, cfgs: list[EstimatorConfig]) -> "FeatureMaps":
+        """The maps of a lockstep batch: cfgs[i]'s at index i of a leading axis."""
+        return cls(np.stack([cls._draw(c) for c in cfgs]), cfgs[0].N, cfgs[0].P, len(cfgs))
 
     @staticmethod
     def _draw(cfg: EstimatorConfig) -> np.ndarray:
@@ -466,20 +467,28 @@ class OnlineEstimator:
     `state.alpha` holds the rejected iterate and `state.t` is not advanced;
     the estimator is not meant to step on from there.
 
-    With runs=R it steps the R runs of configs cfg, cfg with rff_seed + 1,
-    ..., in lockstep (see the module docstring): samples are (R, N), series
-    (R, N, T), and alpha, the window, the maps, the predictions and the
-    pseudo-adjacency all gain a leading run axis.  A DivergenceError is the
+    Given a list of R configs that differ in their rff_seed only, it steps
+    their R runs in lockstep (see the module docstring): samples are
+    (R, N), series (R, N, T), and alpha, the window, the maps, the
+    predictions and the pseudo-adjacency all gain a leading run axis.  A DivergenceError is the
     first run's to diverge, at the first sample where one does; its `run`
-    is that run's index.  `split` returns the runs as single-run estimators.
+    is that run's index in the list.  `split` returns the runs as
+    single-run estimators.
     """
 
-    def __init__(self, cfg: EstimatorConfig, maps: FeatureMaps | None = None,
-                 state: CoefficientState | None = None, history: np.ndarray | None = None,
-                 warm: int | None = None, runs: int | None = None):
+    def __init__(self, cfg: EstimatorConfig | list[EstimatorConfig],
+                 maps: FeatureMaps | None = None, state: CoefficientState | None = None,
+                 history: np.ndarray | None = None, warm: int | None = None):
+        # the configs of a lockstep batch's runs; None for one run
+        self._configs = None if isinstance(cfg, EstimatorConfig) else list(cfg)
+        if self._configs is not None:
+            cfg = self._configs[0] if self._configs else None
+            if cfg is None or any(replace(c, rff_seed=cfg.rff_seed) != cfg
+                                  for c in self._configs):
+                raise ValueError("the configs of a lockstep batch must differ in their "
+                                 "rff_seed only")
         self.cfg = cfg
-        self.runs = runs
-        self._lead = () if runs is None else (runs,)
+        self._lead = () if self._configs is None else (len(self._configs),)
         if maps is not None:
             self.maps = maps
         if state is None:
@@ -493,7 +502,9 @@ class OnlineEstimator:
     @cached_property
     def maps(self) -> FeatureMaps:
         """The feature maps of the lift, drawn from the config on first use."""
-        return FeatureMaps.from_config(self.cfg, self.runs)
+        if self._configs is None:
+            return FeatureMaps.from_config(self.cfg)
+        return FeatureMaps.from_configs(self._configs)
 
     def split(self) -> list[OnlineEstimator]:
         """The runs of a lockstep estimator as single-run estimators, each with
@@ -502,10 +513,9 @@ class OnlineEstimator:
         kept lift's bits, as after a resume."""
         maps = self.maps
         runs = []
-        for i in range(self.runs):
+        for i, cfg in enumerate(self._configs):
             freqs = maps.frequencies[i, 0, 0] if maps.shared else maps.frequencies[i]
-            est = OnlineEstimator(replace(self.cfg, rff_seed=self.cfg.rff_seed + i),
-                                  FeatureMaps(freqs, self.cfg.N, self.cfg.P),
+            est = OnlineEstimator(cfg, FeatureMaps(freqs, cfg.N, cfg.P),
                                   CoefficientState(self.state.alpha[i], self.state.t),
                                   self._window.rows[i], self._window.count)
             runs.append(est)

@@ -9,12 +9,14 @@ Per-run seed derivation: run r (0-based) generates data with seed
 base_seed + r and draws its feature maps with seed rff_seed + r.
 
 `generate` and a fresh `estimate` step their runs in lockstep batches, as
-many runs as fit the generator's and the estimator's byte bounds
-(`generator.lockstep_runs`, `estimator.lockstep_runs`); each run's files
-equal those of the run stepped alone, byte for byte.  A resume and `bench`
-step one run.  `estimate` and `bench` get their runs' series from
-`_run_series`, which regenerates them from the config (a cut estimate only
-as far as the cut) or reads `data_csv` once per command.  A fresh and a
+many runs as fit the generator's and the estimator's scratch bounds
+(`generator.lockstep_runs`, `estimator.lockstep_runs`) and hold at most
+BATCH_BYTES between them (`_lockstep_size`); each run's files equal those
+of the run stepped alone, byte for byte.  A resume and `bench` step one
+run.  The per-run seeds are derived here only, and a batch hands the
+layers its runs' configs.  `estimate` and `bench` get their runs' series
+from `_run_series`, which regenerates them from the config (a cut estimate
+only as far as the cut) or reads `data_csv` once per command.  A fresh and a
 resumed estimate share one writer, `_write_run`, which writes every trace
 `metrics` scores: the estimates `.npy` and the residuals `.npy` (the
 prediction errors of the series it consumed, scaled as it was).  So
@@ -57,6 +59,10 @@ from .generator import GeneratorConfig, generate
 from .metrics import DetectionConfig, DetectionCounts, ErrorSums
 
 ENV_OUTPUT_DIR = "RFFGRAPH_OUTPUT_DIR"
+# What the runs of a lockstep batch may hold at once: a batch is cut to
+# fit, so the peak exceeds that of stepping its runs one at a time by less
+# than this, whatever T; a run that alone holds more is stepped alone.
+BATCH_BYTES = 16 * 1024 * 1024
 
 @dataclass(frozen=True)
 class _Metrics(DetectionConfig):
@@ -175,13 +181,32 @@ def _batches(cfg: ExperimentConfig, size: int) -> list[range]:
     return [range(b, min(b + size, cfg.runs)) for b in range(0, cfg.runs, size)]
 
 
+def _lockstep_size(cfg: ExperimentConfig, T: int, command: str) -> int:
+    """How many runs of T samples `command` (generate or estimate) steps as
+    one batch: as many as the layers' scratch bounds allow and as hold at
+    most BATCH_BYTES between them, at least one."""
+    N, P = cfg.estimator.N, cfg.estimator.P
+    per_sample = 3 * N  # a run's series, its noise and the copy stacked for the batch
+    if command == "estimate":
+        # its predictions and group-norm trace; the coefficient rows of a
+        # drift generation, as large as the trace, are freed before it is made
+        per_sample += N + N * N * P
+    elif cfg.generator.drift:
+        per_sample += N * N * P  # the coefficient rows of every sample
+    size = BATCH_BYTES // (8 * T * per_sample)
+    if command == "estimate":
+        size = min(size, estimator.lockstep_runs(cfg.estimator))
+    if cfg.generator is not None:
+        size = min(size, generator.lockstep_runs(cfg.generator))
+    return max(1, size)
+
+
 def _generate_batch(cfg: ExperimentConfig, batch: range, stop: int | None = None):
     """The TimeSeries of the runs of batch, generated in lockstep (one run alone)."""
-    gen = cfg.generator_for_run(batch[0])
     # a batch of one keeps the one-run shapes, which an out-of-memory message names
     if len(batch) == 1:
-        return [generate(gen, stop=stop)]
-    return generate(gen, stop=stop, runs=len(batch))
+        return [generate(cfg.generator_for_run(batch[0]), stop=stop)]
+    return generate([cfg.generator_for_run(r) for r in batch], stop=stop)
 
 
 @contextmanager
@@ -197,66 +222,82 @@ def _naming_runs(cfg: ExperimentConfig, batch: range):
         raise DivergenceError(f"{_run_prefix(r)}: {e}") from None
 
 
-def _run_series(cfg: ExperimentConfig, stop: int | None = None):
-    """The function from runs first..first+count-1 to the list of their
-    (N, T) input series, for one command.
+def _run_series(cfg: ExperimentConfig, stop: int | None = None, standardize: bool = False):
+    """(T, series) for one command: the length T of every run's input
+    series, and the function from a range of runs to their (runs, N, T)
+    series.
 
     Generated series are generated for each call, the runs of one call in
-    lockstep, and a data_csv is read once, here.  A given stop cuts every
-    run's series to its first stop samples; a generated one is generated
-    only through sample stop, so that a non-finite sample stop-1 still
-    raises as in the full series, and its config is checked against its
-    own T.  A series with a node count other than the estimator's N is a
-    DataError.
+    lockstep, and a data_csv is read once, here; every run of a call reads
+    it through one view.  A given stop cuts every run's series to its first
+    stop samples; a generated one is generated only through sample stop,
+    so that a non-finite sample stop-1 still raises as in the full series,
+    and its config is checked against its own T.  With standardize, each
+    series is scaled over all its samples (a data_csv once).  A series with
+    a node count other than the estimator's N is a DataError.
     """
     if cfg.generator is None:
         data = io.read_data_csv(cfg.data_csv)[:, :stop]
+        if standardize:
+            data = _standardize(data)
+        T = data.shape[1]
 
         def series(batch):
-            return [data] * len(batch)
+            return np.broadcast_to(data, (len(batch),) + data.shape)
     else:
-        def series(batch):
-            if stop is not None:
-                return [ts.values[:, :stop] for ts in _generate_batch(cfg, batch, stop + 1)]
-            return [ts.values for ts in _generate_batch(cfg, batch)]
+        T = cfg.generator.T if stop is None else min(stop, cfg.generator.T)
 
-    def checked(first, count=1):
-        values = series(range(first, first + count))
-        if len(values[0]) != cfg.estimator.N:
-            raise DataError(f"data has {len(values[0])} nodes but the estimator expects "
+        def series(batch):
+            runs = _generate_batch(cfg, batch, None if stop is None else stop + 1)
+            values = np.stack([ts.values[:, :stop] for ts in runs])
+            return _standardize(values) if standardize else values
+
+    def checked(batch):
+        values = series(batch)
+        if values.shape[1] != cfg.estimator.N:
+            raise DataError(f"data has {values.shape[1]} nodes but the estimator expects "
                             f"{cfg.estimator.N}")
         return values
-    return checked
+    return T, checked
 
 
 def _standardize(values: np.ndarray, upto: int | None = None) -> np.ndarray:
-    """The (N, T) values scaled per node by the mean and std of their first
-    upto samples (all when None); constant nodes keep std 1."""
-    head = values[:, :upto]
-    mean = head.mean(axis=1, keepdims=True)
-    std = head.std(axis=1, keepdims=True)
+    """The (..., N, T) values scaled per node by the mean and std of their
+    first upto samples (all when None); constant nodes keep std 1."""
+    head = values[..., :upto]
+    mean = head.mean(axis=-1, keepdims=True)
+    std = head.std(axis=-1, keepdims=True)
     return (values - mean) / np.where(std > 0, std, 1.0)
 
 
 def cmd_generate(cfg: ExperimentConfig) -> list[Path]:
     """Write per-run data CSVs and topology JSONL traces.
 
-    The runs are generated in lockstep batches of generator.lockstep_runs;
-    a divergence writes no file of its batch.
+    The runs are generated in lockstep batches (`_lockstep_size`); a
+    divergence writes no file of its batch.
     """
     if cfg.generator is None:
         raise ConfigError("generate requires a generator section")
     written = []
-    for batch in _batches(cfg, generator.lockstep_runs(cfg.generator)):
-        with _naming_runs(cfg, batch):
-            runs = _generate_batch(cfg, batch)
-        for r, ts in zip(batch, runs):
-            data_path = cfg.out_dir / f"{_run_prefix(r)}_data.csv"
-            topo_path = cfg.out_dir / f"{_run_prefix(r)}_topology.jsonl"
-            io.write_data_csv(data_path, ts.values)
-            io.write_topology_jsonl(topo_path, ts)
-            written += [data_path, topo_path]
+    for batch in _batches(cfg, _lockstep_size(cfg, cfg.generator.T, "generate")):
+        written += _generate_files(cfg, batch)
     written.append(_write_manifest(cfg, "generate"))
+    return written
+
+
+def _generate_files(cfg: ExperimentConfig, batch: range) -> list[Path]:
+    """Generate batch's runs and write their data CSVs and topology traces;
+    returns their paths, holding nothing of the batch, so that the next
+    batch is made without it."""
+    with _naming_runs(cfg, batch):
+        runs = _generate_batch(cfg, batch)
+    written = []
+    for r, ts in zip(batch, runs):
+        data_path = cfg.out_dir / f"{_run_prefix(r)}_data.csv"
+        topo_path = cfg.out_dir / f"{_run_prefix(r)}_topology.jsonl"
+        io.write_data_csv(data_path, ts.values)
+        io.write_topology_jsonl(topo_path, ts)
+        written += [data_path, topo_path]
     return written
 
 
@@ -264,12 +305,11 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
                  from_checkpoint=None) -> list[Path]:
     """Stream each run through the estimator; write its traces, predictions and checkpoint.
 
-    The runs are stepped in lockstep batches of estimator.lockstep_runs
-    (and, for generated series, of generator.lockstep_runs), and a batch's
-    files are written once all its runs are stepped, so a divergence writes
-    no file of its batch.  Each run's `_resumed` files and resume manifest,
-    left by an earlier estimate, are deleted before its files are written:
-    they continue a run this estimate replaces.
+    The runs are stepped in lockstep batches (`_lockstep_size`), and a
+    batch's files are written once all its runs are stepped, so a
+    divergence writes no file of its batch.  Each run's `_resumed` files
+    and resume manifest, left by an earlier estimate, are deleted before
+    its files are written: they continue a run this estimate replaces.
     """
     if limit is not None and from_checkpoint is not None:
         raise ConfigError("--limit and --from-checkpoint cannot be combined: a resume runs "
@@ -278,25 +318,10 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
         return _resume_estimate(cfg, from_checkpoint)
     if limit is not None and limit <= cfg.estimator.P:
         raise DataError(f"limit must exceed the warm-up length P={cfg.estimator.P}")
-    series = _run_series(cfg, stop=limit)
-    size = estimator.lockstep_runs(cfg.estimator)
-    if cfg.generator is not None:
-        size = min(size, generator.lockstep_runs(cfg.generator))
+    T, series = _run_series(cfg, stop=limit, standardize=cfg.standardize)
     written = []
-    for batch in _batches(cfg, size):
-        with _naming_runs(cfg, batch):
-            values = series(batch[0], len(batch))
-            if cfg.standardize:
-                values = [_standardize(v) for v in values]
-            runs = _step_batch(cfg, batch, values)
-        for r, v, (est, trace) in zip(batch, values, runs):
-            for name in _resume_files(r):
-                try:
-                    (cfg.out_dir / name).unlink(missing_ok=True)
-                except OSError as e:
-                    raise DataError(f"{cfg.out_dir / name}: cannot delete a stale resume file "
-                                    f"({e})") from None
-            written += _write_run(cfg, est, v, trace, 0, r, "")
+    for batch in _batches(cfg, _lockstep_size(cfg, T, "estimate")):
+        written += _estimate_files(cfg, batch, series)
     # a resume overwrites estimate_manifest.json; the initial copy keeps
     # this command replayable after resumes
     options = {"limit": limit, "from_checkpoint": None}
@@ -305,18 +330,32 @@ def cmd_estimate(cfg: ExperimentConfig, limit: int | None = None,
     return written
 
 
-def _step_batch(cfg: ExperimentConfig, batch: range, values: list[np.ndarray]):
-    """Stream the (N, T) series of batch's fresh runs through their
-    estimators in lockstep (one run alone); returns each run's estimator
-    and EstimateSeries, as the run alone would leave them."""
-    _check_length(cfg.estimator.P, values[0].shape[1], 0, 0, batch[0])
-    if len(batch) == 1:  # the one-run shapes, as in _generate_batch
-        est = OnlineEstimator(cfg.estimator_for_run(batch[0]))
-        return [(est, est.run(values[0], emit_every=cfg.emit_every))]
-    est = OnlineEstimator(cfg.estimator_for_run(batch[0]), runs=len(batch))
-    trace = est.run(np.stack(values), emit_every=cfg.emit_every)
-    return [(one, EstimateSeries(trace.predictions[i], trace.group_norms[i], one.state))
-            for i, one in enumerate(est.split())]
+def _estimate_files(cfg: ExperimentConfig, batch: range, series) -> list[Path]:
+    """Stream the series of batch's fresh runs through their estimators in
+    lockstep (one run alone), then write each run's files as the run alone
+    would; returns their paths, holding nothing of the batch, so that the
+    next batch is made without it."""
+    with _naming_runs(cfg, batch):
+        values = series(batch)
+        _check_length(cfg.estimator.P, values.shape[-1], 0, 0, batch[0])
+        if len(batch) == 1:  # the one-run shapes, as in _generate_batch
+            est = OnlineEstimator(cfg.estimator_for_run(batch[0]))
+            runs = [(est, est.run(values[0], emit_every=cfg.emit_every))]
+        else:
+            est = OnlineEstimator([cfg.estimator_for_run(r) for r in batch])
+            trace = est.run(values, emit_every=cfg.emit_every)
+            runs = [(one, EstimateSeries(trace.predictions[i], trace.group_norms[i], one.state))
+                    for i, one in enumerate(est.split())]
+    written = []
+    for r, v, (one, trace) in zip(batch, values, runs):
+        for name in _resume_files(r):
+            try:
+                (cfg.out_dir / name).unlink(missing_ok=True)
+            except OSError as e:
+                raise DataError(f"{cfg.out_dir / name}: cannot delete a stale resume file "
+                                f"({e})") from None
+        written += _write_run(cfg, one, v, trace, 0, r, "")
+    return written
 
 
 def _resume_files(r: int) -> list[str]:
@@ -350,7 +389,8 @@ def _resume_estimate(cfg: ExperimentConfig, checkpoint_path) -> list[Path]:
                             f"checkpoint but {json.dumps(now[key])} in the config; a resume runs "
                             f"under the cut's config")
     with _naming_runs(cfg, range(r, r + 1)):
-        values = _run_series(cfg)(r)[0]
+        _, series = _run_series(cfg)
+        values = series(range(r, r + 1))[0]
         start, T = est.state.t + est.warm, values.shape[1]
         if start >= T:
             raise DataError(f"{checkpoint_path}: its state has taken {start} samples, "
@@ -492,7 +532,8 @@ def cmd_bench(cfg: ExperimentConfig, T: int | None = None,
         raise DataError(f"bench horizon T={T} must exceed P={cfg.estimator.P}")
     # the manifest echoes the config bench was given, not the horizon
     gen = cfg.generator if T is None or cfg.generator is None else replace(cfg.generator, T=T)
-    values = _run_series(replace(cfg, generator=gen), stop=T)(0)[0]
+    _, series = _run_series(replace(cfg, generator=gen), stop=T)
+    values = series(range(1))[0]
     if T is not None and T > values.shape[1]:
         raise DataError(f"horizon T={T} exceeds the {values.shape[1]} samples of "
                         f"{cfg.data_csv}")

@@ -21,15 +21,17 @@ record per change; `TimeSeries.coeffs` and `.active` forward-fill it to one
 row per sample on demand.  Every seeded output is bit-identical to stepping
 `step`, `switch_edge` and `slow_drift` one sample at a time.
 
-`generate(cfg, runs=R)` generates the runs of R consecutive seeds in
-lockstep: their series, banks and coefficient rows are stacked on a
-leading run axis, and each numpy call of the recurrence serves every run.
-Every operation is elementwise or reduces trailing axes of one run's
-arrays, so each run gets the bits it gets alone.
+`generate` given a list of configs that differ in their seeds only
+generates their runs in lockstep: their series, nonlinearities and
+coefficient rows are stacked on a leading run axis, and each numpy call of
+the recurrence serves every run.  Every operation is elementwise or
+reduces trailing axes of one run's arrays, so each run gets the bits it
+gets alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -85,8 +87,6 @@ class NonlinearityBank:
     """Frozen per-edge nonlinearities: Gaussian-kernel expansions.
 
     f_{n,n',p}(y) = sum_m weights[n,n',p,m] * exp(-(y - centers[n,n',p,m])^2 / (2 v))
-
-    The banks of a lockstep batch stack theirs on a leading run axis.
     """
 
     centers: np.ndarray  # (N, N, P, M)
@@ -96,7 +96,7 @@ class NonlinearityBank:
     def __post_init__(self):
         centers = np.array(self.centers, dtype=float)
         weights = np.array(self.weights, dtype=float)
-        if centers.shape != weights.shape or centers.ndim not in (4, 5) or centers.shape[-1] < 1:
+        if centers.shape != weights.shape or centers.ndim != 4 or centers.shape[3] < 1:
             raise ValueError("centers and weights must share an (N, N, P, M) shape, M >= 1")
         centers.setflags(write=False)
         weights.setflags(write=False)
@@ -250,18 +250,19 @@ def _drift_single(topo: Topology, t: int) -> Topology:
     return Topology(coeffs=coeffs, active=topo.active)
 
 
-def _nonlinearity_into(bank: NonlinearityBank, x: np.ndarray, buf: np.ndarray,
-                       out: np.ndarray) -> np.ndarray:
-    """Write f_{n,n',p}(x[..., 0, n', p, 0]) into out (..., N, N, P); buf is
-    (..., N, N, P, M) scratch, the leading axis that of a batched bank.
+def _nonlinearity_into(centers: np.ndarray, weights: np.ndarray, variance: float,
+                       x: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write f_{n,n',p}(x[..., 0, n', p, 0]) into out (..., N, N, P) for the
+    (..., N, N, P, M) centers and weights of a bank, or of the banks of a
+    lockstep batch stacked on a leading axis; buf is scratch of their shape.
 
     (d*d) / (-2v) equals -(d*d) / (2v) exactly in IEEE arithmetic.
     """
-    np.subtract(x, bank.centers, out=buf)
+    np.subtract(x, centers, out=buf)
     np.multiply(buf, buf, out=buf)
-    np.divide(buf, -2.0 * bank.kernel.variance, out=buf)
+    np.divide(buf, -2.0 * variance, out=buf)
     np.exp(buf, out=buf)
-    np.multiply(bank.weights, buf, out=buf)
+    np.multiply(weights, buf, out=buf)
     return np.add.reduce(buf, axis=-1, out=out)
 
 
@@ -279,8 +280,8 @@ def evaluate_nonlinearity(bank: NonlinearityBank, lags: np.ndarray) -> np.ndarra
     (n, n', p) entry is f_{n,n',p}(lags[p, n']).
     """
     x = lags.T[None, :, :, None]  # x[0, n', p, 0]
-    return _nonlinearity_into(bank, x, np.empty(bank.centers.shape),
-                              np.empty(bank.centers.shape[:3]))
+    return _nonlinearity_into(bank.centers, bank.weights, bank.kernel.variance, x,
+                              np.empty(bank.centers.shape), np.empty(bank.centers.shape[:3]))
 
 
 def step(topo: Topology, bank: NonlinearityBank, history: np.ndarray,
@@ -298,28 +299,30 @@ def step(topo: Topology, bank: NonlinearityBank, history: np.ndarray,
     return _weighted_sum(topo.coeffs, evaluate_nonlinearity(bank, history), noise)
 
 
-def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
-           noise: np.ndarray, start: int):
+def _recur(centers: np.ndarray, weights: np.ndarray, variance: float, values: np.ndarray,
+           coeffs: np.ndarray, noise: np.ndarray, start: int):
     """Fill values[..., start : start + len] by the model recurrence, in place.
 
-    values is (N, T), coeffs (len, N, N, P) and noise (len, N), or for the
-    runs of a lockstep batch (R, N, T), (R, len, N, N, P) and (R, len, N)
-    with a batched bank.  Sample t uses the lagged values before it and the
-    rows coeffs[..., t - start, :, :, :] and noise[..., t - start, :].  The
-    checks are those of step() and of generate's per-sample limit, made by
-    one scan per run after the loop: the first sample whose |y| exceeds
-    DIVERGENCE_LIMIT raises at its own t, a NaN sample before it raises as
-    non-finite history (the next sample's), and a NaN in the series' last
-    sample is returned.  Samples after the first bad one are computed and
-    discarded; the scan reports the error, so their floating-point overflow
-    is not warned about.  In a batch the error is that of the first run
-    with one, and its `run` is that run's index.
+    values is (N, T), coeffs (len, N, N, P) and noise (len, N) with the
+    (N, N, P, M) centers and weights of a bank, or for the runs of a
+    lockstep batch (R, N, T), (R, len, N, N, P) and (R, len, N) with their
+    banks' (R, N, N, P, M) centers and weights.  Sample t uses the lagged
+    values before it and the rows coeffs[..., t - start, :, :, :] and
+    noise[..., t - start, :].  The checks are those of step() and of
+    generate's per-sample limit, made by one scan per run after the loop:
+    the first sample whose |y| exceeds DIVERGENCE_LIMIT raises at its own
+    t, a NaN sample before it raises as non-finite history (the next
+    sample's), and a NaN in the series' last sample is returned.  Samples
+    after the first bad one are computed and discarded; the scan reports
+    the error, so their floating-point overflow is not warned about.  In a
+    batch the error is that of the first run with one, and its `run` is
+    that run's index.
     """
     T = values.shape[-1]
     P = coeffs.shape[-1]
     length = noise.shape[-2]
-    buf = np.empty(bank.centers.shape)
-    f = np.empty(bank.centers.shape[:-1])
+    buf = np.empty(centers.shape)
+    f = np.empty(centers.shape[:-1])
     # lags[T - t] is the (..., 1, N, P, 1) view whose [..., 0, n', p, 0] is y_{n'}[t-1-p]
     windows = sliding_window_view(values[..., ::-1], P, axis=-1)  # (..., N, T - P + 1, P)
     lags = np.moveaxis(windows, -2, 0)[..., None, :, :, None]
@@ -327,7 +330,7 @@ def _recur(bank: NonlinearityBank, values: np.ndarray, coeffs: np.ndarray,
     rows, shocks = np.moveaxis(coeffs, -4, 0), np.moveaxis(noise, -2, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(start, start + length):
-            _nonlinearity_into(bank, lags[T - t], buf, f)
+            _nonlinearity_into(centers, weights, variance, lags[T - t], buf, f)
             _weighted_sum(rows[t - start], f, shocks[t - start], out=values[..., t])
     segment = values[..., start:start + length]
     # max |y| per sample without an |y| copy of the segment; NaN propagates
@@ -351,7 +354,7 @@ def lockstep_runs(cfg: GeneratorConfig) -> int:
     return max(1, BLOCK_BYTES // (8 * cfg.N * cfg.N * cfg.P * cfg.M))
 
 
-def generate(cfg: GeneratorConfig, stop: int | None = None, runs: int | None = None):
+def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None = None):
     """Generate a series with its topology trace.
 
     The first P samples are iid standard normal; the rest follow the
@@ -370,11 +373,12 @@ def generate(cfg: GeneratorConfig, stop: int | None = None, runs: int | None = N
     among the generated samples; a non-finite sample stop-1 is returned,
     as the full series' last sample would be.
 
-    With runs=R the result is the list of the R TimeSeries of seeds
-    cfg.seed, cfg.seed + 1, ..., each equal to its generate alone, stepped
-    in lockstep (see the module docstring); their values are slices of one
-    (R, N, T) array.  A DivergenceError is the first run's to diverge in
-    the first segment where one does, and its `run` is that run's index.
+    Given a list of R configs that differ in their seeds only, the result
+    is the list of their R TimeSeries, each equal to its generate alone,
+    generated in lockstep (see the module docstring); their values are
+    slices of one (R, N, T) array.  A DivergenceError is the first run's to
+    diverge in the first segment where one does, and its `run` is that
+    run's index in the list.
 
     Only the model recurrence runs per sample.  The series is generated in
     segments of constant topology (one segment unless switching): each
@@ -384,10 +388,14 @@ def generate(cfg: GeneratorConfig, stop: int | None = None, runs: int | None = N
     one cumulative sum along t that adds the increments in slow_drift's
     order, and records only the samples whose coefficients change.
     """
+    batched = not isinstance(cfg, GeneratorConfig)
+    cfgs = list(cfg) if batched else [cfg]
+    if not cfgs or any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
+        raise ValueError("the configs of a lockstep batch must differ in their seeds only")
+    cfg = cfgs[0]
     if stop is not None and stop <= cfg.P:
         raise ValueError(f"stop must exceed P={cfg.P}, got {stop}")
-    cfgs = [cfg] if runs is None else [replace(cfg, seed=cfg.seed + i) for i in range(runs)]
-    lead = () if runs is None else (runs,)
+    lead = (len(cfgs),) if batched else ()
     N, P = cfg.N, cfg.P
     T = cfg.T if stop is None else min(stop, cfg.T)
     switches = cfg.switch_interval and cfg.T - cfg.P > cfg.switch_interval
@@ -419,23 +427,22 @@ def generate(cfg: GeneratorConfig, stop: int | None = None, runs: int | None = N
             np.cumsum(run, axis=0, out=run)
         rngs.append(rng)
         topos.append(topo)
-    bank = banks[0] if runs is None else NonlinearityBank(
-        centers=np.stack([b.centers for b in banks]),
-        weights=np.stack([b.weights for b in banks]), kernel=banks[0].kernel)
+    centers = np.stack([b.centers for b in banks]) if batched else banks[0].centers
+    weights = np.stack([b.weights for b in banks]) if batched else banks[0].weights
 
     segment = cfg.switch_interval or T - P
     states = []  # per segment, the topology of every run
     for start in range(P, T, segment):
         end = min(start + segment, T)
-        noise = [c.noise_std * rng.standard_normal((end - start, N))
-                 for c, rng in zip(cfgs, rngs)]
+        noise = [cfg.noise_std * rng.standard_normal((end - start, N)) for rng in rngs]
         states.append(topos)
         if cfg.drift:
             rows = coeffs
         else:
-            now = topos[0].coeffs if runs is None else np.stack([t.coeffs for t in topos])
+            now = np.stack([t.coeffs for t in topos]) if batched else topos[0].coeffs
             rows = np.broadcast_to(now[..., None, :, :, :], lead + (end - start, N, N, P))
-        _recur(bank, values, rows, noise[0] if runs is None else np.stack(noise), start)
+        _recur(centers, weights, banks[0].kernel.variance, values, rows,
+               np.stack(noise) if batched else noise[0], start)
         if end < T:
             topos = [switch_edge(topo, rng) for topo, rng in zip(topos, rngs)]
 
@@ -452,4 +459,4 @@ def generate(cfg: GeneratorConfig, stop: int | None = None, runs: int | None = N
                                   coeffs=np.array([s[i].coeffs for s in states]),
                                   active=np.array([s[i].active for s in states]))
         series.append(TimeSeries(values=run_values[i], topology=trace, config=c))
-    return series[0] if runs is None else series
+    return series if batched else series[0]

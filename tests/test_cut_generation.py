@@ -114,16 +114,17 @@ def test_the_cut_recurrence_runs_through_sample_limit_only(tmp_path, monkeypatch
     cfg_path = _write_cfg(tmp_path)
     recur, samples = generator._recur, []
 
-    def counting_recur(bank, values, coeffs, noise, start):
+    def counting_recur(centers, weights, variance, values, coeffs, noise, start):
         samples[-1] += noise.shape[-2]  # the samples of one run, of every run of a batch
-        return recur(bank, values, coeffs, noise, start)
+        return recur(centers, weights, variance, values, coeffs, noise, start)
 
     gen, widths = experiment.generate, []
 
-    def recording_generate(cfg, stop=None, runs=None):
-        samples.append(cfg.P)  # the warm-up draws
-        out = gen(cfg, stop=stop, runs=runs)
-        widths.extend(ts.values.shape[1] for ts in ([out] if runs is None else out))
+    def recording_generate(cfg, stop=None):
+        batch = isinstance(cfg, list)  # the configs of a lockstep batch
+        samples.append((cfg[0] if batch else cfg).P)  # the warm-up draws
+        out = gen(cfg, stop=stop)
+        widths.extend(ts.values.shape[1] for ts in (out if batch else [out]))
         return out
 
     monkeypatch.setattr(generator, "_recur", counting_recur)
@@ -174,5 +175,6 @@ def test_a_non_finite_sample_before_the_cut_raises_as_in_the_full_series(tmp_pat
     cfg = experiment.load_experiment(_write_cfg(tmp_path, runs=1))
     cfg = replace(cfg, generator=replace(cfg.generator, noise_std=float("nan")))
     for stop in (3, 4, 60):
+        _, series = experiment._run_series(cfg, stop=stop)
         with pytest.raises(DivergenceError, match="non-finite history"):
-            experiment._run_series(cfg, stop=stop)(0)
+            series(range(1))

@@ -1,16 +1,18 @@
 """Lockstep runs: every run of a batch gets the bits it gets alone.
 
-`generate(cfg, runs=R)` and `OnlineEstimator(cfg, runs=R)` step R runs as
-one array, and `generate` and a fresh `estimate` step a config's runs in
-batches bounded in bytes.  A run's series, topology trace, predictions,
-dense trace, final coefficients, lag window, checkpoint bytes and the step
-after the run must equal those of the same run stepped alone, whatever
-runs are beside it and however the batch is cut: into several batches per
-command, and into blocks of nodes within a batch.
+`generate` and `OnlineEstimator` given a list of R configs step their R
+runs as one array, and the commands `generate` and a fresh `estimate` step
+a config's runs in batches bounded in bytes.  A run's series, topology
+trace, predictions, dense trace, final coefficients, lag window,
+checkpoint bytes and the step after the run must equal those of the same
+run stepped alone, whatever runs are beside it and however the batch is
+cut: into several batches per command, and into blocks of nodes within a
+batch.
 """
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rffgraph import (
     OnlineEstimator,
     estimator,
     generate,
+    experiment,
     generator,
     io,
 )
@@ -60,9 +63,9 @@ def test_generating_runs_in_lockstep_gives_each_run_its_series(regime, R, seed):
     shape = dict(N=N, P=P, T=P + int(rng.integers(30, 90)), edge_probability=0.4)
     cfg = GeneratorConfig(seed=int(rng.integers(0, 14)), **{**shape, **REGIMES[regime]})
     stop = [None, cfg.P + 1, cfg.T // 2][seed]
-    batch = _outcome(lambda: generate(cfg, stop=stop, runs=R))
-    alone = [_outcome(lambda i=i: generate(replace(cfg, seed=cfg.seed + i), stop=stop))
-             for i in range(R)]
+    cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(R)]
+    batch = _outcome(lambda: generate(cfgs, stop=stop))
+    alone = [_outcome(lambda c=c: generate(c, stop=stop)) for c in cfgs]
     if isinstance(batch, tuple):  # the error of one of the runs alone
         assert batch in alone
         return
@@ -77,7 +80,7 @@ def test_generating_runs_in_lockstep_gives_each_run_its_series(regime, R, seed):
 def test_a_lockstep_generation_error_is_that_of_its_run_alone():
     cfg = GeneratorConfig(seed=9, **REGIMES["diverging"])
     with pytest.raises(DivergenceError) as info:
-        generate(cfg, runs=3)
+        generate([replace(cfg, seed=s) for s in (9, 10, 11)])
     assert info.value.run == 1
     assert str(info.value) == "generation diverged at t=3: |y| > 1e+06"
 
@@ -101,13 +104,14 @@ def test_a_lockstep_estimator_steps_each_run_as_alone(tmp_path, monkeypatch, R, 
                           rff_seed=int(rng.integers(0, 1000)), per_slot_maps=per_slot_maps)
     T, emit_every = P + int(rng.integers(2, 40)), int(rng.integers(1, 5))
     values = rng.standard_normal((R, N, T))
+    cfgs = [replace(cfg, rff_seed=cfg.rff_seed + i) for i in range(R)]
     alone = []
-    for i in range(R):
-        one = OnlineEstimator(replace(cfg, rff_seed=cfg.rff_seed + i))
-        alone.append((one, one.run(values[i], emit_every=emit_every)))
+    for c, v in zip(cfgs, values):
+        one = OnlineEstimator(c)
+        alone.append((one, one.run(v, emit_every=emit_every)))
     if split:  # blocks of about half a run's nodes, so the batch is cut into runs and nodes
         monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * P * N * 2 * D * max(1, N // 2))
-    batch = OnlineEstimator(cfg, runs=R)
+    batch = OnlineEstimator(cfgs)
     series = batch.run(values, emit_every=emit_every)
     assert series.predictions.shape == (R, N, T)
     assert series.group_norms.shape == (R, T, N, N, P)
@@ -136,7 +140,7 @@ def test_a_lockstep_divergence_is_that_of_its_run_alone():
     assert alone.value.run is None
     OnlineEstimator(cfg).run(values[0])  # run 0 alone does not diverge
     with pytest.raises(DivergenceError) as batch:
-        OnlineEstimator(cfg, runs=2).run(values)
+        OnlineEstimator([cfg, replace(cfg, rff_seed=5)]).run(values)
     assert batch.value.run == 1 and str(batch.value) == str(alone.value)
 
 
@@ -204,6 +208,31 @@ def test_the_batch_sizes_are_bounded_in_bytes():
     assert generator.lockstep_runs(GeneratorConfig(200, 2, 10)) == 1
 
 
+def _switching(T, **generator_kw):
+    """configs/switching.json with T samples per run."""
+    obj = json.loads((Path(__file__).parents[1] / "configs" / "switching.json").read_text())
+    obj["generator"].update(T=T, **generator_kw)
+    return experiment.parse_experiment(obj)
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate"])
+@pytest.mark.parametrize("drift", [False, True], ids=["switching", "drift"])
+def test_the_batch_size_falls_as_the_runs_grow_longer(command, drift):
+    gen = dict(drift=True, switch_interval=0) if drift else {}
+    sizes = [experiment._lockstep_size(_switching(T, **gen), T, command)
+             for T in (100, 3000, 30_000, 300_000, 3_000_000)]
+    assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 1 and sizes[0] > 1
+    # what a run holds per sample: its series, noise and stacked copy, and
+    # the trace and predictions of an estimate or the rows of a drift
+    per_sample = 3 * 5 + (5 + 5 * 5 * 2 if command == "estimate" else 5 * 5 * 2 * drift)
+    for T, size in zip((100, 3000, 30_000, 300_000), sizes):  # a run alone may hold more
+        assert size == 1 or size * 8 * T * per_sample <= experiment.BATCH_BYTES
+    # the shipped configs' shape: six estimate runs, as alpha's bound allows;
+    # a T of 1e5 steps every estimate run alone, as a run's trace is 40 MB
+    assert experiment._lockstep_size(_switching(3000), 3000, "estimate") == 6
+    assert experiment._lockstep_size(_switching(100_000), 100_000, "estimate") == 1
+
+
 # --- a divergence in a batch --------------------------------------------------------
 
 def _diverging_config(tmp_path, **estimator_kw):
@@ -235,3 +264,23 @@ def test_an_estimator_divergence_names_its_run_and_writes_no_run(tmp_path, capsy
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
     err = capsys.readouterr().err
     assert err.startswith("numeric divergence: run000: estimator diverged at iteration ")
+
+
+def test_a_lockstep_batch_takes_configs_that_differ_in_their_seeds_only():
+    gen = GeneratorConfig(3, 1, 30, seed=4)
+    with pytest.raises(ValueError, match="differ in their seeds only"):
+        generate([gen, replace(gen, seed=5, noise_std=0.5)])
+    est = EstimatorConfig(3, 1, 4, rff_seed=4)
+    with pytest.raises(ValueError, match="differ in their rff_seed only"):
+        OnlineEstimator([est, replace(est, rff_seed=5, gamma=3.0)])
+
+
+def test_the_runs_of_a_data_csv_batch_share_one_view_of_the_series(tmp_path):
+    data = tmp_path / "data.csv"
+    io.write_data_csv(data, np.random.default_rng(0).standard_normal((3, 40)))
+    obj = {"runs": 4, "data_csv": str(data), "estimator": {"N": 3, "P": 2, "D": 4}}
+    for standardize in (False, True):
+        cfg = experiment.parse_experiment({**obj, "standardize": standardize})
+        T, series = experiment._run_series(cfg, standardize=standardize)
+        values = series(range(4))
+        assert T == 40 and values.shape == (4, 3, 40) and values.strides[0] == 0
