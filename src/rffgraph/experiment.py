@@ -188,11 +188,7 @@ def _lockstep_size(cfg: ExperimentConfig, T: int, command: str) -> int:
     N, P = cfg.estimator.N, cfg.estimator.P
     per_sample = 3 * N  # a run's series, its noise and the copy stacked for the batch
     if command == "estimate":
-        # its predictions and group-norm trace; the coefficient rows of a
-        # drift generation, as large as the trace, are freed before it is made
-        per_sample += N + N * N * P
-    elif cfg.generator.drift:
-        per_sample += N * N * P  # the coefficient rows of every sample
+        per_sample += N + N * N * P  # its predictions and group-norm trace
     size = BATCH_BYTES // (8 * T * per_sample)
     if command == "estimate":
         size = min(size, estimator.lockstep_runs(cfg.estimator))

@@ -16,10 +16,15 @@ coefficients.
 nonlinearity, the weighted sum and the noise add, in preallocated buffers
 with the arithmetic of `step`.  The rest is done once per segment of
 constant topology, the divergence check included.  The ground truth is a
-`TopologyTrace` of one state per segment (or per drift step) and one
-record per change; `TimeSeries.coeffs` and `.active` forward-fill it to one
-row per sample on demand.  Every seeded output is bit-identical to stepping
-`step`, `switch_edge` and `slow_drift` one sample at a time.
+`TopologyTrace` of one state per segment and one record per change;
+`TimeSeries.coeffs` and `.active` forward-fill it to one row per sample on
+demand.  A drift run's coefficients are made by one law, `_drift_rows`, a
+block of samples at a time, each block carried on from the last row of the
+one before: the recurrence reads them a block at a time, and its trace
+keeps the law (initial coefficients and drifting mask) in place of a row
+per sample, so no per-sample table is ever held.  Every seeded output is
+bit-identical to stepping `step`, `switch_edge` and `slow_drift` one sample
+at a time.
 
 `generate` given a list of configs that differ in their seeds only
 generates their runs in lockstep: their series, nonlinearities and
@@ -44,7 +49,9 @@ from .kernels import GaussianKernel
 # Generated values beyond this magnitude abort the run instead of
 # silently saturating to inf.
 DIVERGENCE_LIMIT = 1e6
-BLOCK_BYTES = 256 * 1024  # one sample's nonlinearity scratch for a batch of runs, sized for L2
+# One sample's nonlinearity scratch for a batch of runs, and one block of
+# drift coefficient rows for them, sized for L2.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,19 @@ class TopologyTrace:
     starts holds the records' t values sorted (equal ones keep their order),
     which the state index of each; active (and coeffs, when kept) stack the
     states, shape (states, N, N, P).
+
+    A drift trace (drifting given) keeps the law of its coefficients in
+    place of their table: coeffs is the (N, N, P) initial coefficients,
+    drifting the mask of the slots that drift, and state k is row k of
+    `_drift_rows`, the coefficients of sample P + k; active is the one mask
+    broadcast to every state.  Its rows are made again when asked for.
     """
 
     starts: np.ndarray
     which: np.ndarray
     active: np.ndarray
     coeffs: np.ndarray | None = None
+    drifting: np.ndarray | None = None
 
     def states_at(self, t) -> np.ndarray:
         """The state index in force at each time t: the last record at or
@@ -166,11 +180,32 @@ class TopologyTrace:
 
     def coeffs_at(self, t) -> np.ndarray:
         """The (len(t), N, N, P) coefficients at times t; a ValueError for a
-        trace that keeps none (one read from a topology file)."""
+        trace that keeps none (one read from a topology file).  A drift
+        trace makes its rows up to the last one asked for."""
         if self.coeffs is None:
             raise ValueError("this trace keeps no coefficients: a trace read from a topology "
                              "file keeps only its active masks")
-        return self.coeffs[self.states_at(t)]
+        states = self.states_at(t)
+        if self.drifting is None:
+            return self.coeffs[states]
+        return _drift_rows(self.coeffs, self.drifting, 0, int(states.max(initial=0)) + 1)[states]
+
+    def records(self):
+        """The records in order, as (t, coeffs, active) arrays of several
+        records at a time.  A drift trace makes its rows one block of at
+        most BLOCK_BYTES at a time (at least one row), each block from the
+        last row of the one before."""
+        if self.drifting is None:
+            yield self.starts, self.coeffs[self.which], self.active[self.which]
+            return
+        block = max(1, BLOCK_BYTES // (8 * self.coeffs.size))
+        row, end = self.coeffs, int(self.which[-1]) + 1
+        for a in range(0, end, block):
+            rows = _drift_rows(row, self.drifting, a, min(a + block, end))
+            lo, hi = np.searchsorted(self.which, [a, a + len(rows)])
+            states = self.which[lo:hi]
+            yield self.starts[lo:hi], rows[states - a], self.active[states]
+            row = rows[-1]
 
 
 @dataclass(frozen=True)
@@ -232,6 +267,30 @@ def switch_edge(topo: Topology, rng: np.random.Generator) -> Topology:
 def _drift_delta(t):
     """The drift increment applied after sample t; t may be an array of samples."""
     return 0.01 * np.sin(0.03 * t)
+
+
+def _drift_rows(carried: np.ndarray, drifting: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows a..b-1 of a drift run's coefficients, row k being those of
+    sample P + k: row 0 is the initial coefficients, and row k adds
+    _drift_delta(P + k - 1) to row k - 1 in the drifting slots, by one
+    sequential np.cumsum along t, slow_drift's order.
+
+    carried is row a - 1, or the initial coefficients when a = 0, and
+    drifting the mask of the slots that drift, both (..., N, N, P) with a
+    leading run axis for a lockstep batch; the rows are (..., b - a, N, N, P).
+    The sum is sequential, so rows made block by block, each block carried
+    on from the last row of the one before, equal the whole table bit for
+    bit.
+    """
+    first = max(a, 1) - 1  # the row carried in
+    P = carried.shape[-1]
+    rows = np.zeros(carried.shape[:-3] + (b - first,) + carried.shape[-3:])
+    rows[..., 0, :, :, :] = carried
+    np.copyto(rows[..., 1:, :, :, :],
+              _drift_delta(np.arange(P + first, P + b - 1))[:, None, None, None],
+              where=drifting[..., None, :, :, :])
+    np.cumsum(rows, axis=-4, out=rows)
+    return rows[..., a - first:, :, :, :]
 
 
 def slow_drift(topo: Topology, t: int) -> Topology:
@@ -308,15 +367,9 @@ def _recur(centers: np.ndarray, weights: np.ndarray, variance: float, values: np
     lockstep batch (R, N, T), (R, len, N, N, P) and (R, len, N) with their
     banks' (R, N, N, P, M) centers and weights.  Sample t uses the lagged
     values before it and the rows coeffs[..., t - start, :, :, :] and
-    noise[..., t - start, :].  The checks are those of step() and of
-    generate's per-sample limit, made by one scan per run after the loop:
-    the first sample whose |y| exceeds DIVERGENCE_LIMIT raises at its own
-    t, a NaN sample before it raises as non-finite history (the next
-    sample's), and a NaN in the series' last sample is returned.  Samples
-    after the first bad one are computed and discarded; the scan reports
-    the error, so their floating-point overflow is not warned about.  In a
-    batch the error is that of the first run with one, and its `run` is
-    that run's index.
+    noise[..., t - start, :].  Nothing is checked here: `_check_divergence`
+    scans the samples afterwards, so their floating-point overflow is not
+    warned about.
     """
     T = values.shape[-1]
     P = coeffs.shape[-1]
@@ -332,7 +385,20 @@ def _recur(centers: np.ndarray, weights: np.ndarray, variance: float, values: np
         for t in range(start, start + length):
             _nonlinearity_into(centers, weights, variance, lags[T - t], buf, f)
             _weighted_sum(rows[t - start], f, shocks[t - start], out=values[..., t])
-    segment = values[..., start:start + length]
+
+
+def _check_divergence(values: np.ndarray, start: int, end: int):
+    """The checks of step() and of generate's per-sample limit on the
+    samples start..end-1 of values (N, T), or of the runs of a lockstep
+    batch (R, N, T), made by one scan per run: the first sample whose |y|
+    exceeds DIVERGENCE_LIMIT raises at its own t, a NaN sample before it
+    raises as non-finite history (the next sample's), and a NaN in the
+    series' last sample is returned.  Samples after the first bad one were
+    computed and are discarded.  In a batch the error is that of the first
+    run with one, and its `run` is that run's index.
+    """
+    T = values.shape[-1]
+    segment = values[..., start:end]
     # max |y| per sample without an |y| copy of the segment; NaN propagates
     peak = np.maximum(segment.max(axis=-2), -segment.min(axis=-2))
     for i in np.ndindex(peak.shape[:-1]):
@@ -383,10 +449,13 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
     Only the model recurrence runs per sample.  The series is generated in
     segments of constant topology (one segment unless switching): each
     segment's noise is drawn as one block before switch_edge's draws, the
-    order in which one draw per sample would come.  The trace keeps one
-    state per segment; a drift run keeps its coefficients for every sample,
-    one cumulative sum along t that adds the increments in slow_drift's
-    order, and records only the samples whose coefficients change.
+    order in which one draw per sample would come, and its divergence is
+    checked once, after its last sample.  Within a segment the recurrence
+    runs a block of samples at a time, max(1, BLOCK_BYTES // (8 R N N P))
+    for R runs.  The trace keeps one state per segment; a drift run's
+    coefficient rows are made a block at a time by `_drift_rows`, carried on
+    from the block before, and its trace keeps the law and a record at
+    every sample whose coefficients differ from the sample before's.
     """
     batched = not isinstance(cfg, GeneratorConfig)
     cfgs = list(cfg) if batched else [cfg]
@@ -395,16 +464,17 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
     cfg = cfgs[0]
     if stop is not None and stop <= cfg.P:
         raise ValueError(f"stop must exceed P={cfg.P}, got {stop}")
+
+    def stacked(arrays):  # the runs' arrays on a leading run axis, or the one run's
+        return np.stack(arrays) if batched else arrays[0]
+
     lead = (len(cfgs),) if batched else ()
     N, P = cfg.N, cfg.P
     T = cfg.T if stop is None else min(stop, cfg.T)
     switches = cfg.switch_interval and cfg.T - cfg.P > cfg.switch_interval
     values = np.empty(lead + (N, T))
-    coeffs = np.zeros(lead + (T - P, N, N, P)) if cfg.drift else None
-    # run i's values and drift coefficients, views whether or not they are batched
-    run_values = values.reshape((len(cfgs), N, T))
-    run_coeffs = coeffs.reshape((len(cfgs), T - P, N, N, P)) if cfg.drift else None
-    rngs, topos, banks = [], [], []
+    run_values = values.reshape((len(cfgs), N, T))  # run i's values, batched or not
+    rngs, topos, banks, drifting = [], [], [], []
     for i, c in enumerate(cfgs):
         rng = np.random.default_rng(c.seed)
         topo = init_topology(c, rng)
@@ -415,44 +485,53 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
                 f"seed {c.seed}: the initial topology has {n_active} of {topo.active.size} "
                 f"slots active, so no edge can switch every {c.switch_interval} samples")
         run_values[i, :, :P] = rng.standard_normal((N, P))
-        if cfg.drift:
-            drifting = topo.active
-            if cfg.drift_scope == "single":  # the lexicographically first active slot
-                drifting = np.zeros_like(topo.active)
-                drifting.flat[np.flatnonzero(topo.active)[:1]] = True
-            run = run_coeffs[i]
-            run[0] = topo.coeffs
-            np.copyto(run[1:], _drift_delta(np.arange(P, T - 1))[:, None, None, None],
-                      where=drifting)
-            np.cumsum(run, axis=0, out=run)
+        mask = topo.active
+        if cfg.drift_scope == "single":  # the lexicographically first active slot
+            mask = np.zeros_like(topo.active)
+            mask.flat[np.flatnonzero(topo.active)[:1]] = True
+        drifting.append(mask)
         rngs.append(rng)
         topos.append(topo)
-    centers = np.stack([b.centers for b in banks]) if batched else banks[0].centers
-    weights = np.stack([b.weights for b in banks]) if batched else banks[0].weights
+    centers = stacked([b.centers for b in banks])
+    weights = stacked([b.weights for b in banks])
+    drifts = stacked(drifting)
 
     segment = cfg.switch_interval or T - P
+    block = max(1, BLOCK_BYTES // (8 * len(cfgs) * N * N * P))
     states = []  # per segment, the topology of every run
+    changed = []  # per drift block, which of its rows differ from the row before
     for start in range(P, T, segment):
         end = min(start + segment, T)
-        noise = [cfg.noise_std * rng.standard_normal((end - start, N)) for rng in rngs]
+        noise = stacked([cfg.noise_std * rng.standard_normal((end - start, N)) for rng in rngs])
         states.append(topos)
-        if cfg.drift:
-            rows = coeffs
-        else:
-            now = np.stack([t.coeffs for t in topos]) if batched else topos[0].coeffs
-            rows = np.broadcast_to(now[..., None, :, :, :], lead + (end - start, N, N, P))
-        _recur(centers, weights, banks[0].kernel.variance, values, rows,
-               np.stack(noise) if batched else noise[0], start)
+        # the segment's coefficients; in a drift run (one segment) the row before the next block
+        row = stacked([t.coeffs for t in topos])
+        for a in range(start, end, block):
+            b = min(a + block, end)
+            if cfg.drift:
+                rows = _drift_rows(row, drifts, a - P, b - P)
+                before = np.concatenate([row[..., None, :, :, :], rows[..., :-1, :, :, :]],
+                                        axis=-4)
+                changed.append((rows != before).any(axis=(-3, -2, -1)))
+                row = rows[..., -1, :, :, :]
+            else:
+                rows = np.broadcast_to(row[..., None, :, :, :], lead + (b - a, N, N, P))
+            _recur(centers, weights, banks[0].kernel.variance, values, rows,
+                   noise[..., a - start:b - start, :], a)
+        _check_divergence(values, start, end)
         if end < T:
             topos = [switch_edge(topo, rng) for topo, rng in zip(topos, rngs)]
 
+    if cfg.drift:  # a record at t=P and wherever the coefficients differ from the sample before
+        changed = np.concatenate(changed, axis=-1).reshape(len(cfgs), T - P)
+        changed[:, 0] = True
     series = []
     for i, c in enumerate(cfgs):
-        if cfg.drift:  # a record wherever the coefficients differ from the sample before
-            run = run_coeffs[i]
-            which = np.flatnonzero(np.r_[True, (run[1:] != run[:-1]).any(axis=(1, 2, 3))])
-            trace = TopologyTrace(starts=P + which, which=which, coeffs=run,
-                                  active=np.broadcast_to(topos[i].active, run.shape))
+        if cfg.drift:
+            which = np.flatnonzero(changed[i])
+            trace = TopologyTrace(starts=P + which, which=which, coeffs=topos[i].coeffs,
+                                  drifting=drifting[i],
+                                  active=np.broadcast_to(topos[i].active, (T - P, N, N, P)))
         else:  # a record at each segment's start
             trace = TopologyTrace(starts=np.arange(P, T, segment),
                                   which=np.arange(len(states)),

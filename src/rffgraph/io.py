@@ -228,13 +228,12 @@ def read_data_csv(path) -> np.ndarray:
 def write_topology_jsonl(path, ts: TimeSeries):
     """Ground-truth trace as JSON lines (t, coefficient array, active mask),
     one line per record of ts.topology: the first modeled sample and every
-    sample whose topology differs from the sample before.  Readers
-    forward-fill between lines."""
-    topo = ts.topology
+    sample whose topology differs from the sample before, in the blocks
+    the trace hands them out in.  Readers forward-fill between lines."""
     with opened(path, "w", "output file") as fh:
-        for t, s in zip(topo.starts.tolist(), topo.which):
-            fh.write(json.dumps({"t": t, "coeffs": topo.coeffs[s].tolist(),
-                                 "active": topo.active[s].tolist()}) + "\n")
+        for starts, coeffs, active in ts.topology.records():
+            for t, c, a in zip(starts.tolist(), coeffs, active):
+                fh.write(json.dumps({"t": t, "coeffs": c.tolist(), "active": a.tolist()}) + "\n")
 
 
 def _topology_record(path, lineno: int, line: str):

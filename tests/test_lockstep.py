@@ -30,6 +30,7 @@ from rffgraph import (
     io,
 )
 from rffgraph.cli import main as cli_main
+from whole_files import drift_coeffs
 
 RUNS = [1, 2, 3, 7]
 
@@ -57,24 +58,47 @@ REGIMES = {
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("R", RUNS)
 @pytest.mark.parametrize("seed", range(3))
-def test_generating_runs_in_lockstep_gives_each_run_its_series(regime, R, seed):
+def test_generating_runs_in_lockstep_gives_each_run_its_series(monkeypatch, regime, R, seed):
     rng = np.random.default_rng(100 * R + seed)
     N, P = int(rng.integers(1, 6)), int(rng.integers(1, 4))
     shape = dict(N=N, P=P, T=P + int(rng.integers(30, 90)), edge_probability=0.4)
     cfg = GeneratorConfig(seed=int(rng.integers(0, 14)), **{**shape, **REGIMES[regime]})
     stop = [None, cfg.P + 1, cfg.T // 2][seed]
     cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(R)]
-    batch = _outcome(lambda: generate(cfgs, stop=stop))
     alone = [_outcome(lambda c=c: generate(c, stop=stop)) for c in cfgs]
-    if isinstance(batch, tuple):  # the error of one of the runs alone
-        assert batch in alone
-        return
-    assert len(batch) == R
-    for ts, one in zip(batch, alone):
-        assert np.array_equal(ts.values, one.values, equal_nan=True)
-        for key in ("starts", "which", "coeffs", "active"):
-            assert np.array_equal(getattr(ts.topology, key), getattr(one.topology, key)), key
-        assert ts.config == one.config
+    # the batch in its default blocks of samples, and a drift batch also in
+    # blocks of 1, 2 and 3 rows, whose edges fall at every sample or every
+    # few and whose last block the series (or its cut) ends inside
+    for rows in (None, 1, 2, 3) if cfg.drift else (None,):
+        if rows is not None:
+            monkeypatch.setattr(generator, "BLOCK_BYTES", rows * 8 * R * N * N * P)
+        batch = _outcome(lambda: generate(cfgs, stop=stop))
+        if isinstance(batch, tuple):  # the error of one of the runs alone
+            assert batch in alone
+            continue
+        assert len(batch) == R
+        for ts, one in zip(batch, alone):
+            assert np.array_equal(ts.values, one.values, equal_nan=True)
+            for key in ("starts", "which", "coeffs", "active", "drifting"):
+                assert np.array_equal(getattr(ts.topology, key), getattr(one.topology, key)), key
+            if cfg.drift:
+                assert np.array_equal(ts.coeffs, drift_coeffs(ts.config, ts.values.shape[1]))
+            assert ts.config == one.config
+
+
+def test_a_drift_batch_raises_the_error_of_its_first_run_to_diverge_in_the_segment(monkeypatch):
+    # seeds 11 and 12 diverge at t = 64 and t = 49: in blocks of 8 rows,
+    # run 1 diverges a block before run 0, and the error is still run 0's
+    cfg = GeneratorConfig(N=3, P=1, T=121, edge_probability=0.3, drift=True, noise_std=1.0,
+                          beta_variance=1e11, kernel_variance=0.1, seed=11)
+    monkeypatch.setattr(generator, "BLOCK_BYTES", 8 * 2 * 3 * 3 * 1 * 8)
+    with pytest.raises(DivergenceError) as alone:
+        generate(replace(cfg, seed=12))
+    assert str(alone.value) == "generation diverged at t=49: |y| > 1e+06"
+    with pytest.raises(DivergenceError) as info:
+        generate([cfg, replace(cfg, seed=12)])
+    assert info.value.run == 0
+    assert str(info.value) == "generation diverged at t=64: |y| > 1e+06"
 
 
 def test_a_lockstep_generation_error_is_that_of_its_run_alone():
@@ -223,8 +247,9 @@ def test_the_batch_size_falls_as_the_runs_grow_longer(command, drift):
              for T in (100, 3000, 30_000, 300_000, 3_000_000)]
     assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 1 and sizes[0] > 1
     # what a run holds per sample: its series, noise and stacked copy, and
-    # the trace and predictions of an estimate or the rows of a drift
-    per_sample = 3 * 5 + (5 + 5 * 5 * 2 if command == "estimate" else 5 * 5 * 2 * drift)
+    # the trace and predictions of an estimate; a drift run's coefficient
+    # rows are made a block at a time, so they hold nothing per sample
+    per_sample = 3 * 5 + (5 + 5 * 5 * 2 if command == "estimate" else 0)
     for T, size in zip((100, 3000, 30_000, 300_000), sizes):  # a run alone may hold more
         assert size == 1 or size * 8 * T * per_sample <= experiment.BATCH_BYTES
     # the shipped configs' shape: six estimate runs, as alpha's bound allows;

@@ -1,13 +1,15 @@
 """The generator records topology changes, not one topology per sample.
 
 `generate` returns its ground truth as a `TopologyTrace` (one state per
-segment of a switching or static run, the cumulative drift coefficients of
-a drift run, one record per change), and `io.write_topology_jsonl` writes
+segment of a switching or static run, the law of a drift run's
+coefficients, one record per change), and `io.write_topology_jsonl` writes
 one line per record.  The file must equal, byte for byte, what the
 per-sample writer of the dense `(T, N, N, P)` traces wrote: a line at
 t = P and at every sample whose coefficients or mask differ from the
 last line's.  The dense traces, `TimeSeries.coeffs` and `.active`, are
-the trace forward-filled, and the oracle below reads them.
+the trace forward-filled, and the oracle below reads them; a drift run's
+coefficients must equal one dense cumulative sum, whatever the blocks of
+samples `generate` and the writer make them in.
 """
 
 import json
@@ -21,18 +23,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffgraph import GeneratorConfig, generate, init_topology
+from rffgraph import GeneratorConfig, generate, generator, init_topology
 from rffgraph import io
+from whole_files import drift_coeffs
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def _dense_diff_jsonl(ts):
-    """The per-sample writer: a line at the first modeled sample and wherever
-    the dense trace differs from the last line written."""
+def _dense_diff_jsonl(ts, coeffs):
+    """The per-sample writer of the dense coefficients and ts.active: a line
+    at the first modeled sample and wherever they differ from the last line
+    written."""
     lines, prev = [], None
     for t in range(ts.config.P, ts.values.shape[1]):
-        snap = (ts.coeffs[t], ts.active[t])
+        snap = (coeffs[t], ts.active[t])
         if prev is not None and np.array_equal(prev[0], snap[0]) \
                 and np.array_equal(prev[1], snap[1]):
             continue
@@ -63,16 +67,26 @@ def test_topology_jsonl_equals_the_dense_diff_writer(tmp_path_factory, regime, N
         cfg = replace(cfg, switch_interval=0)  # one slot: no edge can switch
     while cfg.switch_interval and init_topology(cfg).n_active() in (0, N * N * P):
         cfg = replace(cfg, seed=cfg.seed + 1)  # the first seed with an edge to switch
-    ts = generate(cfg, stop=None if cut is None else P + cut)
+    stop = None if cut is None else P + cut
+    T = min(cfg.T, stop or cfg.T)
     path = tmp_path_factory.mktemp("topo") / "topology.jsonl"
-    io.write_topology_jsonl(path, ts)
-    assert path.read_text() == _dense_diff_jsonl(ts)
-    # the dense traces are the trace forward-filled, rows < P included
-    T = ts.values.shape[1]
-    assert ts.coeffs.shape == ts.active.shape == (T, N, N, P)
-    assert np.array_equal(ts.coeffs[:P + 1], np.broadcast_to(ts.coeffs[P], (P + 1, N, N, P)))
-    back = io.read_topology(path)
-    assert np.array_equal(back.active_at(np.arange(T)), ts.active)
+    # the default blocks of samples, and blocks of 1, 2 and 3 rows, which
+    # cross a block edge at every sample or every few and end the series
+    # (or its cut) inside a block
+    for rows in (None, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(generator, "BLOCK_BYTES", rows * 8 * N * N * P)
+            ts = generate(cfg, stop=stop)
+            io.write_topology_jsonl(path, ts)
+        # the dense traces are the trace forward-filled, rows < P included
+        assert ts.coeffs.shape == ts.active.shape == (T, N, N, P)
+        dense = drift_coeffs(cfg, T) if cfg.drift else ts.coeffs
+        assert np.array_equal(ts.coeffs, dense)
+        assert path.read_text() == _dense_diff_jsonl(ts, dense)
+        assert np.array_equal(ts.coeffs[:P + 1], np.broadcast_to(ts.coeffs[P], (P + 1, N, N, P)))
+        back = io.read_topology(path)
+        assert np.array_equal(back.active_at(np.arange(T)), ts.active)
 
 
 def test_a_switching_trace_holds_one_state_per_segment():
@@ -102,17 +116,23 @@ print([int(l.split()[1]) for l in open("/proc/self/status") if l.startswith("VmH
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_generate_memory_per_run_does_not_grow_with_t(tmp_path):
+@pytest.mark.parametrize("regime", [
     # one N=20, P=2 switching run: the dense traces grew by 2 * 6.4 KB per sample
+    dict(N=20, switch_interval=500),
+    # one N=10, P=2 drift run: a table of every sample's coefficients grew
+    # by 1.6 KB per sample, its change scan by 0.2 KB
+    dict(N=10, drift=True),
+], ids=["switching", "drift"])
+def test_generate_memory_per_run_does_not_grow_with_t(tmp_path, regime):
     src = str(Path(__file__).resolve().parents[1] / "src")
+    N = regime["N"]
     peaks = []
     for T in (2000, 8000):
         cfg = tmp_path / f"T{T}.json"
         cfg.write_text(json.dumps({
             "runs": 1, "base_seed": 11, "output_dir": str(tmp_path / f"T{T}"),
-            "generator": {"N": 20, "P": 2, "T": T, "edge_probability": 0.1,
-                          "switch_interval": 500, "noise_std": 0.3},
-            "estimator": {"N": 20, "P": 2, "D": 1}}))
+            "generator": {"P": 2, "T": T, "edge_probability": 0.1, "noise_std": 0.3, **regime},
+            "estimator": {"N": N, "P": 2, "D": 1}}))
         run = subprocess.run([sys.executable, "-c", _PEAK, str(cfg)], capture_output=True,
                              text=True, env={"PYTHONPATH": src, "PATH": ""}, check=True)
         peaks.append(int(run.stdout.split()[-1]) / 1024)

@@ -1,13 +1,14 @@
 """Whole run files, read for the tests: the estimates and residuals `.npy`
 traces through the block readers the pipeline uses, the estimates and
 predictions CSVs, which no reader of the package parses, cell by cell, and
-a series scaled as the estimate that wrote a checkpoint scaled it."""
+a series scaled as the estimate that wrote a checkpoint scaled it; and the
+coefficients of a drift run made as one dense table."""
 
 import json
 
 import numpy as np
 
-from rffgraph import io
+from rffgraph import init_topology, io
 
 
 def estimates(path, N, P):
@@ -60,3 +61,20 @@ def scaled_as_checkpointed(values, checkpoint):
     plus its warm-up count."""
     obj = json.loads(checkpoint.read_text())
     return standardized(values, obj["t"] + obj["warm"])
+
+
+def drift_coeffs(cfg, T):
+    """The (T, N, N, P) coefficients of the drift run of cfg cut to T samples,
+    as one cumulative sum over the whole table: the rows before P hold the
+    initial coefficients, and sample t + 1 adds 0.01 sin(0.03 t) to sample
+    t's in the drifting slots (every active one, or under drift_scope
+    single the lexicographically first)."""
+    topo = init_topology(cfg)
+    drifting = topo.active.copy()
+    if cfg.drift_scope == "single":
+        drifting.flat[np.flatnonzero(topo.active)[1:]] = False
+    rows = np.zeros((T - cfg.P,) + topo.coeffs.shape)
+    rows[0] = topo.coeffs
+    rows[1:, drifting] = 0.01 * np.sin(0.03 * np.arange(cfg.P, T - 1))[:, None]
+    np.cumsum(rows, axis=0, out=rows)
+    return np.concatenate([np.broadcast_to(rows[0], (cfg.P,) + rows.shape[1:]), rows])
