@@ -20,11 +20,11 @@ constant topology, the divergence check included.  The ground truth is a
 `TimeSeries.coeffs` and `.active` forward-fill it to one row per sample on
 demand.  A drift run's coefficients are made by one law, `_drift_rows`, a
 block of samples at a time, each block carried on from the last row of the
-one before: the recurrence reads them a block at a time, and its trace
-keeps the law (initial coefficients and drifting mask) in place of a row
-per sample, so no per-sample table is ever held.  Every seeded output is
-bit-identical to stepping `step`, `switch_edge` and `slow_drift` one sample
-at a time.
+one before: the recurrence reads them a block at a time, and its trace is
+one record that keeps the law (initial coefficients and drifting mask) in
+place of a row per sample, so no per-sample table is ever held.  Every
+seeded output is bit-identical to stepping `step`, `switch_edge` and
+`slow_drift` one sample at a time.
 
 `generate` given a list of configs that differ in their seeds only
 generates their runs in lockstep: their series, nonlinearities and
@@ -155,11 +155,11 @@ class TopologyTrace:
     which the state index of each; active (and coeffs, when kept) stack the
     states, shape (states, N, N, P).
 
-    A drift trace (drifting given) keeps the law of its coefficients in
-    place of their table: coeffs is the (N, N, P) initial coefficients,
-    drifting the mask of the slots that drift, and state k is row k of
-    `_drift_rows`, the coefficients of sample P + k; active is the one mask
-    broadcast to every state.  Its rows are made again when asked for.
+    A drift trace (drifting given) is one record, at t = P, whose state is
+    the law of every sample's coefficients: coeffs holds the initial
+    coefficients and drifting the mask of the slots that drift, and the
+    coefficients of sample t are row max(t - P, 0) of `_drift_rows`, made
+    again when asked for.  Its mask does not change.
     """
 
     starts: np.ndarray
@@ -185,27 +185,10 @@ class TopologyTrace:
         if self.coeffs is None:
             raise ValueError("this trace keeps no coefficients: a trace read from a topology "
                              "file keeps only its active masks")
-        states = self.states_at(t)
         if self.drifting is None:
-            return self.coeffs[states]
-        return _drift_rows(self.coeffs, self.drifting, 0, int(states.max(initial=0)) + 1)[states]
-
-    def records(self):
-        """The records in order, as (t, coeffs, active) arrays of several
-        records at a time.  A drift trace makes its rows one block of at
-        most BLOCK_BYTES at a time (at least one row), each block from the
-        last row of the one before."""
-        if self.drifting is None:
-            yield self.starts, self.coeffs[self.which], self.active[self.which]
-            return
-        block = max(1, BLOCK_BYTES // (8 * self.coeffs.size))
-        row, end = self.coeffs, int(self.which[-1]) + 1
-        for a in range(0, end, block):
-            rows = _drift_rows(row, self.drifting, a, min(a + block, end))
-            lo, hi = np.searchsorted(self.which, [a, a + len(rows)])
-            states = self.which[lo:hi]
-            yield self.starts[lo:hi], rows[states - a], self.active[states]
-            row = rows[-1]
+            return self.coeffs[self.states_at(t)]
+        k = np.maximum(np.asarray(t) - self.starts[0], 0)
+        return _drift_rows(self.coeffs[0], self.drifting, 0, int(k.max(initial=0)) + 1)[k]
 
 
 @dataclass(frozen=True)
@@ -454,8 +437,8 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
     runs a block of samples at a time, max(1, BLOCK_BYTES // (8 R N N P))
     for R runs.  The trace keeps one state per segment; a drift run's
     coefficient rows are made a block at a time by `_drift_rows`, carried on
-    from the block before, and its trace keeps the law and a record at
-    every sample whose coefficients differ from the sample before's.
+    from the block before, and its trace is its one segment's record with
+    the drifting mask, the law of those rows.
     """
     batched = not isinstance(cfg, GeneratorConfig)
     cfgs = list(cfg) if batched else [cfg]
@@ -499,7 +482,6 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
     segment = cfg.switch_interval or T - P
     block = max(1, BLOCK_BYTES // (8 * len(cfgs) * N * N * P))
     states = []  # per segment, the topology of every run
-    changed = []  # per drift block, which of its rows differ from the row before
     for start in range(P, T, segment):
         end = min(start + segment, T)
         noise = stacked([cfg.noise_std * rng.standard_normal((end - start, N)) for rng in rngs])
@@ -510,9 +492,6 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
             b = min(a + block, end)
             if cfg.drift:
                 rows = _drift_rows(row, drifts, a - P, b - P)
-                before = np.concatenate([row[..., None, :, :, :], rows[..., :-1, :, :, :]],
-                                        axis=-4)
-                changed.append((rows != before).any(axis=(-3, -2, -1)))
                 row = rows[..., -1, :, :, :]
             else:
                 rows = np.broadcast_to(row[..., None, :, :, :], lead + (b - a, N, N, P))
@@ -522,20 +501,12 @@ def generate(cfg: GeneratorConfig | Sequence[GeneratorConfig], stop: int | None 
         if end < T:
             topos = [switch_edge(topo, rng) for topo, rng in zip(topos, rngs)]
 
-    if cfg.drift:  # a record at t=P and wherever the coefficients differ from the sample before
-        changed = np.concatenate(changed, axis=-1).reshape(len(cfgs), T - P)
-        changed[:, 0] = True
     series = []
     for i, c in enumerate(cfgs):
-        if cfg.drift:
-            which = np.flatnonzero(changed[i])
-            trace = TopologyTrace(starts=P + which, which=which, coeffs=topos[i].coeffs,
-                                  drifting=drifting[i],
-                                  active=np.broadcast_to(topos[i].active, (T - P, N, N, P)))
-        else:  # a record at each segment's start
-            trace = TopologyTrace(starts=np.arange(P, T, segment),
-                                  which=np.arange(len(states)),
-                                  coeffs=np.array([s[i].coeffs for s in states]),
-                                  active=np.array([s[i].active for s in states]))
+        # a record at each segment's start; a drift run's one also keeps its law
+        trace = TopologyTrace(starts=np.arange(P, T, segment), which=np.arange(len(states)),
+                              coeffs=np.array([s[i].coeffs for s in states]),
+                              active=np.array([s[i].active for s in states]),
+                              drifting=drifting[i] if cfg.drift else None)
         series.append(TimeSeries(values=run_values[i], topology=trace, config=c))
     return series if batched else series[0]

@@ -22,8 +22,10 @@ column and, for estimates, that every cell is a finite, nonnegative group
 norm.  `read_data_csv` parses a data CSV whole, since `estimate` and
 `bench` hold the whole series anyway, and returns it C-ordered, as
 `generate` makes it.  The topology JSONL holds one line per record of the
-generator's `TopologyTrace`, and `read_topology` reads back its active
-masks, keeping each distinct one once.
+generator's `TopologyTrace`, one per change of the active mask (a drift
+run's one record carrying the law of its coefficients), and
+`read_topology` reads back its active masks, keeping each distinct one
+once.
 `opened` is the one opener of every file read or written: a missing
 input, and any file that cannot be read or written, is a DataError (a
 ConfigError for a config file or manifest) naming it.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -228,17 +231,21 @@ def read_data_csv(path) -> np.ndarray:
 def write_topology_jsonl(path, ts: TimeSeries):
     """Ground-truth trace as JSON lines (t, coefficient array, active mask),
     one line per record of ts.topology: the first modeled sample and every
-    sample whose topology differs from the sample before, in the blocks
-    the trace hands them out in.  Readers forward-fill between lines."""
+    change of the active mask.  A drift trace's one line also holds its
+    drifting mask, which with its coefficients is the law of every later
+    sample's.  Readers forward-fill between lines."""
+    trace = ts.topology
+    law = {} if trace.drifting is None else {"drifting": trace.drifting.tolist()}
     with opened(path, "w", "output file") as fh:
-        for starts, coeffs, active in ts.topology.records():
-            for t, c, a in zip(starts.tolist(), coeffs, active):
-                fh.write(json.dumps({"t": t, "coeffs": c.tolist(), "active": a.tolist()}) + "\n")
+        for t, k in zip(trace.starts.tolist(), trace.which.tolist()):
+            fh.write(json.dumps({"t": t, "coeffs": trace.coeffs[k].tolist(),
+                                 "active": trace.active[k].tolist(), **law}) + "\n")
 
 
 def _topology_record(path, lineno: int, line: str):
     """(t, coeffs, active) of one topology line; a DataError naming the line
-    unless it is a JSON object with an integer t and two arrays of one shape."""
+    unless it is a JSON object with an integer t and two arrays of one shape,
+    and a drifting mask, if it has one, of that shape too."""
     where = f"{path}, line {lineno}"
     try:
         obj = json.loads(line)
@@ -255,10 +262,13 @@ def _topology_record(path, lineno: int, line: str):
     try:
         coeffs = np.array(obj["coeffs"], dtype=float)
         active = np.array(obj["active"], dtype=bool)
+        drifting = np.array(obj["drifting"], dtype=bool) if "drifting" in obj else active
     except (TypeError, ValueError):  # ragged or non-numeric JSON
-        raise DataError(f"{where}: coeffs and active must be numeric arrays") from None
+        raise DataError(f"{where}: coeffs, active and drifting must be numeric arrays") from None
     if coeffs.shape != active.shape:
         raise DataError(f"{where}: coeffs shape {coeffs.shape} != active shape {active.shape}")
+    if drifting.shape != coeffs.shape:
+        raise DataError(f"{where}: drifting shape {drifting.shape} != coeffs shape {coeffs.shape}")
     return t, coeffs, active
 
 
@@ -266,9 +276,10 @@ def read_topology(path) -> TopologyTrace:
     """Read a topology JSONL as its active masks, keeping each distinct mask
     once.
 
-    The coefficients are parsed only to check them.  A line that is not a
-    JSON record with `t`, `coeffs` and `active`, records of different
-    shapes, or no records are a DataError naming the file (and line).
+    The coefficients (and a drift record's drifting mask) are parsed only
+    to check them.  A line that is not a JSON record with `t`, `coeffs` and
+    `active`, records of different shapes, or no records are a DataError
+    naming the file (and line).
     """
     starts, which, states = [], [], {}
     shape = None
@@ -347,6 +358,28 @@ def _write_npy_rows(path, t_values: range, rows: np.ndarray):
             fh.write(block.data)
 
 
+# The header dict np.save writes: its keys sorted, each value's repr, then
+# spaces and a newline to pad it.
+_NPY_HEADER = re.compile(r"\{'descr': '([^']*)', 'fortran_order': (True|False), "
+                         r"'shape': \((\d+,|\d+(?:, \d+)+|)\), \} *\n")
+
+
+def _npy_header(fh):
+    """(descr, fortran_order, shape) of the version 1.0 or 2.0 `.npy` header
+    at the start of fh; a ValueError unless it is a dict _NPY_HEADER matches.
+    (numpy's reader evaluates the header as Python text, so a damaged one
+    can end in a tokenizer error or a warning.)"""
+    version = np.lib.format.read_magic(fh)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"unsupported .npy format version {version}")
+    length = int.from_bytes(fh.read(2 if version == (1, 0) else 4), "little")
+    match = _NPY_HEADER.fullmatch(fh.read(min(length, 1 << 16)).decode("latin1"))
+    if match is None:
+        raise ValueError("its header is not the array header np.save writes")
+    descr, fortran_order, shape = match.groups()
+    return descr, fortran_order == "True", tuple(map(int, re.findall(r"\d+", shape)))
+
+
 def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
     """(offset of the first row, row count) of a `.npy` trace, from its
     header alone; a DataError naming the file unless it holds a native
@@ -354,29 +387,22 @@ def _npy_rows_at(path: Path, what: str, width: int, fits: str, hint: str):
     comes from, and hint ends the message of a file that is there but bad."""
     if not path.is_file():
         raise DataError(f"no {what} file at {path}; re-run estimate to write it")
-    fmt = np.lib.format
     with opened(path, "rb", f"{what} array") as fh:
         try:
-            version = fmt.read_magic(fh)
-            if version not in ((1, 0), (2, 0)):
-                raise ValueError(f"unsupported .npy format version {version}")
-            read_header = fmt.read_array_header_1_0 if version == (1, 0) \
-                else fmt.read_array_header_2_0
-            shape, fortran_order, dtype = read_header(fh)
-            offset = fh.tell()
-            if dtype.hasobject:
-                raise ValueError("object arrays cannot be loaded")
-            held, needed = path.stat().st_size - offset, math.prod(shape) * dtype.itemsize
-            if held < needed:
-                raise ValueError(f"the header needs {needed} bytes of data, the file holds {held}")
-        except (ValueError, EOFError) as e:
+            descr, fortran_order, shape = _npy_header(fh)
+        except ValueError as e:
             raise DataError(f"{path}: unreadable {what} array ({e}){hint}") from None
-    if dtype != np.float64 or len(shape) != 2 or shape[1] != width:
+        offset = fh.tell()
+    if descr != np.dtype(np.float64).str or len(shape) != 2 or shape[1] != width:
         raise DataError(f"{path}: expected a float64 (rows, {width}) array for {fits}, "
-                        f"got {dtype} {shape}{hint}")
+                        f"got {descr} {shape}{hint}")
     if fortran_order:
         raise DataError(f"{path}: a Fortran-ordered {what} array cannot be read in row "
                         f"blocks; re-run estimate")
+    held, needed = path.stat().st_size - offset, 8 * shape[0] * width
+    if held < needed:
+        raise DataError(f"{path}: unreadable {what} array (the header needs {needed} bytes "
+                        f"of data, the file holds {held}){hint}")
     return offset, shape[0]
 
 

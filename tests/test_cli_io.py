@@ -948,8 +948,10 @@ def test_integer_and_boolean_config_fields_are_type_checked(tmp_path, capsys, se
     ('{"t": "2", "coeffs": [1.0], "active": [true]}', "nonnegative integer"),
     ('{"t": 2, "coeffs": [[1.0], [1.0, 2.0]], "active": [true]}', "numeric arrays"),
     ('{"t": 2, "coeffs": [1.0, 2.0], "active": [true]}', "!= active shape"),
+    ('{"t": 2, "coeffs": [1.0], "active": [true], "drifting": [true, false]}',
+     "drifting shape (2,) != coeffs shape (1,)"),
 ], ids=["truncated", "not an object", "no t", "no coeffs", "no active", "t a string",
-        "ragged coeffs", "shapes differ"])
+        "ragged coeffs", "shapes differ", "drifting of another shape"])
 def test_malformed_topology_line_is_a_data_error_naming_the_line(tmp_path, capsys, line,
                                                                  message):
     cfg_path = _cfg_with(tmp_path, runs=1)

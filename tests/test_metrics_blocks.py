@@ -554,6 +554,7 @@ def test_metrics_memory_per_run_does_not_grow_with_t(tmp_path):
     for T in (2000, 8000):
         cfg = _one_run(tmp_path / f"T{T}", T)
         run = subprocess.run([sys.executable, "-c", _PEAK, str(cfg)], capture_output=True,
-                             text=True, env={"PYTHONPATH": src, "PATH": ""}, check=True)
+                             text=True, check=True,
+                             env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"})
         peaks.append(int(run.stdout.split()[-1]) / 1024)
     assert peaks[1] - peaks[0] < 5.0, peaks

@@ -11,6 +11,7 @@ them in.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,38 @@ def test_a_bad_residuals_trace_is_a_data_error_naming_it(tmp_path, capsys, damag
     assert cli_main(["metrics", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(path) in err and "re-run estimate" in err
+
+
+# edits of a residuals header that keep its length (a pad space is
+# dropped): numpy's header reader ends the first in a tokenizer error, and
+# reads the second through its Python 2 fallback, with a warning
+HEADER_EDITS = {
+    "an extra parenthesis": (b"'shape': (", b"'shape': (("),
+    "a Python 2 long": (b"(58, ", b"(58L, "),
+}
+
+
+@pytest.mark.parametrize("edit", list(HEADER_EDITS))
+def test_a_damaged_npy_header_is_one_line_naming_the_file(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    cfg = _config(tmp_path / "exp.json", 60, output_dir=out)
+    for command in ("generate", "estimate"):
+        assert cli_main([command, cfg]) == 0
+    path = out / "run001_residuals.npy"
+    old, new = HEADER_EDITS[edit]
+    data = path.read_bytes()
+    end = data.index(b"\n") + 1  # the header ends at its first newline
+    header = data[:end].replace(old, new, 1).replace(b" \n", b"\n", 1)
+    assert len(header) == end and header != data[:end]
+    path.write_bytes(header + data[end:])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["metrics", cfg])
+    err = capsys.readouterr().err
+    assert code == 3 and not caught, (code, [str(w.message) for w in caught])
+    assert err.startswith("data error: ") and err.count("\n") == 1 and str(path) in err, err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def _files(d):

@@ -1,15 +1,17 @@
 """The generator records topology changes, not one topology per sample.
 
 `generate` returns its ground truth as a `TopologyTrace` (one state per
-segment of a switching or static run, the law of a drift run's
-coefficients, one record per change), and `io.write_topology_jsonl` writes
-one line per record.  The file must equal, byte for byte, what the
-per-sample writer of the dense `(T, N, N, P)` traces wrote: a line at
-t = P and at every sample whose coefficients or mask differ from the
-last line's.  The dense traces, `TimeSeries.coeffs` and `.active`, are
-the trace forward-filled, and the oracle below reads them; a drift run's
-coefficients must equal one dense cumulative sum, whatever the blocks of
-samples `generate` and the writer make them in.
+segment of a switching or static run, one record per change of the active
+mask), and `io.write_topology_jsonl` writes one line per record.  A
+switching or static file must equal, byte for byte, what the per-sample
+writer of the dense `(T, N, N, P)` traces wrote: a line at t = P and at
+every sample whose coefficients or mask differ from the last line's.  A
+drift file is one line at t = P holding the law of the run's coefficients:
+the initial coefficients, the mask and the drifting mask.  The dense
+traces, `TimeSeries.coeffs` and `.active`, are the trace forward-filled; a
+drift run's coefficients must equal one dense cumulative sum, whatever the
+blocks of samples `generate` makes them in, and so must the rows rebuilt
+from the written record alone.
 """
 
 import json
@@ -44,6 +46,32 @@ def _dense_diff_jsonl(ts, coeffs):
                                  "active": snap[1].tolist()}) + "\n")
         prev = snap
     return "".join(lines)
+
+
+def _law_jsonl(cfg, coeffs, active):
+    """A drift run's one line: t = P, its initial coefficients and mask, and
+    its drifting slots (every active one, or under drift_scope single the
+    lexicographically first)."""
+    P = cfg.P
+    drifting = active[P].copy()
+    if cfg.drift_scope == "single":
+        drifting.flat[np.flatnonzero(drifting)[1:]] = False
+    return json.dumps({"t": P, "coeffs": coeffs[P].tolist(), "active": active[P].tolist(),
+                       "drifting": drifting.tolist()}) + "\n"
+
+
+def _rows_from_the_record(line, P, t):
+    """The coefficients at times t rebuilt from a drift line's raw JSON:
+    sample s + 1 adds 0.01 sin(0.03 s) to sample s's in the drifting slots,
+    one cumulative sum from the record's coefficients at t = P, and the
+    rows before P hold those."""
+    record = json.loads(line)
+    drifting = np.array(record["drifting"], dtype=bool)
+    rows = np.zeros((max(max(t) - P, 0) + 1,) + drifting.shape)
+    rows[0] = record["coeffs"]
+    rows[1:, drifting] = 0.01 * np.sin(0.03 * np.arange(P, P + len(rows) - 1))[:, None]
+    np.cumsum(rows, axis=0, out=rows)
+    return rows[np.maximum(np.asarray(t) - P, 0)]
 
 
 REGIMES = {
@@ -83,10 +111,30 @@ def test_topology_jsonl_equals_the_dense_diff_writer(tmp_path_factory, regime, N
         assert ts.coeffs.shape == ts.active.shape == (T, N, N, P)
         dense = drift_coeffs(cfg, T) if cfg.drift else ts.coeffs
         assert np.array_equal(ts.coeffs, dense)
-        assert path.read_text() == _dense_diff_jsonl(ts, dense)
+        oracle = _law_jsonl(cfg, dense, ts.active) if cfg.drift else _dense_diff_jsonl(ts, dense)
+        assert path.read_text() == oracle
         assert np.array_equal(ts.coeffs[:P + 1], np.broadcast_to(ts.coeffs[P], (P + 1, N, N, P)))
         back = io.read_topology(path)
         assert np.array_equal(back.active_at(np.arange(T)), ts.active)
+    if cfg.drift:  # a per-sample file of the writer before the law record reads the same
+        path.write_text(_dense_diff_jsonl(ts, dense))
+        assert np.array_equal(io.read_topology(path).active_at(np.arange(T)), ts.active)
+
+
+@pytest.mark.parametrize("scope", ["all", "single"])
+def test_the_rows_rebuilt_from_a_drift_record_equal_the_dense_sum(tmp_path, monkeypatch, scope):
+    cfg = GeneratorConfig(N=3, P=2, T=120, edge_probability=0.4, noise_std=0.1, drift=True,
+                          drift_scope=scope, seed=4)
+    # blocks of 7 rows; the cut run stops inside its fourth block
+    monkeypatch.setattr(generator, "BLOCK_BYTES", 7 * 8 * 3 * 3 * 2)
+    for stop in (None, 2 + 7 * 3 + 4):
+        ts = generate(cfg, stop=stop)
+        T = ts.values.shape[1]
+        io.write_topology_jsonl(tmp_path / "topology.jsonl", ts)
+        (line,) = (tmp_path / "topology.jsonl").read_text().splitlines()
+        t = [0, 1, 2 + 7 * 3 + 3, T - 1]  # before P, inside a block and the last sample
+        assert np.array_equal(_rows_from_the_record(line, cfg.P, t), drift_coeffs(cfg, T)[t])
+        assert np.array_equal(ts.topology.coeffs_at(np.array(t)), drift_coeffs(cfg, T)[t])
 
 
 def test_a_switching_trace_holds_one_state_per_segment():
@@ -134,6 +182,7 @@ def test_generate_memory_per_run_does_not_grow_with_t(tmp_path, regime):
             "generator": {"P": 2, "T": T, "edge_probability": 0.1, "noise_std": 0.3, **regime},
             "estimator": {"N": N, "P": 2, "D": 1}}))
         run = subprocess.run([sys.executable, "-c", _PEAK, str(cfg)], capture_output=True,
-                             text=True, env={"PYTHONPATH": src, "PATH": ""}, check=True)
+                             text=True, check=True,
+                             env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"})
         peaks.append(int(run.stdout.split()[-1]) / 1024)
     assert peaks[1] - peaks[0] < 5.0, peaks
